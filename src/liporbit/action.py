@@ -44,15 +44,131 @@ def action_value(traj: PeriodicTrajectory, model: PotentialModel) -> float:
 
     The kinetic term is summed exactly by Parseval; the potential term
     uses trapezoid quadrature on the 4K+4 grid (spectrally accurate for
-    periodic integrands).
+    periodic integrands).  A one-row call of :func:`action_values`.
     """
     if model.dim != traj.n:
         raise ValueError(f"model dimension {model.dim} != trajectory dimension {traj.n}")
-    mode_energy = np.sum(traj.a ** 2 + traj.b ** 2, axis=1)
-    kinetic = 0.25 * traj.T * float(traj.omegas ** 2 @ mode_energy)
-    N = default_grid_size(traj.K)
-    potential = traj.T * float(np.mean(model.value(traj.sample(N))))
-    return kinetic - potential
+    return float(action_values(traj.coefficients()[None], traj.T, model)[0])
+
+
+# -- batched nodal core -------------------------------------------------
+#
+# Loops sharing T and K are stacked as coefficient rows of shape
+# (B, 2K+1, n), each row laid out as PeriodicTrajectory.coefficients().
+# The core evaluates BATCH_ROWS rows at a time; a row gives the same bits
+# as it would alone, because every step is elementwise per node or a
+# 1-D transform or reduction per row.
+
+# Rows per evaluated block.  Bigger blocks run no faster, and their
+# temporaries (about 50 kB per row at K = 64, n = 2) raise the peak
+# memory of a polish step.
+BATCH_ROWS = 32
+
+
+def _blocks(coeffs: np.ndarray):
+    coeffs = np.asarray(coeffs, dtype=float)
+    for start in range(0, coeffs.shape[0], BATCH_ROWS):
+        yield coeffs[start:start + BATCH_ROWS]
+
+
+def _synthesize(coeffs: np.ndarray, T: float, N: int, accel: bool):
+    """Node values q, and -qdd when accel, of each row on the N-point grid.
+
+    One irfft serves the block.  The arithmetic repeats
+    PeriodicTrajectory.sample and derivative() term by term.
+    """
+    B, rows, n = coeffs.shape
+    K = (rows - 1) // 2
+    a0, a, b = coeffs[:, 0], coeffs[:, 1:K + 1], coeffs[:, K + 1:]
+    spec = np.zeros((B, N // 2 + 1, 2 * n if accel else n), dtype=complex)
+    spec[:, 0, :n] = a0 * N
+    spec[:, 1:K + 1, :n] = (a - 1j * b) * (N / 2.0)
+    if accel:
+        w = (2.0 * np.pi * np.arange(1, K + 1) / T)[:, None]
+        spec[:, 1:K + 1, n:] = (w * (-w * a) - 1j * (-w * (w * b))) * (N / 2.0)
+    vals = np.fft.irfft(spec, n=N, axis=1)
+    if not accel:
+        return vals, None
+    return vals[..., :n], -vals[..., n:]
+
+
+def _select(model: PotentialModel, qs: np.ndarray, target: np.ndarray,
+            tol_active: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node min-norm selection v = proj(target | dV(q)) over nodes (M, n).
+
+    Returns v (M, n) and its convex weights over the pieces (M, n_pieces).
+    A node with one active piece takes that gradient; a node with more
+    goes through subdiff and project_hull.
+    """
+    M = qs.shape[0]
+    if model.kind == "smooth":
+        return np.asarray(model.gradients[0](qs), dtype=float), np.ones((M, 1))
+    piece_vals = model.piece_values(qs)                   # (P, M)
+    top = np.max(piece_vals, axis=0)
+    if tol_active is None:
+        tol = 1e-8 * (1.0 + np.abs(top))
+    else:
+        tol = np.full(M, float(tol_active))
+    tol = tol * GRADIENT_TOL_WIDEN
+    active = piece_vals >= top[None, :] - tol[None, :]      # (P, M)
+    n_active = active.sum(axis=0)
+    sel = np.zeros_like(target)
+    weights = np.zeros((M, model.n_pieces))
+    single = n_active == 1
+    if np.any(single):
+        piece_of = np.argmax(active[:, single], axis=0)
+        cols = np.flatnonzero(single)
+        grads = np.stack([np.asarray(g(qs[cols]), dtype=float)
+                          for g in model.gradients])       # (P, m, n)
+        sel[cols] = grads[piece_of, np.arange(cols.size)]
+        weights[cols, piece_of] = 1.0
+    for j in np.flatnonzero(~single):
+        sg = subdiff(model, qs[j], float(tol[j]))
+        proj, w = project_hull(target[j], sg.vertices)
+        sel[j] = proj
+        weights[j, list(sg.active)] = w
+    return sel, weights
+
+
+def _residual_block(coeffs: np.ndarray, T: float, model: PotentialModel,
+                    tol_active: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Residual rows -qdd - v (B, 2K+1, n) and node weights (B, N, n_pieces)."""
+    B, rows, n = coeffs.shape
+    K = (rows - 1) // 2
+    N = default_grid_size(K)
+    qs, target = _synthesize(coeffs, T, N, accel=True)
+    sel, weights = _select(model, qs.reshape(-1, n), target.reshape(-1, n),
+                           tol_active)
+    spec = np.fft.rfft(target - sel.reshape(B, N, n), axis=1)
+    out = np.empty_like(coeffs)
+    out[:, 0] = spec[:, 0].real / N
+    out[:, 1:K + 1] = 2.0 * spec[:, 1:K + 1].real / N
+    out[:, K + 1:] = -2.0 * spec[:, 1:K + 1].imag / N
+    return out, weights.reshape(B, N, -1)
+
+
+def action_values(coeffs: np.ndarray, T: float, model: PotentialModel) -> np.ndarray:
+    """f at each stacked coefficient row, shape (B,)."""
+    out = []
+    for c in _blocks(coeffs):
+        B, rows, n = c.shape
+        K = (rows - 1) // 2
+        N = default_grid_size(K)
+        w2 = (2.0 * np.pi * np.arange(1, K + 1) / T) ** 2
+        energy = np.sum(c[:, 1:K + 1] ** 2 + c[:, K + 1:] ** 2, axis=2)   # (B, K)
+        # One dot per row: a matrix-vector product may sum in another order.
+        kinetic = 0.25 * T * np.array([w2 @ e for e in energy])
+        qs, _ = _synthesize(c, T, N, accel=False)
+        potential = T * np.mean(model.value(qs.reshape(-1, n)).reshape(B, N), axis=1)
+        out.append(kinetic - potential)
+    return np.concatenate(out)
+
+
+def min_norm_residuals(coeffs: np.ndarray, T: float, model: PotentialModel,
+                       tol_active: float | None = None) -> np.ndarray:
+    """Coefficient rows of the min-norm residual -qdd - v, shape (B, 2K+1, n)."""
+    parts = [_residual_block(c, T, model, tol_active)[0] for c in _blocks(coeffs)]
+    return np.concatenate(parts)
 
 
 # -- nearest point in a convex hull -----------------------------------
@@ -173,51 +289,21 @@ def min_norm_subgradient(traj: PeriodicTrajectory, model: PotentialModel,
     The residual -qdd - v is assembled back into Fourier modes 0..K.
     metric "l2" returns the plain representative as the direction;
     "h1precond" applies the 1/(1+w_k^2) diagonal, the standard Sobolev
-    gradient (positive diagonal, so critical points are unchanged).
+    gradient (positive diagonal, so critical points are unchanged).  The
+    residual is a one-row call of the batched core (min_norm_residuals).
     """
     if metric not in ("l2", "h1precond"):
         raise ValueError(f"unknown metric {metric!r}")
-    N = default_grid_size(traj.K)
-    qs = traj.sample(N)
-    target = -traj.derivative().derivative().sample(N)    # -qdd at nodes
-
-    if model.kind == "smooth":
-        sel = np.asarray(model.gradients[0](qs), dtype=float)
-        weights = np.ones((N, 1))
-    else:
-        piece_vals = model.piece_values(qs)               # (P, N)
-        top = np.max(piece_vals, axis=0)
-        if tol_active is None:
-            tol = 1e-8 * (1.0 + np.abs(top))
-        else:
-            tol = np.full(N, float(tol_active))
-        tol = tol * GRADIENT_TOL_WIDEN
-        active = piece_vals >= top[None, :] - tol[None, :]  # (P, N)
-        n_active = active.sum(axis=0)
-        sel = np.zeros_like(target)
-        weights = np.zeros((N, model.n_pieces))
-        single = n_active == 1
-        if np.any(single):
-            piece_of = np.argmax(active[:, single], axis=0)
-            cols = np.flatnonzero(single)
-            grads = np.stack([np.asarray(g(qs[cols]), dtype=float)
-                              for g in model.gradients])   # (P, m, n)
-            sel[cols] = grads[piece_of, np.arange(cols.size)]
-            weights[cols, piece_of] = 1.0
-        for j in np.flatnonzero(~single):
-            sg = subdiff(model, qs[j], float(tol[j]))
-            proj, w = project_hull(target[j], sg.vertices)
-            sel[j] = proj
-            weights[j, list(sg.active)] = w
-
-    residual = PeriodicTrajectory.from_samples(target - sel, traj.T, K=traj.K)
+    rows, weights = _residual_block(traj.coefficients()[None], traj.T, model,
+                                    tol_active)
+    residual = PeriodicTrajectory.from_coefficients(traj.T, rows[0])
     r_norm = l2_norm(residual)
     precond = h1_preconditioned(residual)
     precond_norm = float(np.sqrt(max(l2_inner(residual, precond), 0.0)))
     direction = precond if metric == "h1precond" else residual
     return ActionGradient(residual=residual, direction=direction,
                           l2_norm=r_norm, h1_precond_norm=precond_norm,
-                          weights=weights, metric=metric)
+                          weights=weights[0], metric=metric)
 
 
 # -- Cerami-type sequence diagnostics ----------------------------------

@@ -353,8 +353,6 @@ def _apply_overrides(raw: dict, args) -> dict:
         raw["output_dir"] = args.output
     if args.seed is not None:
         raw.setdefault("solver", {})["seed"] = args.seed
-    if args.threads is not None:
-        raw.setdefault("solver", {})["threads"] = args.threads
     if args.modes is not None:
         raw["K"] = args.modes
     if args.grid is not None:
@@ -375,7 +373,6 @@ def main(argv=None) -> int:
             p.add_argument("config", help="JSON run configuration")
         p.add_argument("-o", "--output", help="output directory override")
         p.add_argument("--seed", type=int, help="solver seed override")
-        p.add_argument("--threads", type=int, help="worker threads (runs serially)")
         p.add_argument("--modes", type=int, help="Fourier mode count override (K)")
         p.add_argument("--grid", type=int, help="surface grid resolution override")
         p.add_argument("--period", type=float, help="period T override")

@@ -108,6 +108,8 @@ def value(model: PotentialModel, x) -> float:
 def subdiff(model: PotentialModel, x, tol_active: float | None = None) -> SubgradientSet:
     """Active-piece gradients at x: {grad V_i(x) : V_i(x) >= V(x) - tol}."""
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite, got {x}")
     if tol_active is None:
         tol_active = model.default_tol_active(x)
     if tol_active < 0:
@@ -350,13 +352,21 @@ def certify(model: PotentialModel, hypothesis: str, params: dict,
 
 
 def _pairing_extremes(model: PotentialModel, pts: np.ndarray, minimum: bool) -> np.ndarray:
-    """min or max of <y, x> over subdifferential vertices, per point."""
-    out = np.empty(pts.shape[0])
-    for j, x in enumerate(pts):
-        sg = subdiff(model, x)
-        pairings = sg.vertices @ x
-        out[j] = np.min(pairings) if minimum else np.max(pairings)
-    return out
+    """min or max of <y, x> over subdifferential vertices, per point.
+
+    The active pieces at each point are those subdiff would pick with its
+    default tolerance; all points are paired at once.
+    """
+    piece_vals = model.piece_values(pts)                  # (P, M)
+    top = np.max(piece_vals, axis=0)
+    active = piece_vals >= top - 1e-8 * (1.0 + np.abs(top))
+    # Row-by-row matmul, the product subdiff's vertices @ x computes.
+    pairings = np.stack([(np.asarray(g(pts), dtype=float)[:, None, :]
+                          @ pts[:, :, None])[:, 0, 0]
+                         for g in model.gradients])       # (P, M)
+    if minimum:
+        return np.min(np.where(active, pairings, np.inf), axis=0)
+    return np.max(np.where(active, pairings, -np.inf), axis=0)
 
 
 # -- built-in zoo -----------------------------------------------------

@@ -102,6 +102,19 @@ class PeriodicTrajectory:
         b[k - 1, axis] = sin_amp
         return cls(T, np.zeros(n), a, b)
 
+    @classmethod
+    def from_coefficients(cls, T: float, coeffs: np.ndarray) -> "PeriodicTrajectory":
+        """Inverse of :meth:`coefficients`: rows [a0; a_1..a_K; b_1..b_K]."""
+        K = (coeffs.shape[0] - 1) // 2
+        return cls(T, coeffs[0], coeffs[1:K + 1], coeffs[K + 1:])
+
+    def coefficients(self) -> np.ndarray:
+        """Rows [a0; a_1..a_K; b_1..b_K], shape (2K+1, n).
+
+        The layout the batched action core stacks loops in.
+        """
+        return np.concatenate([self.a0[None], self.a, self.b])
+
     # -- evaluation --------------------------------------------------
 
     def evaluate(self, t) -> np.ndarray:

@@ -179,7 +179,8 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
     x = np.asarray(initial_guess, dtype=float).ravel()
     if x.size != 2 * model.dim:
         raise ValueError(f"initial guess must have size 2n = {2 * model.dim}")
-    n_steps = max(n_steps, 4096)
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
 
     def closure(state):
         yT, _ = _rk4_flow(model, T, state, n_steps)

@@ -2,18 +2,28 @@ import numpy as np
 import pytest
 
 from liporbit.action import (
+    BATCH_ROWS,
+    GRADIENT_TOL_WIDEN,
     CeramiRecord,
     action_clarke_directional,
     action_value,
+    action_values,
     cerami_measure,
     classify_sequence,
     ekeland_diagnostic,
     h1_preconditioned,
     history_to_csv,
+    min_norm_residuals,
     min_norm_subgradient,
     project_hull,
 )
-from liporbit.potentials import PotentialModel, make_maxpair, make_quartic, make_subq32
+from liporbit.potentials import (
+    PotentialModel,
+    make_maxpair,
+    make_quartic,
+    make_subq32,
+    subdiff,
+)
 from liporbit.trajectory import (
     PeriodicTrajectory,
     default_grid_size,
@@ -112,6 +122,70 @@ def test_action_sine_under_quartic():
 def test_action_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         action_value(PeriodicTrajectory.zero(1.0, 2, 2), make_quartic(3))
+
+
+# -- batched nodal core ----------------------------------------------------
+
+
+def serial_residual(q, V):
+    """The residual -qdd - v of one loop, built node by node from the
+    PeriodicTrajectory API: the loop form of the batched core."""
+    N = default_grid_size(q.K)
+    qs = q.sample(N)
+    target = -q.derivative().derivative().sample(N)
+    sel = np.empty_like(target)
+    for j in range(N):
+        vals = V.piece_values(qs[j])
+        tol = 1e-8 * (1.0 + abs(vals.max())) * GRADIENT_TOL_WIDEN
+        active = np.flatnonzero(vals >= vals.max() - tol)
+        if active.size == 1:
+            sel[j] = V.gradients[active[0]](qs[j])
+        else:
+            sel[j] = project_hull(target[j], subdiff(V, qs[j], tol).vertices)[0]
+    return PeriodicTrajectory.from_samples(target - sel, q.T, K=q.K).coefficients()
+
+
+def serial_action(q, V):
+    energy = np.sum(q.a ** 2 + q.b ** 2, axis=1)
+    kinetic = 0.25 * q.T * float(q.omegas ** 2 @ energy)
+    return kinetic - q.T * float(np.mean(V.value(q.sample(default_grid_size(q.K)))))
+
+
+def batch_loops(n, T=2.0, K=16):
+    """More loops than one block holds; the last two cross the sphere
+    |x| = 1 and run along it."""
+    rng = np.random.default_rng(11)
+    loops = [random_trajectory(rng, T, n, K) * rng.uniform(0.2, 1.2)
+             for _ in range(BATCH_ROWS + 5)]
+    loops.append(PeriodicTrajectory.harmonic(T, n, 1, sin_amp=1.3, K=K))
+    circle = PeriodicTrajectory.harmonic(T, n, 1, cos_amp=1.0, sin_amp=0.0, K=K)
+    if n > 1:
+        circle = circle + PeriodicTrajectory.harmonic(T, n, 1, axis=1, K=K)
+    return loops + [circle]
+
+
+@pytest.mark.parametrize("make", [make_quartic, make_maxpair], ids=["quartic", "maxpair"])
+def test_batched_residual_rows_equal_serial(make):
+    V = make(2 if make is make_maxpair else 1)
+    loops = batch_loops(V.dim)
+    rows = min_norm_residuals(np.stack([q.coefficients() for q in loops]), 2.0, V)
+    for q, row in zip(loops, rows):
+        assert np.array_equal(row, min_norm_subgradient(q, V, metric="l2").residual.coefficients())
+        assert np.array_equal(row, serial_residual(q, V))
+    if V.kind == "max":
+        # every node of the unit circle has both pieces active and is projected
+        vals = V.piece_values(loops[-1].sample(default_grid_size(16)))
+        assert np.all(np.abs(vals[0] - vals[1]) < 1e-12)
+
+
+@pytest.mark.parametrize("make", [make_quartic, make_maxpair], ids=["quartic", "maxpair"])
+def test_batched_action_values_equal_serial(make):
+    V = make(2)
+    loops = batch_loops(2)
+    vals = action_values(np.stack([q.coefficients() for q in loops]), 2.0, V)
+    assert vals.shape == (len(loops),)
+    for q, val in zip(loops, vals):
+        assert val == action_value(q, V) == serial_action(q, V)
 
 
 # -- nearest point in hull -------------------------------------------------

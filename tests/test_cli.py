@@ -1,0 +1,36 @@
+import json
+
+import pytest
+
+from liporbit import cli
+
+MAXPAIR_K32 = {
+    "potential": {"type": "maxpair"}, "T": 2.0, "n": 2, "K": 32,
+    "mode": "superquadratic",
+    "solver": {"grid": 9, "tol_conv": 1e-5, "max_iters": 4000, "seed": 0},
+}
+
+
+def test_solve_artifacts_are_byte_reproducible(tmp_path):
+    outs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        code = cli.cmd_solve(cli.RunConfig.from_dict(
+            dict(MAXPAIR_K32, output_dir=str(out), verbosity=0)))
+        assert code == cli.EXIT_OK
+        outs.append(out)
+    for name in ("result.json", "trajectory.json", "cerami.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_threads_is_not_a_solver_key(tmp_path):
+    raw = dict(MAXPAIR_K32, solver={"threads": 2})
+    with pytest.raises(cli.ConfigError) as err:
+        cli.RunConfig.from_dict(raw).solver_config()
+    assert err.value.key == "solver"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["solve", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["solve", str(path), "--threads", "2"])
+    assert exit_.value.code == 2

@@ -4,6 +4,7 @@ import pytest
 from liporbit.potentials import (
     PotentialModel,
     SamplerSpec,
+    _pairing_extremes,
     certify,
     check_gradients,
     clarke_directional,
@@ -65,6 +66,25 @@ def test_negative_tol_rejected():
     V = make_maxpair(2)
     with pytest.raises(ValueError):
         subdiff(V, np.zeros(2), tol_active=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_subdiff_rejects_non_finite_point(bad):
+    with pytest.raises(ValueError, match="x must be finite"):
+        subdiff(make_maxpair(2), np.array([bad, 0.0]))
+
+
+@pytest.mark.parametrize("make", [make_quartic, make_maxpair, make_subq32])
+def test_pairing_extremes_match_subdiff_loop(make):
+    V = make(2)
+    pts = SamplerSpec(count=400, seed=5).points(2)
+    theta = np.linspace(0.0, 2.0 * np.pi, 16)
+    pts = np.vstack([pts, np.column_stack([np.cos(theta), np.sin(theta)])])
+    for minimum, pick in ((True, np.min), (False, np.max)):
+        loop = np.array([pick(subdiff(V, x).vertices @ x) for x in pts])
+        # Batched gradient maps may round differently from one-point calls.
+        np.testing.assert_allclose(_pairing_extremes(V, pts, minimum), loop,
+                                   rtol=8 * np.finfo(float).eps, atol=0.0)
 
 
 def test_gradient_fd_audit_on_zoo():

@@ -14,13 +14,14 @@ from liporbit.solver import (
     GeometryNotCertified,
     SolverConfig,
     StallError,
+    _polyline_max,
     deform_step,
     init_surface,
     ridge_probe,
     run_minimax,
     run_saddle,
 )
-from liporbit.trajectory import PeriodicTrajectory, l2_norm
+from liporbit.trajectory import PeriodicTrajectory, l2_norm, random_trajectory
 
 TWO_PI = 2.0 * np.pi
 QUARTIC_CERTS = {"A": 0.25, "radius": 1.0, "a1": 0.25, "a2": 0.0, "mu1": 4.0}
@@ -167,6 +168,36 @@ def test_ridge_probe_sees_between_node_crossing(quartic_setup):
     assert val >= node_max - 1e-12
     assert val >= geom.alpha_bound - 1e-8
     assert np.isclose(action_value(seed, V), val, rtol=1e-12)
+
+
+def serial_polyline_max(chain, model, n_probe=7):
+    """_polyline_max as a loop over segments and thetas."""
+    thetas = np.arange(1, n_probe + 1) / (n_probe + 1)
+    best = (-np.inf, 0, 0.0)
+    for seg in range(len(chain) - 1):
+        diff = chain[seg + 1] - chain[seg]
+        for th in thetas:
+            val = action_value(chain[seg] + float(th) * diff, model)
+            if val > best[0]:
+                best = (val, seg, float(th))
+    return best
+
+
+def test_polyline_max_matches_serial_loop(quartic_setup):
+    V, geom = quartic_setup
+    surf = init_surface(geom, V, SolverConfig(K=32, grid=9))
+    for x1 in range(surf.shape[0]):
+        chain = [surf.nodes[int(np.ravel_multi_index((x1, j), surf.shape))]
+                 for j in range(surf.shape[1])]
+        assert _polyline_max(chain, V) == serial_polyline_max(chain, V)
+    M = make_maxpair(2)
+    rng = np.random.default_rng(4)
+    chain = [random_trajectory(rng, 2.0, 2, 16) for _ in range(6)]
+    assert _polyline_max(chain, M, n_probe=5) == serial_polyline_max(chain, M, n_probe=5)
+    # segment 2 repeats segment 0 bit for bit; ties go to the earlier one
+    tied = chain[:2] * 2
+    assert _polyline_max(tied, M) == serial_polyline_max(tied, M)
+    assert _polyline_max(tied, M)[1] != 2
 
 
 # -- full runs ---------------------------------------------------------------

@@ -174,3 +174,8 @@ def test_oracle_failure_on_bad_guess():
 def test_oracle_rejects_nonsmooth_models():
     with pytest.raises(ValueError, match="smooth"):
         shooting_oracle(make_maxpair(1), 1.0, [1.0, 0.0])
+
+
+def test_oracle_rejects_nonpositive_step_count():
+    with pytest.raises(ValueError, match="n_steps"):
+        shooting_oracle(make_quartic(1), TWO_PI, [1.0, 0.0], n_steps=0)
