@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import PotentialModel, subdiff
+from .potentials import PotentialModel, active_set
 from .trajectory import (
     PeriodicTrajectory,
     default_grid_size,
     h1_norm,
-    h1_norm_mean,
     l2_inner,
     l2_norm,
     random_trajectory,
@@ -97,36 +96,37 @@ def _select(model: PotentialModel, qs: np.ndarray, target: np.ndarray,
     """Per-node min-norm selection v = proj(target | dV(q)) over nodes (M, n).
 
     Returns v (M, n) and its convex weights over the pieces (M, n_pieces).
-    A node with one active piece takes that gradient; a node with more
-    goes through subdiff and project_hull.
+    The piece gradients are evaluated once for all nodes.  A node with
+    one active piece takes that gradient, a node with two is projected
+    onto the segment in closed form, and project_hull serves the rest.
     """
     M = qs.shape[0]
     if model.kind == "smooth":
         return np.asarray(model.gradients[0](qs), dtype=float), np.ones((M, 1))
-    piece_vals = model.piece_values(qs)                   # (P, M)
-    top = np.max(piece_vals, axis=0)
-    if tol_active is None:
-        tol = 1e-8 * (1.0 + np.abs(top))
-    else:
-        tol = np.full(M, float(tol_active))
-    tol = tol * GRADIENT_TOL_WIDEN
-    active = piece_vals >= top[None, :] - tol[None, :]      # (P, M)
+    active = active_set(model.piece_values(qs), tol_active, GRADIENT_TOL_WIDEN)
+    grads = np.stack([np.asarray(g(qs), dtype=float)
+                      for g in model.gradients])           # (P, M, n)
     n_active = active.sum(axis=0)
-    sel = np.zeros_like(target)
+    if not np.all(n_active):
+        raise ValueError("a node has no active piece: q must be finite "
+                         "and tol_active >= 0")
+    sel = np.empty_like(target)
     weights = np.zeros((M, model.n_pieces))
-    single = n_active == 1
-    if np.any(single):
-        piece_of = np.argmax(active[:, single], axis=0)
-        cols = np.flatnonzero(single)
-        grads = np.stack([np.asarray(g(qs[cols]), dtype=float)
-                          for g in model.gradients])       # (P, m, n)
-        sel[cols] = grads[piece_of, np.arange(cols.size)]
-        weights[cols, piece_of] = 1.0
-    for j in np.flatnonzero(~single):
-        sg = subdiff(model, qs[j], float(tol[j]))
-        proj, w = project_hull(target[j], sg.vertices)
-        sel[j] = proj
-        weights[j, list(sg.active)] = w
+    cols = np.flatnonzero(n_active == 1)
+    piece_of = np.argmax(active[:, cols], axis=0)
+    sel[cols] = grads[piece_of, cols]
+    weights[cols, piece_of] = 1.0
+    cols = np.flatnonzero(n_active == 2)
+    if cols.size:
+        first = np.argmax(active[:, cols], axis=0)
+        last = model.n_pieces - 1 - np.argmax(active[::-1, cols], axis=0)
+        sel[cols], theta = project_segment(target[cols], grads[first, cols],
+                                           grads[last, cols])
+        weights[cols, first] = 1.0 - theta
+        weights[cols, last] = theta
+    for j in np.flatnonzero(n_active > 2):
+        pieces = np.flatnonzero(active[:, j])
+        sel[j], weights[j, pieces] = project_hull(target[j], grads[pieces, j])
     return sel, weights
 
 
@@ -171,7 +171,91 @@ def min_norm_residuals(coeffs: np.ndarray, T: float, model: PotentialModel,
     return np.concatenate(parts)
 
 
+# Synthesis basis S (N, 2K+1) per (K, N): S maps a coefficient column to
+# node values, and P = diag(1/N, 2/N, ..., 2/N) S^T recovers the
+# coefficients as _residual_block does through rfft.  Only S is kept:
+# P X is applied as the row scaling of S^T X.
+_SYNTHESIS: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _synthesis_basis(K: int, N: int) -> np.ndarray:
+    if (K, N) not in _SYNTHESIS:
+        phase = (2.0 * np.pi / N) * (np.outer(np.arange(N), np.arange(1, K + 1)) % N)
+        S = np.empty((N, 2 * K + 1))
+        S[:, 0] = 1.0
+        np.cos(phase, out=S[:, 1:K + 1])
+        np.sin(phase, out=S[:, K + 1:])
+        S.flags.writeable = False
+        _SYNTHESIS[(K, N)] = S
+    return _SYNTHESIS[(K, N)]
+
+
+def residual_jacobian(coeffs: np.ndarray, T: float, model: PotentialModel,
+                      h: float = 1e-7) -> np.ndarray:
+    """Jacobian of the min-norm residual rows at one coefficient row.
+
+    With x = coeffs.ravel() (shape (2K+1, n)) and R(x) the matching
+    ravel of min_norm_residuals, R = D x - P v(q, a) where q = S x and
+    a = -qdd = S D x at the nodes and D = diag(w_k^2) (0 for the mean).
+    The selection v(t_j) depends on q(t_j) and a(t_j) alone, so
+
+        J = D (x) I_n - P (dv/dq S + dv/da S D),
+
+    with the nodal blocks dv/dq and dv/da (N, n, n) taken by forward
+    differences of step h that move every node at once; all perturbed
+    copies of the nodes go through one selection.  dv/da vanishes where
+    one piece is active and is skipped for smooth models.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    rows, n = coeffs.shape
+    K = (rows - 1) // 2
+    N = default_grid_size(K)
+    qs, target = (v[0] for v in _synthesize(coeffs[None], T, N, accel=True))
+    S = _synthesis_basis(K, N)
+    scale = np.full((rows, 1), -2.0 / N)                  # -P = scale * S^T
+    scale[0] = -1.0 / N
+    w2 = (2.0 * np.pi * np.arange(1, K + 1) / T) ** 2
+    d2 = np.concatenate([[0.0], w2, w2])
+    # Node copies: unperturbed, then q moved by h e_d, then a moved by h e_d.
+    steps = h * np.eye(n)
+    q_copies = [qs] + [qs + e for e in steps]
+    a_copies = [target] * (n + 1)
+    if model.kind != "smooth":
+        q_copies += [qs] * n
+        a_copies += [target + e for e in steps]
+    v = _select(model, np.concatenate(q_copies), np.concatenate(a_copies), None)[0]
+    v = v.reshape(-1, N, n)
+    dv = ((v[1:] - v[0]) / h).transpose(1, 2, 0)          # [j, out, copy - 1]
+    SD = S * d2 if model.kind != "smooth" else None
+    J = np.empty((rows * n, rows * n))
+    for out in range(n):
+        for d in range(n):
+            nodal = dv[:, out, d, None] * S
+            if SD is not None:
+                nodal += dv[:, out, n + d, None] * SD
+            block = S.T @ nodal
+            block *= scale
+            J[out::n, d::n] = block
+    J[np.diag_indices(rows * n)] += np.repeat(d2, n)
+    return J
+
+
 # -- nearest point in a convex hull -----------------------------------
+
+
+def project_segment(points, g1, g2) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest point of each segment [g1, g2] to points, rows (M, n).
+
+    Returns the projections and theta in [0, 1], the weight of g2:
+    theta = clip(<a - g1, g2 - g1> / |g2 - g1|^2, 0, 1), and 0 when the
+    segment is a point.
+    """
+    points, g1, g2 = (np.asarray(v, dtype=float) for v in (points, g1, g2))
+    d = g2 - g1
+    dd = np.sum(d * d, axis=-1)
+    num = np.sum((points - g1) * d, axis=-1)
+    theta = np.clip(np.divide(num, dd, out=np.zeros_like(dd), where=dd > 0), 0.0, 1.0)
+    return g1 + theta[..., None] * d, theta
 
 
 def project_hull(point, vertices, tol: float = 1e-14,
@@ -314,9 +398,8 @@ class CeramiRecord:
     """One iterate's compactness bookkeeping.
 
     measure = (1 + ||q||_{H1}) * min-norm-gradient is the quantity whose
-    decay characterizes generalized Cerami sequences.  Both norm
-    conventions (anchored at q(0) and at the mean) are retained; the CSV
-    row carries the q(0) one.
+    decay characterizes generalized Cerami sequences; h1norm is the norm
+    anchored at q(0) (trajectory.h1_norm).
     """
 
     index: int
@@ -324,7 +407,6 @@ class CeramiRecord:
     h1norm: float
     min_norm: float
     measure: float
-    mean_norm: float = 0.0
     trajectory: PeriodicTrajectory | None = field(default=None, repr=False, compare=False)
 
     CSV_HEADER = "iter,f,h1norm,minnorm,measure"
@@ -347,7 +429,6 @@ def cerami_measure(traj: PeriodicTrajectory, model: PotentialModel,
         h1norm=norm,
         min_norm=g,
         measure=(1.0 + norm) * g,
-        mean_norm=h1_norm_mean(traj),
         trajectory=traj if keep_trajectory else None,
     )
 
@@ -376,11 +457,7 @@ def action_clarke_directional(traj: PeriodicTrajectory, model: PotentialModel,
     else:
         pair = np.stack([np.sum(np.asarray(g(qs), dtype=float) * hs, axis=1)
                          for g in model.gradients])       # (P, N)
-        piece_vals = model.piece_values(qs)
-        top = np.max(piece_vals, axis=0)
-        tol = 1e-8 * (1.0 + np.abs(top))
-        active = piece_vals >= top[None, :] - tol[None, :]
-        pair = np.where(active, -pair, -np.inf)
+        pair = np.where(active_set(model.piece_values(qs)), -pair, -np.inf)
         nonlin = np.max(pair, axis=0)
     return traj.T * float(np.mean(lin + nonlin))
 

@@ -83,10 +83,6 @@ class PotentialModel:
             return self.values[0](x)
         return np.max(self.piece_values(x), axis=0)
 
-    def default_tol_active(self, x) -> float:
-        """Relative activity tolerance; absolute ones fail under scaling."""
-        return 1e-8 * (1.0 + float(np.max(np.abs(self.value(x)))))
-
 
 @dataclass(frozen=True)
 class SubgradientSet:
@@ -101,8 +97,19 @@ class SubgradientSet:
             raise RuntimeError("internal error: empty active set")
 
 
-def value(model: PotentialModel, x) -> float:
-    return float(model.value(np.asarray(x, dtype=float)))
+def active_set(piece_vals: np.ndarray, tol_active: float | None = None,
+               widen: float = 1.0) -> np.ndarray:
+    """The one activity rule: V_i(x) >= V(x) - widen * tol.
+
+    piece_vals has shape (n_pieces, ...) (as PotentialModel.piece_values
+    returns); the mask has the same shape.  tol defaults to the relative
+    1e-8 (1 + |V(x)|) per point, since an absolute one fails under
+    scaling; a given tol_active (scalar or per point) replaces it.
+    widen > 1 admits near-active pieces as well.
+    """
+    top = np.max(piece_vals, axis=0)
+    tol = 1e-8 * (1.0 + np.abs(top)) if tol_active is None else tol_active
+    return piece_vals >= top - tol * widen
 
 
 def subdiff(model: PotentialModel, x, tol_active: float | None = None) -> SubgradientSet:
@@ -110,16 +117,13 @@ def subdiff(model: PotentialModel, x, tol_active: float | None = None) -> Subgra
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x must be finite, got {x}")
-    if tol_active is None:
-        tol_active = model.default_tol_active(x)
-    if tol_active < 0:
+    if tol_active is not None and tol_active < 0:
         raise ValueError(f"tol_active must be >= 0, got {tol_active}")
     if model.kind == "smooth":
         g = np.asarray(model.gradients[0](x), dtype=float)
         return SubgradientSet(x=x, vertices=g[None, :], active=(0,))
-    piece_vals = model.piece_values(x)
-    top = np.max(piece_vals)
-    active = tuple(int(i) for i in np.flatnonzero(piece_vals >= top - tol_active))
+    active = tuple(int(i) for i in np.flatnonzero(
+        active_set(model.piece_values(x), tol_active)))
     verts = np.stack([np.asarray(model.gradients[i](x), dtype=float) for i in active])
     return SubgradientSet(x=x, vertices=verts, active=active)
 
@@ -357,9 +361,7 @@ def _pairing_extremes(model: PotentialModel, pts: np.ndarray, minimum: bool) -> 
     The active pieces at each point are those subdiff would pick with its
     default tolerance; all points are paired at once.
     """
-    piece_vals = model.piece_values(pts)                  # (P, M)
-    top = np.max(piece_vals, axis=0)
-    active = piece_vals >= top - 1e-8 * (1.0 + np.abs(top))
+    active = active_set(model.piece_values(pts))          # (P, M)
     # Row-by-row matmul, the product subdiff's vertices @ x computes.
     pairings = np.stack([(np.asarray(g(pts), dtype=float)[:, None, :]
                           @ pts[:, :, None])[:, 0, 0]

@@ -37,13 +37,13 @@ from .action import (
     action_values,
     min_norm_residuals,
     min_norm_subgradient,
+    residual_jacobian,
 )
 from .linking import LinkingGeometry
 from .potentials import PotentialModel
 from .trajectory import (
     PeriodicTrajectory,
     h1_norm,
-    h1_norm_mean,
     l2_norm,
     random_trajectory,
 )
@@ -223,8 +223,7 @@ def _record_at(surface: Surface, model: PotentialModel, node: int,
     norm = h1_norm(q)
     return CeramiRecord(index=0, f_value=float(surface.f_values[node]),
                         h1norm=norm, min_norm=grad_l2,
-                        measure=(1.0 + norm) * grad_l2,
-                        mean_norm=h1_norm_mean(q), trajectory=q)
+                        measure=(1.0 + norm) * grad_l2, trajectory=q)
 
 
 @dataclass(frozen=True)
@@ -352,30 +351,32 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
     candidate whose Cerami measure meets the stopping tolerance.  Emits
     one record per accepted step.
 
-    The forward-difference Jacobian takes its columns from one batch of
-    rows x + h e_j, which the action core evaluates BATCH_ROWS rows at
-    a time: one block of all (2K+1)n rows runs no faster, and its
-    temporaries raise the peak memory of a K = 64 solve by about 13%.
-    J is made C-contiguous before J.T @ J: BLAS sums a transposed view
-    in another order, which moves the last bits of every step and, with
-    them, the iteration path.
+    The Jacobian is assembled from nodal derivatives (residual_jacobian):
+
+        J = diag(w_k^2) (x) I_n - P (dv/dq S + dv/da S diag(w_k^2)),
+
+    where S synthesizes node values from coefficients, P projects node
+    values back onto the K modes, and dv/dq, dv/da are the (n, n) blocks
+    of the min-norm selection v(t_j) at each node.  The selection at t_j
+    depends only on q(t_j) and a(t_j) = -qdd(t_j), so moving every node
+    at once by h e_d gives all N blocks together: one selection over
+    2n + 1 copies of the nodes per step instead of (2K+1) n full
+    residuals.
     """
     shape = (2 * q0.K + 1, q0.n)
 
-    def residual_rows(X: np.ndarray) -> np.ndarray:
-        rows = min_norm_residuals(X.reshape(-1, *shape), q0.T, model)
-        return rows.reshape(X.shape)
+    def residual_rows(x: np.ndarray) -> np.ndarray:
+        return min_norm_residuals(x.reshape(1, *shape), q0.T, model)[0].ravel()
 
     q = q0
     x = q.coefficients().ravel()
-    R = residual_rows(x[None])[0]
+    R = residual_rows(x)
     cost = float(R @ R)
     damping = 1e-6
-    fd_h = 1e-7
     it = start_index
     slow = 0
     for _ in range(60):
-        rec = _loose_record(q, model)
+        rec = _loose_record(q, model, R)
         records.append(replace(rec, index=it))
         it += 1
         if rec.measure <= config.tol_conv * 0.1:
@@ -383,9 +384,7 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
         if slow >= 3 and rec.measure <= config.tol_conv:
             break  # converged to the shape this basin supports
         dim = x.size
-        X = np.tile(x, (dim, 1))
-        X[np.arange(dim), np.arange(dim)] += fd_h
-        J = np.ascontiguousarray(((residual_rows(X) - R) / fd_h).T)
+        J = residual_jacobian(x.reshape(shape), q0.T, model)
         JtJ = J.T @ J
         JtR = J.T @ R
         diag = float(np.trace(JtJ)) / dim + 1e-30
@@ -394,7 +393,7 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
             step = np.linalg.solve(JtJ + damping * diag * np.eye(dim), -JtR)
             x_try = x + step
             q_try = PeriodicTrajectory.from_coefficients(q0.T, x_try.reshape(shape))
-            R_try = residual_rows(x_try[None])[0]
+            R_try = residual_rows(x_try)
             cost_try = float(R_try @ R_try)
             if cost_try < cost:
                 slow = slow + 1 if cost_try > 0.25 * cost else 0
@@ -405,16 +404,19 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
             damping *= 10.0
         if not moved:
             break
-    records.append(replace(_loose_record(q, model), index=it))
+    records.append(replace(_loose_record(q, model, R), index=it))
     return q
 
 
-def _loose_record(q: PeriodicTrajectory, model: PotentialModel) -> CeramiRecord:
-    grad_l2 = min_norm_subgradient(q, model, metric="l2").l2_norm
+def _loose_record(q: PeriodicTrajectory, model: PotentialModel,
+                  R: np.ndarray) -> CeramiRecord:
+    """The record of q, whose min-norm residual rows R the caller holds."""
+    residual = PeriodicTrajectory.from_coefficients(q.T, R.reshape(2 * q.K + 1, q.n))
+    grad_l2 = l2_norm(residual)
     norm = h1_norm(q)
     return CeramiRecord(index=0, f_value=action_value(q, model), h1norm=norm,
                         min_norm=grad_l2, measure=(1.0 + norm) * grad_l2,
-                        mean_norm=h1_norm_mean(q), trajectory=q)
+                        trajectory=q)
 
 
 def _nonconstant_enough(q: PeriodicTrajectory) -> bool:

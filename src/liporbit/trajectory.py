@@ -316,7 +316,7 @@ def h1_norm(q: PeriodicTrajectory) -> float:
 
 
 def h1_norm_mean(q: PeriodicTrajectory) -> float:
-    """Variant anchored at the mean instead of q(0); both are tracked."""
+    """Variant of h1_norm anchored at the mean instead of q(0)."""
     return l2_norm(q.derivative()) + float(np.linalg.norm(q.mean()))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import project_hull
-from .potentials import PotentialModel
+from .potentials import PotentialModel, active_set
 from .trajectory import PeriodicTrajectory, default_grid_size, split, l2_norm
 
 ENERGY_GRID_REFINE = 32
@@ -72,13 +72,8 @@ def inclusion_residual(traj: PeriodicTrajectory, model: PotentialModel,
         excluded = np.zeros(N, dtype=bool)
     else:
         piece_vals = model.piece_values(qs)             # (P, N)
-        top = np.max(piece_vals, axis=0)
-        if tol_active is None:
-            tol = 1e-8 * (1.0 + np.abs(top))
-        else:
-            tol = np.full(N, float(tol_active))
-        active = piece_vals >= top[None, :] - tol[None, :]
-        active_wide = piece_vals >= top[None, :] - 10.0 * tol[None, :]
+        active = active_set(piece_vals, tol_active)
+        active_wide = active_set(piece_vals, tol_active, widen=10.0)
         excluded = np.any(active != active_wide, axis=0)
         grads = np.stack([np.asarray(g(qs), dtype=float)
                           for g in model.gradients])     # (P, N, n)
@@ -170,7 +165,8 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
     Smooth models only.  The Newton step is damped Levenberg-Marquardt
     (the monodromy of an autonomous orbit is singular along the flow
     direction).  The discrete RK4 flow only admits fixed points up to its
-    own truncation error, so stagnation below stall_accept counts as
+    own truncation error, so stagnation below stall_accept (two slow
+    steps, or one step that fails to lower the residual) counts as
     closure and the achieved residual is reported; stagnation above it
     raises OracleFailure.
     """
@@ -227,6 +223,8 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
                 damping = max(damping / 3.0, 1e-12)
                 accepted = True
                 break
+            if res_norm <= stall_accept * scale:
+                break  # on the truncation floor; more damping only shortens the step
             damping *= 10.0
         if not accepted:
             if res_norm <= stall_accept * scale:

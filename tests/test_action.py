@@ -16,6 +16,8 @@ from liporbit.action import (
     min_norm_residuals,
     min_norm_subgradient,
     project_hull,
+    project_segment,
+    residual_jacobian,
 )
 from liporbit.potentials import (
     PotentialModel,
@@ -188,7 +190,76 @@ def test_batched_action_values_equal_serial(make):
         assert val == action_value(q, V) == serial_action(q, V)
 
 
+@pytest.mark.parametrize("bad", ["nan", "negative_tol"])
+def test_min_norm_rejects_nodes_without_active_piece(bad):
+    V = make_maxpair(2)
+    c = PeriodicTrajectory.harmonic(2.0, 2, 1, sin_amp=1.3, K=8).coefficients()
+    tol = None
+    if bad == "nan":
+        c[0, 0] = np.nan
+    else:
+        tol = -1.0
+    with pytest.raises(ValueError, match="no active piece"):
+        min_norm_residuals(c[None], 2.0, V, tol_active=tol)
+
+
+def forward_difference_jacobian(q, V, h):
+    """dR/dx column by column from min_norm_residuals, x = q.coefficients()."""
+    c = q.coefficients()
+    X = np.tile(c.ravel(), (c.size + 1, 1))
+    X[np.arange(1, c.size + 1), np.arange(c.size)] += h
+    R = min_norm_residuals(X.reshape(-1, *c.shape), q.T, V).reshape(c.size + 1, -1)
+    return ((R[1:] - R[0]) / h).T
+
+
+def kink_circle(K):
+    """The unit circle at T = 2.6 (4 < w^2 < 8): every node has both pieces
+    active and -qdd strictly inside the segment, so dv/da is not zero."""
+    T = 2.6
+    return (PeriodicTrajectory.harmonic(T, 2, 1, cos_amp=1.0, sin_amp=0.0, K=K)
+            + PeriodicTrajectory.harmonic(T, 2, 1, axis=1, K=K))
+
+
+@pytest.mark.parametrize("case", ["quartic", "maxpair", "maxpair-kink"])
+def test_residual_jacobian_matches_forward_differences(case):
+    rng = np.random.default_rng(21)
+    if case == "quartic":
+        V, h = make_quartic(1), 1e-7
+        loops = [random_trajectory(rng, 2.0, 1, 8, zero_mean=False) for _ in range(3)]
+    elif case == "maxpair":
+        V, h = make_maxpair(2), 1e-7
+        loops = [random_trajectory(rng, 2.0, 2, 8, zero_mean=False) * 0.8
+                 for _ in range(3)]
+        loops.append(PeriodicTrajectory.harmonic(2.0, 2, 1, sin_amp=1.3, K=8))
+    else:
+        # A step well inside the activity band keeps every node on the kink.
+        V, h = make_maxpair(2), 1e-8
+        loops = [kink_circle(8)]
+        weights = min_norm_subgradient(loops[0], V, metric="l2").weights
+        assert np.all(np.min(weights, axis=1) > 0.1)
+    for q in loops:
+        J = residual_jacobian(q.coefficients(), q.T, V, h=h)
+        J_fd = forward_difference_jacobian(q, V, h)
+        np.testing.assert_allclose(J, J_fd, rtol=1e-6,
+                                   atol=1e-6 * np.max(np.abs(J_fd)))
+
+
 # -- nearest point in hull -------------------------------------------------
+
+
+def test_project_segment_matches_project_hull():
+    rng = np.random.default_rng(17)
+    g1 = rng.normal(size=(200, 3))
+    g2 = rng.normal(size=(200, 3))
+    g2[::10] = g1[::10]                      # degenerate segments
+    points = rng.normal(size=(200, 3)) * 2.0
+    proj, theta = project_segment(points, g1, g2)
+    assert np.all((theta >= 0.0) & (theta <= 1.0))
+    assert np.all(theta[::10] == 0.0)
+    for j in range(points.shape[0]):
+        ref, w = project_hull(points[j], np.stack([g1[j], g2[j]]))
+        np.testing.assert_allclose(proj[j], ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose([1.0 - theta[j], theta[j]], w, rtol=0.0, atol=1e-12)
 
 
 def test_project_hull_point_inside():

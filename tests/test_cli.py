@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -34,3 +35,15 @@ def test_threads_is_not_a_solver_key(tmp_path):
     with pytest.raises(SystemExit) as exit_:
         cli.main(["solve", str(path), "--threads", "2"])
     assert exit_.value.code == 2
+
+
+def test_maxpair_solve_reaches_circular_orbit_level(tmp_path):
+    # For T <= pi / sqrt(2) the circle |x| = w / (2 sqrt 2), w = 2 pi / T,
+    # on the outer piece solves the inclusion, at level T (w^4 / 32 + 1).
+    T = MAXPAIR_K32["T"]
+    w = 2.0 * math.pi / T
+    code = cli.cmd_solve(cli.RunConfig.from_dict(
+        dict(MAXPAIR_K32, output_dir=str(tmp_path), verbosity=0)))
+    assert code == cli.EXIT_OK
+    c = json.loads((tmp_path / "result.json").read_text())["c_estimate"]
+    assert abs(c - T * (w ** 4 / 32.0 + 1.0)) <= 1e-8 * T * (w ** 4 / 32.0 + 1.0)

@@ -5,6 +5,7 @@ from liporbit.potentials import (
     PotentialModel,
     SamplerSpec,
     _pairing_extremes,
+    active_set,
     certify,
     check_gradients,
     clarke_directional,
@@ -16,7 +17,6 @@ from liporbit.potentials import (
     make_subq32,
     make_subq32cos,
     subdiff,
-    value,
 )
 
 
@@ -59,7 +59,38 @@ def test_piecewise_value_is_max_of_pieces():
     for _ in range(50):
         x = rng.uniform(-2, 2, size=2)
         pieces = [v(x) for v in V.values]
-        assert value(V, x) == max(pieces)
+        assert float(V.value(x)) == max(pieces)
+
+
+def test_active_set_reproduces_every_site_rule():
+    # The rules each call site wrote out before sharing active_set, restated.
+    V = make_maxpair(2)
+    pts = SamplerSpec(count=300, seed=3).points(2)
+    theta = np.linspace(0.0, 2.0 * np.pi, 40)
+    circle = np.column_stack([np.cos(theta), np.sin(theta)])
+    pts = np.vstack([pts, circle, circle * (1.0 + 3e-8), circle * (1.0 - 3e-8)])
+    vals = V.piece_values(pts)
+    top = np.max(vals, axis=0)
+    rel = 1e-8 * (1.0 + np.abs(top))
+    fixed = 2.5e-7
+    # subdiff: one point, the relative default or a given scalar tolerance
+    for col in vals.T:
+        default = 1e-8 * (1.0 + float(np.max(np.abs(np.max(col)))))
+        assert np.array_equal(active_set(col), col >= np.max(col) - default)
+        assert np.array_equal(active_set(col, fixed), col >= np.max(col) - fixed)
+    # _pairing_extremes, action_clarke_directional, inclusion_residual
+    assert np.array_equal(active_set(vals), vals >= top - rel)
+    # inclusion_residual with a given tolerance, and its 10x exclusion band
+    assert np.array_equal(active_set(vals, fixed), vals >= top - np.full(top.size, fixed))
+    assert np.array_equal(active_set(vals, widen=10.0), vals >= top - 10.0 * rel)
+    assert np.array_equal(active_set(vals, fixed, widen=10.0),
+                          vals >= top - 10.0 * np.full(top.size, fixed))
+    # action._select: the relative or given tolerance widened by 10
+    assert np.array_equal(active_set(vals, None, 10.0), vals >= top - rel * 10.0)
+    assert np.array_equal(active_set(vals, fixed, 10.0),
+                          vals >= top - np.full(top.size, fixed) * 10.0)
+    # the band edges fall inside the sample
+    assert 0 < np.sum(active_set(vals, widen=10.0)) - np.sum(active_set(vals)) < pts.shape[0]
 
 
 def test_negative_tol_rejected():
@@ -185,7 +216,7 @@ def test_maxpair_outer_piece_margin_is_four():
     V = make_maxpair(2)
     x = np.array([1.3, 0.2])
     sg = subdiff(V, x)
-    margin = float(np.min(sg.vertices @ x)) - 4.0 * value(V, x)
+    margin = float(np.min(sg.vertices @ x)) - 4.0 * float(V.value(x))
     assert np.isclose(margin, 4.0, rtol=1e-12)
 
 
@@ -288,7 +319,7 @@ def test_maxpoly_reproduces_maxpair():
     rng = np.random.default_rng(10)
     for _ in range(30):
         x = rng.uniform(-2, 2, size=2)
-        assert np.isclose(value(poly, x), value(ref, x), rtol=1e-14)
+        assert np.isclose(poly.value(x), ref.value(x), rtol=1e-14)
         gp = subdiff(poly, x).vertices
         gr = subdiff(ref, x).vertices
         assert np.allclose(np.sort(gp, axis=0), np.sort(gr, axis=0))

@@ -14,6 +14,7 @@ from liporbit.solver import (
     GeometryNotCertified,
     SolverConfig,
     StallError,
+    _polish_candidate,
     _polyline_max,
     deform_step,
     init_surface,
@@ -331,3 +332,22 @@ def test_result_serialization_roundtrip(quartic_setup):
                       "candidate", "iterations"}
     back = PeriodicTrajectory.from_dict(d["candidate"])
     assert np.allclose(back.a, res.candidate.a)
+
+
+def test_polish_records_match_min_norm_subgradient():
+    # The records reuse the LM residual; their min-norm values are the bits
+    # min_norm_subgradient gives for the same loop.
+    M = make_maxpair(2)
+    rng = np.random.default_rng(4)
+    q0 = PeriodicTrajectory.harmonic(2.0, 2, 1, cos_amp=1.0, sin_amp=0.0, K=16)
+    q0 = q0 + PeriodicTrajectory.harmonic(2.0, 2, 1, axis=1, K=16)
+    q0 = q0 + 0.05 * random_trajectory(rng, 2.0, 2, 16)
+    records = []
+    _polish_candidate(q0, M, SolverConfig(K=16), records, start_index=7)
+    assert len(records) >= 3
+    assert [r.index for r in records] == list(range(7, 7 + len(records)))
+    for rec in records:
+        grad = min_norm_subgradient(rec.trajectory, M, metric="l2")
+        assert rec.min_norm == grad.l2_norm
+        assert rec.f_value == action_value(rec.trajectory, M)
+    assert records[-1].measure < records[0].measure

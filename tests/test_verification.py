@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from liporbit.potentials import PotentialModel, make_maxpair, make_quartic
 from liporbit.trajectory import PeriodicTrajectory, default_grid_size, random_trajectory
+from liporbit import verification
 from liporbit.verification import (
     OracleFailure,
     energy_drift,
@@ -163,6 +164,21 @@ def test_oracle_harmonic_closes_any_amplitude():
     v = res.trajectory.derivative().sample(256)
     E = 0.5 * w0 ** 2 * q[:, 0] ** 2 + 0.5 * v[:, 0] ** 2
     assert np.max(np.abs(E - E.mean())) < 1e-10
+
+
+def test_oracle_stops_on_the_truncation_floor(quartic_orbit, monkeypatch):
+    # Below the discrete flow's own floor no step lowers the residual; the
+    # first step that fails ends the search instead of 25 more damped flows.
+    V, res = quartic_orbit
+    scale = 1.0 + float(np.linalg.norm(res.initial_state))
+    flows = []
+    flow = verification._rk4_flow
+    monkeypatch.setattr(verification, "_rk4_flow",
+                        lambda *args, **kw: flows.append(1) or flow(*args, **kw))
+    again = shooting_oracle(V, TWO_PI, res.initial_state, K=64,
+                            tol=1e-3 * res.closure_residual / scale)
+    assert again.closure_residual <= res.closure_residual < 1e-6 * scale
+    assert len(flows) <= 6
 
 
 def test_oracle_failure_on_bad_guess():
