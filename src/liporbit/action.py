@@ -37,6 +37,9 @@ from .trajectory import (
 # line searches.
 GRADIENT_TOL_WIDEN = 10.0
 
+# Forward-difference step of the nodal blocks in residual_jacobian.
+JACOBIAN_STEP = 1e-7
+
 
 def action_value(traj: PeriodicTrajectory, model: PotentialModel) -> float:
     """f(q) = (1/2) int |qdot|^2 - int V(q).
@@ -92,18 +95,21 @@ def _synthesize(coeffs: np.ndarray, T: float, N: int, accel: bool):
 
 
 def _select(model: PotentialModel, qs: np.ndarray, target: np.ndarray,
-            tol_active: float | None) -> tuple[np.ndarray, np.ndarray]:
+            tol_active: float | None,
+            active: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-node min-norm selection v = proj(target | dV(q)) over nodes (M, n).
 
     Returns v (M, n) and its convex weights over the pieces (M, n_pieces).
     The piece gradients are evaluated once for all nodes.  A node with
     one active piece takes that gradient, a node with two is projected
     onto the segment in closed form, and project_hull serves the rest.
+    A given mask active (n_pieces, M) replaces the activity rule.
     """
     M = qs.shape[0]
     if model.kind == "smooth":
         return np.asarray(model.gradients[0](qs), dtype=float), np.ones((M, 1))
-    active = active_set(model.piece_values(qs), tol_active, GRADIENT_TOL_WIDEN)
+    if active is None:
+        active = active_set(model.piece_values(qs), tol_active, GRADIENT_TOL_WIDEN)
     grads = np.stack([np.asarray(g(qs), dtype=float)
                       for g in model.gradients])           # (P, M, n)
     n_active = active.sum(axis=0)
@@ -190,8 +196,8 @@ def _synthesis_basis(K: int, N: int) -> np.ndarray:
     return _SYNTHESIS[(K, N)]
 
 
-def residual_jacobian(coeffs: np.ndarray, T: float, model: PotentialModel,
-                      h: float = 1e-7) -> np.ndarray:
+def residual_jacobian(coeffs: np.ndarray, T: float,
+                      model: PotentialModel) -> np.ndarray:
     """Jacobian of the min-norm residual rows at one coefficient row.
 
     With x = coeffs.ravel() (shape (2K+1, n)) and R(x) the matching
@@ -202,9 +208,13 @@ def residual_jacobian(coeffs: np.ndarray, T: float, model: PotentialModel,
         J = D (x) I_n - P (dv/dq S + dv/da S D),
 
     with the nodal blocks dv/dq and dv/da (N, n, n) taken by forward
-    differences of step h that move every node at once; all perturbed
-    copies of the nodes go through one selection.  dv/da vanishes where
-    one piece is active and is skipped for smooth models.
+    differences of step JACOBIAN_STEP that move every node at once; all
+    perturbed copies of the nodes go through one selection.  Each node
+    keeps its unperturbed active pieces, so the blocks are derivatives of
+    the selection on that piece set: a step that carried a kink node out
+    of the activity band would pick up the jump of the selection instead.
+    dv/da vanishes where one piece is active and is skipped for smooth
+    models.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     rows, n = coeffs.shape
@@ -217,13 +227,18 @@ def residual_jacobian(coeffs: np.ndarray, T: float, model: PotentialModel,
     w2 = (2.0 * np.pi * np.arange(1, K + 1) / T) ** 2
     d2 = np.concatenate([[0.0], w2, w2])
     # Node copies: unperturbed, then q moved by h e_d, then a moved by h e_d.
+    h = JACOBIAN_STEP
     steps = h * np.eye(n)
     q_copies = [qs] + [qs + e for e in steps]
     a_copies = [target] * (n + 1)
+    active = None
     if model.kind != "smooth":
         q_copies += [qs] * n
         a_copies += [target + e for e in steps]
-    v = _select(model, np.concatenate(q_copies), np.concatenate(a_copies), None)[0]
+        active = np.tile(active_set(model.piece_values(qs), None, GRADIENT_TOL_WIDEN),
+                         (1, 2 * n + 1))
+    v = _select(model, np.concatenate(q_copies), np.concatenate(a_copies), None,
+                active)[0]
     v = v.reshape(-1, N, n)
     dv = ((v[1:] - v[0]) / h).transpose(1, 2, 0)          # [j, out, copy - 1]
     SD = S * d2 if model.kind != "smooth" else None

@@ -361,7 +361,8 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
     depends only on q(t_j) and a(t_j) = -qdd(t_j), so moving every node
     at once by h e_d gives all N blocks together: one selection over
     2n + 1 copies of the nodes per step instead of (2K+1) n full
-    residuals.
+    residuals.  Each node keeps its active pieces under the step, so a
+    node on a kink gives the derivative on its segment.
     """
     shape = (2 * q0.K + 1, q0.n)
 

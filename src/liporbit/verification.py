@@ -165,10 +165,11 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
     Smooth models only.  The Newton step is damped Levenberg-Marquardt
     (the monodromy of an autonomous orbit is singular along the flow
     direction).  The discrete RK4 flow only admits fixed points up to its
-    own truncation error, so stagnation below stall_accept (two slow
-    steps, or one step that fails to lower the residual) counts as
+    own truncation error, so stagnation below stall_accept counts as
     closure and the achieved residual is reported; stagnation above it
-    raises OracleFailure.
+    raises OracleFailure.  The damping search ends once the step is
+    shorter than the rounding of one flow (n_steps * eps * scale): a
+    shorter step cannot move the end state by more than that rounding.
     """
     if model.kind != "smooth":
         raise ValueError("shooting oracle requires a smooth model")
@@ -187,6 +188,7 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
     res = closure(x)
     res_norm = float(np.linalg.norm(res))
     scale = 1.0 + float(np.linalg.norm(x))
+    xtol = n_steps * np.finfo(float).eps * scale
     damping = 1e-8
     slow_steps = 0
     while res_norm > tol * scale:
@@ -214,6 +216,8 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
         accepted = False
         for _ in range(25):
             step = np.linalg.solve(JtJ + damping * diag_scale * np.eye(dim), -JtF)
+            if np.linalg.norm(step) <= xtol:
+                break
             trial = x + step
             trial_res = closure(trial)
             trial_norm = float(np.linalg.norm(trial_res))
@@ -223,8 +227,6 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
                 damping = max(damping / 3.0, 1e-12)
                 accepted = True
                 break
-            if res_norm <= stall_accept * scale:
-                break  # on the truncation floor; more damping only shortens the step
             damping *= 10.0
         if not accepted:
             if res_norm <= stall_accept * scale:

@@ -223,23 +223,25 @@ def kink_circle(K):
 @pytest.mark.parametrize("case", ["quartic", "maxpair", "maxpair-kink"])
 def test_residual_jacobian_matches_forward_differences(case):
     rng = np.random.default_rng(21)
+    h_ref = 1e-7
     if case == "quartic":
-        V, h = make_quartic(1), 1e-7
+        V = make_quartic(1)
         loops = [random_trajectory(rng, 2.0, 1, 8, zero_mean=False) for _ in range(3)]
     elif case == "maxpair":
-        V, h = make_maxpair(2), 1e-7
+        V = make_maxpair(2)
         loops = [random_trajectory(rng, 2.0, 2, 8, zero_mean=False) * 0.8
                  for _ in range(3)]
         loops.append(PeriodicTrajectory.harmonic(2.0, 2, 1, sin_amp=1.3, K=8))
     else:
-        # A step well inside the activity band keeps every node on the kink.
-        V, h = make_maxpair(2), 1e-8
+        # The reference step stays well inside the activity band, so the
+        # reference keeps every node on the kink.
+        V, h_ref = make_maxpair(2), 1e-8
         loops = [kink_circle(8)]
         weights = min_norm_subgradient(loops[0], V, metric="l2").weights
         assert np.all(np.min(weights, axis=1) > 0.1)
     for q in loops:
-        J = residual_jacobian(q.coefficients(), q.T, V, h=h)
-        J_fd = forward_difference_jacobian(q, V, h)
+        J = residual_jacobian(q.coefficients(), q.T, V)
+        J_fd = forward_difference_jacobian(q, V, h_ref)
         np.testing.assert_allclose(J, J_fd, rtol=1e-6,
                                    atol=1e-6 * np.max(np.abs(J_fd)))
 
