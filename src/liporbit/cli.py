@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -66,12 +68,21 @@ class RunConfig:
         if "T" not in raw:
             raise ConfigError("T", "missing")
         cfg = cls(**raw)
-        if cfg.T <= 0:
-            raise ConfigError("T", f"period must be positive, got {cfg.T}")
+        for key in ("potential", "hypotheses", "solver", "sampler"):
+            if not isinstance(getattr(cfg, key), dict):
+                raise ConfigError(key, f"must be an object, got {getattr(cfg, key)!r}")
+        for key in ("T", "verify_tol"):
+            value = getattr(cfg, key)
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0):
+                raise ConfigError(key, f"must be a finite positive number, got {value!r}")
+        for key in ("n", "K"):
+            value = getattr(cfg, key)
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and value >= 1):
+                raise ConfigError(key, f"must be a positive integer, got {value!r}")
         if cfg.mode not in ("superquadratic", "saddle"):
             raise ConfigError("mode", f"unknown mode {cfg.mode!r}")
-        if cfg.n < 1 or cfg.K < 1:
-            raise ConfigError("n" if cfg.n < 1 else "K", "must be a positive integer")
         cfg.hypotheses = dict(cfg._default_hypotheses(), **cfg.hypotheses)
         mu1 = cfg.hypotheses.get("mu1")
         if mu1 is not None:

@@ -8,8 +8,10 @@ discontinuous selection pointwise; they are tallied separately and kept
 out of the headline aggregate, which is the honest discrete criterion.
 
 For smooth potentials an independent shooting oracle integrates
-qdd = -grad V(q) by fixed-step RK4 and closes the period map with a
-damped Newton iteration.  It shares no code or discretization with the
+qdd = -grad V(q) with scipy's adaptive DOP853 (rtol = atol = FLOW_TOL)
+and closes the period map with a damped Newton iteration; the closed
+orbit is sampled from the flow's dense output on FIT_SAMPLES nodes for
+its Fourier fit.  It shares no code or discretization with the
 variational path, so agreement between the two is meaningful evidence.
 """
 
@@ -18,12 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from .action import project_hull
 from .potentials import PotentialModel, active_set
 from .trajectory import PeriodicTrajectory, default_grid_size, split, l2_norm
 
 ENERGY_GRID_REFINE = 32
+FLOW_TOL = 1e-13           # rtol = atol of every shooting-oracle flow
+FIT_SAMPLES = 4096         # path nodes handed to the oracle's Fourier fit
+MAX_RHS_CALLS = 4 * FIT_SAMPLES  # gradient calls one flow may spend
 
 
 class OracleFailure(RuntimeError):
@@ -127,73 +133,83 @@ class ShootingResult:
     initial_state: np.ndarray    # (2n,) accepted (q(0), qdot(0))
 
 
-def _rk4_flow(model: PotentialModel, T: float, y0: np.ndarray,
-              n_steps: int, keep_path: bool = False):
-    """Integrate (q, v)' = (v, -grad V(q)) with classical RK4.
+def _flow(model: PotentialModel, T: float, y0: np.ndarray, t_eval=None) -> np.ndarray:
+    """Integrate (q, v)' = (v, -grad V(q)) over [0, T] with DOP853.
 
-    y0 may be a batch of states, shape (..., 2n); the whole batch is
-    advanced in lockstep so Jacobian columns cost one pass.
+    y0 is one state (2n,) or a batch (B, 2n).  The batch is integrated as
+    one stacked system, so every row follows the same adaptive step
+    sequence.  Returns the states at t_eval, shape (len(t_eval),) +
+    y0.shape; by default at the end of every step, so the last is the
+    state at T.  Raises OracleFailure once the right-hand side has been
+    called MAX_RHS_CALLS times, or if the integrator gives up.
     """
     n = model.dim
-    h = T / n_steps
+    y0 = np.asarray(y0, dtype=float)
+    calls = 0
 
-    def rhs(y):
-        q, v = y[..., :n], y[..., n:]
-        return np.concatenate([v, -np.asarray(model.gradients[0](q), dtype=float)],
-                              axis=-1)
+    def rhs(_t, y):
+        nonlocal calls
+        calls += 1
+        if calls > MAX_RHS_CALLS:
+            raise OracleFailure(
+                f"flow over T = {T} needs more than {MAX_RHS_CALLS} gradient calls")
+        y = y.reshape(-1, 2 * n)
+        force = -np.asarray(model.gradients[0](y[:, :n]), dtype=float)
+        return np.concatenate([y[:, n:], force], axis=1).ravel()
 
-    y = np.array(y0, dtype=float)
-    path = [y[..., :n].copy()] if keep_path else None
-    for _ in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if keep_path:
-            path.append(y[..., :n].copy())
-    if keep_path:
-        return y, np.stack(path, axis=0)
-    return y, None
+    sol = solve_ivp(rhs, (0.0, T), y0.ravel(), method="DOP853",
+                    t_eval=t_eval, rtol=FLOW_TOL, atol=FLOW_TOL)
+    if sol.status != 0:
+        raise OracleFailure(f"flow over T = {T} failed: {sol.message}")
+    return sol.y.T.reshape((-1,) + y0.shape)
 
 
 def shooting_oracle(model: PotentialModel, T: float, initial_guess,
-                    K: int = 64, n_steps: int = 4096, max_newton: int = 50,
+                    K: int = 64, max_newton: int = 50,
                     tol: float = 1e-9, stall_accept: float = 1e-6) -> ShootingResult:
     """Close the period-T orbit of qdd = -grad V(q) through Newton on (q0, v0).
 
     Smooth models only.  The Newton step is damped Levenberg-Marquardt
     (the monodromy of an autonomous orbit is singular along the flow
-    direction).  The discrete RK4 flow only admits fixed points up to its
-    own truncation error, so stagnation below stall_accept counts as
-    closure and the achieved residual is reported; stagnation above it
-    raises OracleFailure.  The damping search ends once the step is
-    shorter than the rounding of one flow (n_steps * eps * scale): a
-    shorter step cannot move the end state by more than that rounding.
+    direction) on a forward-difference Jacobian of the period map.  Its
+    2n + 1 flows run as one stacked batch: columns differenced across
+    separately adapted meshes would carry the flow's tolerance FLOW_TOL
+    divided by the difference step, about 1e-6, as noise.
+
+    The adaptive flow only admits fixed points up to its own truncation
+    error, so stagnation below stall_accept counts as closure and the
+    achieved residual is reported; stagnation above it raises
+    OracleFailure.  The damping search ends once the step is shorter than
+    FLOW_TOL * scale, the accuracy the flow is asked for: a shorter step
+    cannot move the end state by more than the flow's own error.
+
+    Every flow may call the gradient at most MAX_RHS_CALLS times, which
+    bounds the cost of a guess whose orbit oscillates many times per
+    period.  A damped trial past that budget counts as rejected; any other
+    flow past it, the guess's own first, raises OracleFailure.
     """
     if model.kind != "smooth":
         raise ValueError("shooting oracle requires a smooth model")
     x = np.asarray(initial_guess, dtype=float).ravel()
     if x.size != 2 * model.dim:
         raise ValueError(f"initial guess must have size 2n = {2 * model.dim}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"initial_guess must be finite, got {x.tolist()}")
 
     def closure(state):
-        yT, _ = _rk4_flow(model, T, state, n_steps)
-        return yT - state
+        return _flow(model, T, state)[-1] - state
 
     fd_h = 1e-7
     iters = 0
     res = closure(x)
     res_norm = float(np.linalg.norm(res))
     scale = 1.0 + float(np.linalg.norm(x))
-    xtol = n_steps * np.finfo(float).eps * scale
+    xtol = FLOW_TOL * scale
     damping = 1e-8
     slow_steps = 0
     while res_norm > tol * scale:
         if slow_steps >= 2 and res_norm <= stall_accept * scale:
-            break  # ground out on the discrete flow's own truncation floor
+            break  # ground out on the flow's own truncation floor
         if iters >= max_newton:
             if res_norm <= stall_accept * scale:
                 break
@@ -201,15 +217,11 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
                 f"shooting Newton stalled at residual {res_norm:.3e} "
                 f"after {iters} iterations")
         iters += 1
-        # Batched forward-difference Jacobian of the period map.  The
-        # monodromy of an autonomous orbit is singular along the flow, so
-        # the step is damped Levenberg-Marquardt style instead of solved
-        # exactly.
         dim = x.size
         batch = np.vstack([x, x[None, :] + fd_h * np.eye(dim)])
-        yT, _ = _rk4_flow(model, T, batch, n_steps)
+        yT = _flow(model, T, batch)[-1]
         F0 = yT[0] - x
-        J = ((yT[1:] - (x[None, :] + fd_h * np.eye(dim))) - F0) / fd_h
+        J = (((yT[1:] - batch[1:]) - F0) / fd_h).T   # J[i, j] = dF_i / dx_j
         JtJ = J.T @ J
         JtF = J.T @ F0
         diag_scale = float(np.trace(JtJ)) / dim + 1e-30
@@ -219,8 +231,11 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
             if np.linalg.norm(step) <= xtol:
                 break
             trial = x + step
-            trial_res = closure(trial)
-            trial_norm = float(np.linalg.norm(trial_res))
+            try:
+                trial_res = closure(trial)
+                trial_norm = float(np.linalg.norm(trial_res))
+            except OracleFailure:
+                trial_norm = np.inf
             if trial_norm < res_norm:
                 slow_steps = slow_steps + 1 if trial_norm > 0.5 * res_norm else 0
                 x, res, res_norm = trial, trial_res, trial_norm
@@ -234,10 +249,9 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
             raise OracleFailure(
                 f"shooting damping search failed at residual {res_norm:.3e}")
 
-    _, path = _rk4_flow(model, T, x, n_steps, keep_path=True)
-    samples = path[:-1]                           # drop duplicated endpoint
-    K_fit = min(K, (samples.shape[0] - 2) // 2)
-    traj = PeriodicTrajectory.from_samples(samples, T, K=K_fit)
+    nodes = T * np.arange(FIT_SAMPLES) / FIT_SAMPLES
+    samples = _flow(model, T, x, t_eval=nodes)[:, :model.dim]
+    traj = PeriodicTrajectory.from_samples(samples, T, K=K)
     fit_err = float(np.max(np.linalg.norm(
         traj.sample(samples.shape[0]) - samples, axis=1)))
     return ShootingResult(trajectory=traj, closure_residual=res_norm,

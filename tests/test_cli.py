@@ -47,3 +47,21 @@ def test_maxpair_solve_reaches_circular_orbit_level(tmp_path):
     assert code == cli.EXIT_OK
     c = json.loads((tmp_path / "result.json").read_text())["c_estimate"]
     assert abs(c - T * (w ** 4 / 32.0 + 1.0)) <= 1e-8 * T * (w ** 4 / 32.0 + 1.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("T", "abc"), ("T", float("nan")), ("T", 0.0), ("n", "1"), ("K", 2.5),
+    ("n", True), ("hypotheses", [1]), ("potential", "quartic"),
+    ("solver", None), ("sampler", 3), ("verify_tol", float("inf")),
+    ("verify_tol", -1e-4),
+])
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    raw = dict(MAXPAIR_K32, **{key: value})
+    with pytest.raises(cli.ConfigError) as err:
+        cli.RunConfig.from_dict(raw)
+    assert err.value.key == key
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["solve", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert f"config key {key!r}" in capsys.readouterr().err

@@ -127,6 +127,16 @@ def test_oracle_closes_quartic_orbit(quartic_orbit):
     assert np.isclose(amp, quartic_period(1.0) / TWO_PI, atol=1e-4)
 
 
+def test_oracle_newton_closes_below_tol_from_off_orbit_guess(quartic_orbit):
+    # (1.18, 0) is not on a period-2 pi orbit; Gauss-Newton on the period
+    # map's Jacobian (not its transpose) closes it below tol, not only at
+    # the stall acceptance.
+    V, res = quartic_orbit
+    scale = 1.0 + float(np.linalg.norm(res.initial_state))
+    assert res.closure_residual <= 1e-9 * scale
+    assert res.newton_iters <= 4
+
+
 def test_oracle_consistency_loop(quartic_orbit):
     V, res = quartic_orbit
     rep = inclusion_residual(res.trajectory, V)
@@ -166,20 +176,66 @@ def test_oracle_harmonic_closes_any_amplitude():
     assert np.max(np.abs(E - E.mean())) < 1e-10
 
 
+def _count_flows(monkeypatch):
+    flows = []
+    flow = verification._flow
+    monkeypatch.setattr(verification, "_flow",
+                        lambda *args, **kw: flows.append(1) or flow(*args, **kw))
+    return flows
+
+
+def _rk4_quartic_end_state(T, q, v, n_steps=65536):
+    """End state of qdd = -q^3 after n_steps classical RK4 steps (n = 1)."""
+    h = T / n_steps
+    for _ in range(n_steps):
+        k1q, k1v = v, -q ** 3
+        q2, v2 = q + 0.5 * h * k1q, v + 0.5 * h * k1v
+        k2q, k2v = v2, -q2 ** 3
+        q3, v3 = q + 0.5 * h * k2q, v + 0.5 * h * k2v
+        k3q, k3v = v3, -q3 ** 3
+        q4, v4 = q + h * k3q, v + h * k3v
+        k4q, k4v = v4, -q4 ** 3
+        q += (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        v += (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return np.array([q, v])
+
+
+def test_flow_matches_fine_rk4_reference(quartic_orbit):
+    V, res = quartic_orbit
+    q0, v0 = (float(c) for c in res.initial_state)
+    end = verification._flow(V, TWO_PI, res.initial_state)[-1]
+    assert np.max(np.abs(end - _rk4_quartic_end_state(TWO_PI, q0, v0))) <= 1e-11
+
+
+def test_stacked_flow_rows_match_single_row_flows(quartic_orbit):
+    V, res = quartic_orbit
+    x = res.initial_state
+    batch = np.vstack([x, x + 1e-7 * np.eye(2), [0.4, -0.3], [2.0, 1.0]])
+    stacked = verification._flow(V, TWO_PI, batch)[-1]
+    for row, end in zip(batch, stacked):
+        assert np.max(np.abs(end - verification._flow(V, TWO_PI, row)[-1])) <= 1e-11
+
+
 def test_oracle_stops_on_the_truncation_floor(quartic_orbit, monkeypatch):
-    # Below the discrete flow's own floor no step lowers the residual; the
-    # damping search ends once the step is shorter than the rounding of one
-    # flow instead of running all 25 ever more damped flows.
+    # Below the flow's own floor no step lowers the residual; the damping
+    # search ends once the step is shorter than the flow's tolerance
+    # instead of running all 25 ever more damped flows.
     V, res = quartic_orbit
     scale = 1.0 + float(np.linalg.norm(res.initial_state))
-    flows = []
-    flow = verification._rk4_flow
-    monkeypatch.setattr(verification, "_rk4_flow",
-                        lambda *args, **kw: flows.append(1) or flow(*args, **kw))
+    flows = _count_flows(monkeypatch)
     again = shooting_oracle(V, TWO_PI, res.initial_state, K=64,
                             tol=1e-3 * res.closure_residual / scale)
     assert again.closure_residual <= res.closure_residual < 1e-6 * scale
     assert len(flows) <= 12
+
+
+def test_oracle_gives_up_on_a_fast_guess_after_one_flow(monkeypatch):
+    # [40, 2] oscillates about 34 times per period: the flow from the guess
+    # runs past its gradient-call budget before any Newton step.
+    flows = _count_flows(monkeypatch)
+    with pytest.raises(OracleFailure, match="gradient calls"):
+        shooting_oracle(make_quartic(1), TWO_PI, [40.0, 2.0], K=8, max_newton=4)
+    assert len(flows) == 1
 
 
 def test_oracle_failure_on_bad_guess():
@@ -193,6 +249,7 @@ def test_oracle_rejects_nonsmooth_models():
         shooting_oracle(make_maxpair(1), 1.0, [1.0, 0.0])
 
 
-def test_oracle_rejects_nonpositive_step_count():
-    with pytest.raises(ValueError, match="n_steps"):
-        shooting_oracle(make_quartic(1), TWO_PI, [1.0, 0.0], n_steps=0)
+@pytest.mark.parametrize("guess", [[np.nan, 0.0], [1.0, np.inf]])
+def test_oracle_rejects_non_finite_guess(guess):
+    with pytest.raises(ValueError, match="initial_guess"):
+        shooting_oracle(make_quartic(1), TWO_PI, guess)
