@@ -167,7 +167,7 @@ def action_values(coeffs: np.ndarray, T: float, model: PotentialModel) -> np.nda
         qs, _ = _synthesize(c, T, N, accel=False)
         potential = T * np.mean(model.value(qs.reshape(-1, n)).reshape(B, N), axis=1)
         out.append(kinetic - potential)
-    return np.concatenate(out)
+    return np.concatenate(out) if out else np.zeros(0)
 
 
 def min_norm_residuals(coeffs: np.ndarray, T: float, model: PotentialModel,

@@ -16,7 +16,10 @@ radius R until the sup of f over constant loops on the boundary sphere
 drops below the analytic lower bound of f on the zero-mean subspace.
 
 Certificates are sampled evidence plus the analytic bound: a failing
-certificate is a valid negative result.
+certificate is a valid negative result.  Samples are coefficient rows
+drawn in a fixed rng order and evaluated as stacked action_values
+batches, bit-identical per row to one action_value call each; the
+descents that estimate inf f on X2 run in lockstep as such a batch.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action import action_value, h1_preconditioned, min_norm_subgradient
+from .action import action_value, action_values, min_norm_residuals
 from .potentials import PotentialModel
 from .trajectory import PeriodicTrajectory, l2_norm, random_trajectory
 
@@ -176,24 +179,55 @@ def calibrate_superquadratic(model: PotentialModel, certs: dict, T: float,
         f"check the growth certificate constants")
 
 
+def sphere_rows(rng: np.random.Generator, T: float, n: int, K: int, rho: float,
+                count: int, low_mode_fraction: float = 0.7,
+                low_mode_max: int = 4) -> np.ndarray:
+    """count random zero-mean loops scaled to ||qdot||_L2 = rho, as rows (count, 2K+1, n).
+
+    Mixes mostly low-mode samples (which minimize f at fixed rho and so
+    dominate the true minimum) with full-spectrum ones.  Each row draws
+    from rng and is built with the arithmetic of random_trajectory,
+    pad_modes and l2_norm(q.derivative()), so a row equals the loop those
+    would give from the same rng state.
+    """
+    rows = np.zeros((count, 2 * K + 1, n))
+    for row in rows:
+        if rng.uniform() < low_mode_fraction:
+            k, decay = min(low_mode_max, K), 1.0
+        else:
+            k, decay = K, 1.5
+        scale = np.arange(1, k + 1, dtype=float) ** (-decay)
+        row[1:k + 1] = rng.standard_normal((k, n)) * scale[:, None]
+        row[K + 1:K + 1 + k] = rng.standard_normal((k, n)) * scale[:, None]
+        kin = _kinetic_norm(row, T)
+        if kin == 0.0:                      # fall back to sin(w_1 t) e_1
+            row[:] = 0.0
+            row[K + 1, 0] = 1.0
+            kin = _kinetic_norm(row, T)
+        row *= rho / kin
+    return rows
+
+
 def sphere_sample(rng: np.random.Generator, T: float, n: int, K: int,
                   rho: float, low_mode_fraction: float = 0.7,
                   low_mode_max: int = 4) -> PeriodicTrajectory:
-    """Random zero-mean loop scaled to ||qdot||_L2 = rho.
+    """Random zero-mean loop scaled to ||qdot||_L2 = rho: one row of :func:`sphere_rows`."""
+    return PeriodicTrajectory.from_coefficients(
+        T, sphere_rows(rng, T, n, K, rho, 1, low_mode_fraction, low_mode_max)[0])
 
-    Mixes mostly low-mode samples (which minimize f at fixed rho and so
-    dominate the true minimum) with full-spectrum ones.
-    """
-    if rng.uniform() < low_mode_fraction:
-        k_max = min(low_mode_max, K)
-        q = random_trajectory(rng, T, n, k_max, zero_mean=True, decay=1.0).pad_modes(K)
-    else:
-        q = random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5)
-    kin = l2_norm(q.derivative())
-    if kin == 0.0:
-        q = PeriodicTrajectory.harmonic(T, n, 1, K=K)
-        kin = l2_norm(q.derivative())
-    return q * (rho / kin)
+
+def _l2_norm_row(c: np.ndarray, T: float) -> float:
+    """l2_norm of the loop with coefficient row c, summed as l2_inner sums."""
+    a, b = c[1:].reshape(2, -1, c.shape[1])
+    val = T * float(c[0] @ c[0]) + 0.5 * T * float(np.sum(a * a) + np.sum(b * b))
+    return float(np.sqrt(max(val, 0.0)))
+
+
+def _kinetic_norm(c: np.ndarray, T: float) -> float:
+    """l2_norm(q.derivative()) of the loop with coefficient row c."""
+    a, b = c[1:].reshape(2, -1, c.shape[1])
+    w = (2.0 * np.pi * np.arange(1, len(a) + 1) / T)[:, None]
+    return _l2_norm_row(np.concatenate([np.zeros((1, c.shape[1])), w * b, -w * a]), T)
 
 
 def certify_linking(geom: LinkingGeometry, model: PotentialModel, T: float,
@@ -206,37 +240,40 @@ def certify_linking(geom: LinkingGeometry, model: PotentialModel, T: float,
     the bottom disk, the lateral shell and the top disk.  The returned
     geometry records pass <=> alpha_sampled > beta_sampled; a fail is a
     valid negative certificate.
+
+    The samples are rows drawn in the order sphere, bottom disk, zero
+    loop, lateral shell, top disk, and evaluated as stacked action_values
+    batches, bit-identical per row to one action_value call each.  Disk
+    rows carry K modes; rows x1 + s e carry max(K, e.K), as loop sums do.
     """
     if geom.mode != "superquadratic":
         raise ValueError("certify_linking applies to superquadratic geometries")
     if not np.isclose(T, geom.T):
         raise ValueError(f"geometry was calibrated for T = {geom.T:g}, got {T:g}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     n = model.dim
-    e = geom.e.pad_modes(K) if geom.e.K < K else geom.e
+    e = geom.e.pad_modes(max(K, geom.e.K))
+    if (e.T, e.n) != (T, n):
+        raise ValueError(f"direction e has T = {e.T!r}, n = {e.n}; loops T = {T!r}, n = {n}")
 
-    alpha = np.inf
-    for _ in range(n_samples):
-        q = sphere_sample(rng, T, n, K, geom.rho)
-        alpha = min(alpha, action_value(q, model))
+    alpha = np.min(action_values(sphere_rows(rng, T, n, K, geom.rho, n_samples),
+                                 T, model))
 
-    beta = -np.inf
     per_face = max(n_samples // 3, 8)
-    for _ in range(per_face):                      # bottom disk, s = 0
-        x1 = _ball_point(rng, n, geom.r1)
-        q = PeriodicTrajectory.constant(T, x1, K=K)
-        beta = max(beta, action_value(q, model))
-    zero = PeriodicTrajectory.constant(T, np.zeros(n), K=K)
-    beta = max(beta, action_value(zero, model))
-    for _ in range(per_face):                      # lateral shell, |x1| = r1
-        x1 = _sphere_point(rng, n, geom.r1)
-        s = rng.uniform(0.0, geom.r2)
-        q = PeriodicTrajectory.constant(T, x1, K=K) + s * e
-        beta = max(beta, action_value(q, model))
-    for _ in range(per_face):                      # top disk, s = r2
-        x1 = _ball_point(rng, n, geom.r1)
-        q = PeriodicTrajectory.constant(T, x1, K=K) + geom.r2 * e
-        beta = max(beta, action_value(q, model))
+    disks = np.zeros((per_face + 1, 2 * K + 1, n))   # bottom disk (s = 0), zero loop
+    for row in disks[:per_face]:
+        row[0] = _ball_point(rng, n, geom.r1)
+    shell = np.zeros((2 * per_face, 2 * e.K + 1, n))  # x1 + s e: lateral, then top
+    s = np.full(2 * per_face, geom.r2)
+    for i in range(per_face):                       # lateral shell, |x1| = r1
+        shell[i, 0] = _sphere_point(rng, n, geom.r1)
+        s[i] = rng.uniform(0.0, geom.r2)
+    for row in shell[per_face:]:                    # top disk, s = r2
+        row[0] = _ball_point(rng, n, geom.r1)
+    shell += s[:, None, None] * e.coefficients()
+    beta = max(np.max(action_values(rows, T, model)) for rows in (disks, shell))
 
     return replace(geom, alpha_sampled=float(alpha), beta_sampled=float(beta),
                    passed=bool(alpha > beta), n_samples=n_samples, seed=seed)
@@ -266,37 +303,44 @@ def _box_boundary_points(rng: np.random.Generator, n: int, R: float,
     return np.vstack([pts, centers])
 
 
-def _descend_in_oscillation(model: PotentialModel, T: float, K: int,
-                            start: PeriodicTrajectory, n_steps: int = 60) -> float:
-    """Crude preconditioned descent inside the zero-mean subspace.
+def _descend_lockstep(model: PotentialModel, T: float, starts: np.ndarray) -> np.ndarray:
+    """Crude preconditioned descents in the zero-mean subspace, one per row of starts.
 
-    Returns the smallest f seen; used only to estimate inf f on the
-    subspace, not to locate critical points.
+    Each step makes one min_norm_residuals call over the live rows and one
+    action_values call per halving round over the rows still searching;
+    every row keeps its own step, Armijo test and 60-step budget.  Returns
+    each row's last accepted f, its smallest (an accepted step lowers f).
+    Used only to estimate inf f on the subspace, not to locate critical points.
     """
-    q = start
-    best = action_value(q, model)
-    step = 1.0
-    for _ in range(n_steps):
-        grad = min_norm_subgradient(q, model, metric="l2")
-        d = h1_preconditioned(grad.residual) * (-1.0)
-        d = PeriodicTrajectory(d.T, np.zeros(d.n), d.a, d.b)   # stay zero-mean
-        dn2 = l2_norm(d) ** 2
-        if dn2 == 0.0:
+    q = np.array(starts, dtype=float)
+    K = (q.shape[1] - 1) // 2
+    omegas = 2.0 * np.pi * np.arange(1, K + 1) / T
+    precond = np.concatenate([[0.0], np.tile(1.0 / (1.0 + omegas ** 2), 2)])[:, None]
+    f = action_values(q, T, model)
+    step = np.ones(len(q))
+    live = np.arange(len(q))
+    for _ in range(60):
+        if not live.size:
             break
-        f0 = action_value(q, model)
-        accepted = False
+        d = min_norm_residuals(q[live], T, model) * precond * (-1.0)
+        d[:, 0] = 0.0                                   # stay zero-mean
+        dn2 = np.array([_l2_norm_row(row, T) ** 2 for row in d])
+        moving = dn2 != 0.0
+        live, d, dn2 = live[moving], d[moving], dn2[moving]
+        searching = np.arange(live.size)                # indices into live
         for _ in range(30):
-            trial = q + step * d
-            ft = action_value(trial, model)
-            if ft <= f0 - 1e-4 * step * dn2:
-                q, best = trial, min(best, ft)
-                step *= 2.0
-                accepted = True
+            if not searching.size:
                 break
-            step *= 0.5
-        if not accepted:
-            break
-    return best
+            rows = live[searching]
+            trial = q[rows] + step[rows, None, None] * d[searching]
+            ft = action_values(trial, T, model)
+            ok = ft <= f[rows] - 1e-4 * step[rows] * dn2[searching]
+            q[rows[ok]], f[rows[ok]] = trial[ok], ft[ok]
+            step[rows[ok]] *= 2.0
+            step[rows[~ok]] *= 0.5
+            searching = searching[~ok]
+        live = np.delete(live, searching)               # failed line searches stop
+    return f
 
 
 def calibrate_saddle(model: PotentialModel, certs: dict, T: float,
@@ -310,6 +354,10 @@ def calibrate_saddle(model: PotentialModel, certs: dict, T: float,
     descent from random zero-mean starts; the sup over constant loops on
     the boundary is sampled.  Failure to open a gap within the doubling
     budget reports the potential as non-coercive.
+
+    The starts are drawn up front (the descents draw nothing) and descend
+    in lockstep as one batch; a row stopped by dn2 == 0 or by a failed
+    line search drops out of it.
     """
     A, a = float(certs["A"]), float(certs.get("a", 0.0))
     _require_below_threshold(A, T)
@@ -332,10 +380,10 @@ def calibrate_saddle(model: PotentialModel, certs: dict, T: float,
             f"sup f on the boundary stayed at {beta:g} >= {inf_bound:g} up to "
             f"R = {R:g}; the potential does not look coercive")
 
-    alpha = np.inf
-    for _ in range(n_descents):
-        start = random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5)
-        alpha = min(alpha, _descend_in_oscillation(model, T, K, start))
+    starts = np.zeros((n_descents, 2 * K + 1, n))
+    for row in starts:
+        row[:] = random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5).coefficients()
+    alpha = np.min(_descend_lockstep(model, T, starts), initial=np.inf)
     alpha = float(min(alpha, action_value(PeriodicTrajectory.zero(T, n, K), model)))
 
     return LinkingGeometry(mode="saddle", T=T, alpha_bound=inf_bound, R=R,

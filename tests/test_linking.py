@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from liporbit.action import action_value
+from liporbit.action import action_value, h1_preconditioned, min_norm_subgradient
 from liporbit.linking import (
     InfeasibleGeometryError,
     LinkingGeometry,
@@ -10,13 +12,20 @@ from liporbit.linking import (
     calibrate_saddle,
     calibrate_superquadratic,
     certify_linking,
+    _ball_point,
+    _box_boundary_points,
+    _descend_lockstep,
+    _kinetic_norm,
+    _l2_norm_row,
+    _sphere_point,
     outer_boundary_bound,
+    sphere_rows,
     sphere_sample,
     threshold_period,
     unit_direction,
 )
 from liporbit.potentials import PotentialModel, make_maxpair, make_quartic, make_subq32
-from liporbit.trajectory import PeriodicTrajectory, l2_norm, sup_norm
+from liporbit.trajectory import PeriodicTrajectory, l2_norm, random_trajectory, sup_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -168,11 +177,10 @@ def test_constant_loops_inside_disk_nonpositive():
         assert action_value(q, V) <= 0.0
 
 
-def test_forced_geometry_above_threshold_fails_certificate():
+def _forced_geometry():
     # A potential with a genuine quadratic part: V = |x|^2/2 + |x|^4/4,
-    # so A = 1/2 + margin near zero.  Above the threshold the sphere
-    # level drops below the boundary level and the certificate reports
-    # the failure rather than raising.
+    # so A = 1/2 + margin near zero, with a geometry set above the
+    # threshold.
     def val(x):
         r2 = np.sum(x ** 2, axis=-1)
         return 0.5 * r2 + 0.25 * r2 ** 2
@@ -187,9 +195,240 @@ def test_forced_geometry_above_threshold_fails_certificate():
     geom = LinkingGeometry(mode="superquadratic", T=T,
                            alpha_bound=alpha_lower_bound(0.5, T, 1.0),
                            rho=1.0, r1=1.0, r2=4.0, e=e)
+    return geom, V, T
+
+
+def test_forced_geometry_above_threshold_fails_certificate():
+    # Above the threshold the sphere level drops below the boundary
+    # level and the certificate reports the failure rather than raising.
+    geom, V, T = _forced_geometry()
     assert geom.alpha_bound < 0
     geom = certify_linking(geom, V, T, n_samples=200, K=16, seed=4)
     assert not geom.passed
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_certify_linking_rejects_empty_certificate(n_samples):
+    # With no sphere sample alpha_sampled would be +inf: a pass with
+    # nothing sampled, and not valid JSON in geometry.json.
+    V = make_quartic(1)
+    geom = calibrate_superquadratic(V, QUARTIC_CERTS, TWO_PI)
+    with pytest.raises(ValueError, match="n_samples"):
+        certify_linking(geom, V, TWO_PI, n_samples=n_samples, K=8)
+
+
+@pytest.mark.parametrize("T,model", [(TWO_PI * (1 + 1e-12), make_quartic(1)),
+                                     (TWO_PI, make_quartic(2))])
+def test_certify_linking_rejects_direction_off_the_loops(T, model):
+    # e carries the calibration's T and n; rows x1 + s e need both to match.
+    geom = calibrate_superquadratic(make_quartic(1), QUARTIC_CERTS, TWO_PI)
+    with pytest.raises(ValueError, match="direction e"):
+        certify_linking(geom, model, T, n_samples=10, K=8)
+
+
+# -- batched certificates against the serial loops ------------------------
+
+
+def _serial_sphere_sample(rng, T, n, K, rho):
+    # The sampler as it was before the rows: one PeriodicTrajectory each.
+    if rng.uniform() < 0.7:
+        q = random_trajectory(rng, T, n, min(4, K), zero_mean=True, decay=1.0).pad_modes(K)
+    else:
+        q = random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5)
+    kin = l2_norm(q.derivative())
+    if kin == 0.0:
+        q = PeriodicTrajectory.harmonic(T, n, 1, K=K)
+        kin = l2_norm(q.derivative())
+    return q * (rho / kin)
+
+
+def _serial_certify_linking(geom, model, T, n_samples, K, seed):
+    # One action_value call per sample, in the certificate's rng order.
+    rng = np.random.default_rng(seed)
+    n = model.dim
+    e = geom.e.pad_modes(K) if geom.e.K < K else geom.e
+    alpha = np.inf
+    for _ in range(n_samples):
+        alpha = min(alpha, action_value(_serial_sphere_sample(rng, T, n, K, geom.rho), model))
+    beta = -np.inf
+    per_face = max(n_samples // 3, 8)
+    for _ in range(per_face):
+        q = PeriodicTrajectory.constant(T, _ball_point(rng, n, geom.r1), K=K)
+        beta = max(beta, action_value(q, model))
+    beta = max(beta, action_value(PeriodicTrajectory.constant(T, np.zeros(n), K=K), model))
+    for _ in range(per_face):
+        x1 = _sphere_point(rng, n, geom.r1)
+        s = rng.uniform(0.0, geom.r2)
+        beta = max(beta, action_value(PeriodicTrajectory.constant(T, x1, K=K) + s * e, model))
+    for _ in range(per_face):
+        q = PeriodicTrajectory.constant(T, _ball_point(rng, n, geom.r1), K=K) + geom.r2 * e
+        beta = max(beta, action_value(q, model))
+    return replace(geom, alpha_sampled=float(alpha), beta_sampled=float(beta),
+                   passed=bool(alpha > beta), n_samples=n_samples, seed=seed)
+
+
+def _certify_case(name):
+    if name == "quartic":
+        V = make_quartic(1)
+        return calibrate_superquadratic(V, QUARTIC_CERTS, TWO_PI), V, TWO_PI
+    if name == "maxpair":
+        M = make_maxpair(2)
+        certs = {"A": 1.0, "radius": 1.0, "a1": 1.0, "a2": -1.0, "mu1": 4.0}
+        return calibrate_superquadratic(M, certs, 2.0), M, 2.0
+    if name == "forced":
+        return _forced_geometry()
+    V = make_quartic(1)                             # e with more modes than K
+    e = unit_direction(TWO_PI, 1, K=12, mode=3)
+    return calibrate_superquadratic(V, QUARTIC_CERTS, TWO_PI, e=e), V, TWO_PI
+
+
+@pytest.mark.parametrize("name,K,n_samples,seed", [
+    ("quartic", 32, 200, 0), ("quartic", 128, 200, 7), ("maxpair", 64, 200, 1),
+    ("forced", 16, 200, 4), ("wide_e", 8, 60, 3), ("wide_e", 8, 1, 2)])
+def test_batched_certificate_equals_serial_loop(name, K, n_samples, seed):
+    geom, V, T = _certify_case(name)
+    batched = certify_linking(geom, V, T, n_samples=n_samples, K=K, seed=seed)
+    serial = _serial_certify_linking(geom, V, T, n_samples, K, seed)
+    assert batched.to_dict() == serial.to_dict()
+    assert batched.passed == serial.passed
+    assert batched.passed == (name != "forced")
+
+
+def test_sphere_sample_is_one_row_of_sphere_rows():
+    for seed in range(4):
+        rows = sphere_rows(np.random.default_rng(seed), 2.0, 2, 16, 1.3, 12)
+        rng, rng_serial = np.random.default_rng(seed), np.random.default_rng(seed)
+        for row in rows:
+            assert np.array_equal(sphere_sample(rng, 2.0, 2, 16, 1.3).coefficients(), row)
+            serial = _serial_sphere_sample(rng_serial, 2.0, 2, 16, 1.3)
+            assert np.array_equal(serial.coefficients(), row)
+
+
+def test_row_norms_equal_trajectory_norms():
+    rng = np.random.default_rng(11)
+    for i in range(50):
+        T, n, K = rng.uniform(0.5, 9.0), int(rng.integers(1, 4)), int(rng.integers(1, 40))
+        q = random_trajectory(rng, T, n, K, zero_mean=bool(i % 2))
+        if i % 3 == 0:
+            q = q.pad_modes(K + int(rng.integers(1, 20)))
+        assert _kinetic_norm(q.coefficients(), T) == l2_norm(q.derivative())
+        assert _l2_norm_row(q.coefficients(), T) == l2_norm(q)
+
+
+def _serial_descent(model, start):
+    # The per-loop descent the lockstep batch replaced.
+    q = start
+    best = action_value(q, model)
+    step = 1.0
+    for _ in range(60):
+        grad = min_norm_subgradient(q, model, metric="l2")
+        d = h1_preconditioned(grad.residual) * (-1.0)
+        d = PeriodicTrajectory(d.T, np.zeros(d.n), d.a, d.b)
+        dn2 = l2_norm(d) ** 2
+        if dn2 == 0.0:
+            break
+        f0 = action_value(q, model)
+        accepted = False
+        for _ in range(30):
+            trial = q + step * d
+            ft = action_value(trial, model)
+            if ft <= f0 - 1e-4 * step * dn2:
+                q, best = trial, min(best, ft)
+                step *= 2.0
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    return best
+
+
+def _serial_calibrate_saddle(model, certs, T, K, seed, n_samples=120, n_descents=4):
+    A, a = float(certs["A"]), float(certs.get("a", 0.0))
+    rng = np.random.default_rng(seed)
+    n = model.dim
+    inf_bound = -a * T
+    R = 1.0
+    for _ in range(40):
+        pts = _box_boundary_points(rng, n, R, n_samples)
+        beta = float(np.max(-T * model.value(pts)))
+        if beta <= inf_bound - 1e-3 * T * (1.0 + abs(a)):
+            break
+        R *= 2.0
+    alpha = np.inf
+    for _ in range(n_descents):
+        start = random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5)
+        alpha = min(alpha, _serial_descent(model, start))
+    alpha = float(min(alpha, action_value(PeriodicTrajectory.zero(T, n, K), model)))
+    return LinkingGeometry(mode="saddle", T=T, alpha_bound=inf_bound, R=R,
+                           alpha_sampled=alpha, beta_sampled=beta,
+                           passed=bool(alpha > beta and inf_bound > beta),
+                           n_samples=n_samples, seed=seed)
+
+
+def _shifted_well(p, eps2):
+    def value(x):
+        d2 = np.sum((x - p) ** 2, axis=-1)
+        return (d2 + eps2) ** 0.75 - eps2 ** 0.75
+
+    def grad(x):
+        d = x - p
+        d2 = np.sum(d ** 2, axis=-1)
+        return (1.5 * (d2 + eps2) ** -0.25)[..., None] * d
+
+    return PotentialModel.smooth(value, grad, 2)
+
+
+SADDLE_CASES = {
+    "well_eps2_0.01": (lambda: _shifted_well(np.array([0.3, -0.15]), 0.01), 1.0),
+    "well_eps2_0": (lambda: _shifted_well(np.array([-0.2, 0.35]), 0.0), 1.0),
+    "subq32": (lambda: make_subq32(2), 27.0 / 256.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SADDLE_CASES))
+def test_lockstep_descent_equals_serial_descent(name):
+    make, a = SADDLE_CASES[name]
+    model = make()
+    T, n, K = 1.0, 2, 16
+    rng = np.random.default_rng(5)
+    starts = [random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5) for _ in range(5)]
+    starts.insert(2, PeriodicTrajectory.zero(T, n, K))
+    got = _descend_lockstep(model, T, np.stack([q.coefficients() for q in starts]))
+    want = [_serial_descent(model, q) for q in starts]
+    assert got.tolist() == want
+    if name == "subq32":
+        # grad V(0) = 0: the zero row stops at once beside live rows.
+        assert got[2] == action_value(starts[2], model)
+        assert np.all(got[[0, 1, 3, 4, 5]] < got[2])
+    for seed in (0, 3):
+        geom = calibrate_saddle(model, {"A": 1.0, "a": a}, T, K=K, seed=seed)
+        ref = _serial_calibrate_saddle(model, {"A": 1.0, "a": a}, T, K, seed)
+        assert geom.to_dict() == ref.to_dict()
+
+
+def test_lockstep_descent_drops_rows_whose_line_search_fails():
+    # The gradient is reported with the wrong sign, so on the first mode
+    # (w_1^2 < 2c) the direction climbs and the line search fails at
+    # once, while on the second mode (w_2^2 > 2c) the kinetic part wins
+    # and the row keeps descending beside it.
+    c = 50.0
+    model = PotentialModel.smooth(lambda x: -c * np.sum(x ** 2, axis=-1),
+                                  lambda x: 2.0 * c * x, 2)
+    rng = np.random.default_rng(2)
+    starts = [PeriodicTrajectory.harmonic(1.0, 2, 1, K=8),
+              PeriodicTrajectory.harmonic(1.0, 2, 2, axis=1, K=8),
+              random_trajectory(rng, 1.0, 2, 8, zero_mean=True)]
+    got = _descend_lockstep(model, 1.0, np.stack([q.coefficients() for q in starts]))
+    assert got.tolist() == [_serial_descent(model, q) for q in starts]
+    assert got[0] == action_value(starts[0], model)
+    assert got[1] < action_value(starts[1], model)
+
+
+def test_calibrate_saddle_without_descents_uses_zero_loop():
+    V = make_subq32(2)
+    geom = calibrate_saddle(V, {"A": 1.0, "a": 27.0 / 256.0}, 1.0, K=8, n_descents=0)
+    assert geom.alpha_sampled == action_value(PeriodicTrajectory.zero(1.0, 2, 8), V)
 
 
 def test_certificate_json_schema():
