@@ -248,8 +248,8 @@ def certify_linking(geom: LinkingGeometry, model: PotentialModel, T: float,
     """
     if geom.mode != "superquadratic":
         raise ValueError("certify_linking applies to superquadratic geometries")
-    if not np.isclose(T, geom.T):
-        raise ValueError(f"geometry was calibrated for T = {geom.T:g}, got {T:g}")
+    if T != geom.T:
+        raise ValueError(f"geometry and direction e were calibrated for T = {geom.T!r}, got {T!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)

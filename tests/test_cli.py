@@ -37,6 +37,51 @@ def test_threads_is_not_a_solver_key(tmp_path):
     assert exit_.value.code == 2
 
 
+@pytest.mark.parametrize("key, value", [("init_step", 1.0), ("max_restarts", 3),
+                                        ("probe_every", 5), ("max_iters", 0)])
+def test_removed_or_invalid_solver_key_exits_2(tmp_path, key, value):
+    raw = dict(MAXPAIR_K32, solver={key: value})
+    with pytest.raises(cli.ConfigError) as err:
+        cli.RunConfig.from_dict(raw).solver_config()
+    assert err.value.key == "solver"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["solve", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
+
+
+def quartic_level(T):
+    # c(T) = (4 sqrt(2) L)^4 / (12 T^3), L = Gamma(1/4) Gamma(1/2) / (4 Gamma(3/4)):
+    # the level of the T-periodic orbit of q'' + 4 q^3 = 0 with its minimal period.
+    L = math.gamma(0.25) * math.gamma(0.5) / (4.0 * math.gamma(0.75))
+    return (4.0 * math.sqrt(2.0) * L) ** 4 / (12.0 * T ** 3)
+
+
+def quartic_config(T, K, tmp_path, **extra):
+    return cli.RunConfig.from_dict(dict(
+        {"potential": {"type": "quartic"}, "T": T, "n": 1, "K": K,
+         "mode": "superquadratic", "solver": dict(MAXPAIR_K32["solver"]),
+         "output_dir": str(tmp_path), "verbosity": 0}, **extra))
+
+
+@pytest.mark.parametrize("T", [4.5, 8.0])
+def test_quartic_solve_reaches_closed_form_level(tmp_path, T):
+    # T = 4.5: a probe of the deformed surface seeded q = 0; T = 8.0: the
+    # sampled sphere level lies above c(T), so gating on it rejected c(T).
+    assert cli.cmd_solve(quartic_config(T, 32, tmp_path)) == cli.EXIT_OK
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["converged"] is True
+    assert abs(result["c_estimate"] - quartic_level(T)) <= 1e-8 * quartic_level(T)
+
+
+def test_converged_is_false_when_the_inclusion_gate_fails(tmp_path):
+    # The polish reaches c(2 pi) with aggregate ~1e-8, above this verify_tol.
+    code = cli.cmd_solve(quartic_config(2 * math.pi, 64, tmp_path, verify_tol=1e-12))
+    assert code == cli.EXIT_NEGATIVE
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["converged"] is False
+    assert result["verification"]["aggregate"] >= 1e-12
+
+
 def test_maxpair_solve_reaches_circular_orbit_level(tmp_path):
     # For T <= pi / sqrt(2) the circle |x| = w / (2 sqrt 2), w = 2 pi / T,
     # on the outer piece solves the inclusion, at level T (w^4 / 32 + 1).

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -224,6 +225,14 @@ def test_certify_linking_rejects_direction_off_the_loops(T, model):
     geom = calibrate_superquadratic(make_quartic(1), QUARTIC_CERTS, TWO_PI)
     with pytest.raises(ValueError, match="direction e"):
         certify_linking(geom, model, T, n_samples=10, K=8)
+
+
+def test_certify_linking_requires_the_calibrated_period_exactly():
+    # e carries geom.T exactly, so any other T, however close, is refused
+    # up front, and the message names the calibrated T.
+    geom = calibrate_superquadratic(make_quartic(1), QUARTIC_CERTS, TWO_PI)
+    with pytest.raises(ValueError, match=re.escape(f"calibrated for T = {geom.T!r},")):
+        certify_linking(geom, make_quartic(1), geom.T * (1 + 1e-12), n_samples=10, K=8)
 
 
 # -- batched certificates against the serial loops ------------------------

@@ -237,6 +237,29 @@ def test_run_minimax_budget_exhaustion_returns_result(quartic_setup):
     V, geom = quartic_setup
     res = run_minimax(V, geom, SolverConfig(K=16, grid=9, max_iters=2, seed=0))
     assert not res.converged  # not an exception
+    assert len(res.history) <= 2
+
+
+def test_run_probes_once_and_never_deforms(quartic_setup, monkeypatch):
+    import liporbit.solver as solver
+
+    def no_deform(*args, **kwargs):
+        raise AssertionError("the run called deform_step")
+
+    probes = []
+
+    def counted_probe(*args, **kwargs):
+        probes.append(1)
+        return ridge_probe(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "deform_step", no_deform)
+    monkeypatch.setattr(solver, "ridge_probe", counted_probe)
+    V, geom = quartic_setup
+    res = run_minimax(V, geom, SolverConfig(K=32, grid=9, max_iters=3000, seed=0))
+    assert res.converged
+    assert probes == [1]
+    assert set(res.diagnostics) == {"seed", "ridge_barrier_slack", "max_h1norm",
+                                    "mode", "ridge_polish", "rejected_candidates"}
 
 
 def test_run_mode_guards(quartic_setup, saddle_setup):
