@@ -106,16 +106,6 @@ class RunConfig:
             flat.update(params)
         return flat
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(str(path), "config file not found")
-        except json.JSONDecodeError as err:
-            raise ConfigError(str(path), f"invalid JSON: {err}")
-        return cls.from_dict(raw)
-
     def build_model(self) -> PotentialModel:
         spec = dict(self.potential)
         spec.setdefault("dim", self.n)

@@ -384,54 +384,51 @@ def _pairing_extremes(model: PotentialModel, pts: np.ndarray, minimum: bool) -> 
 #             (V3') coercive; (V4') A=1, a=0.5.
 
 
-def _radial(fn):
-    def wrapped(x):
-        x = np.asarray(x, dtype=float)
-        return fn(np.linalg.norm(x, axis=-1))
-    return wrapped
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis as a column sum: a tenth of the time of
+    numpy's reduce over a short axis.  For n < 8 both add left to right,
+    so the bits are those of np.sum(x ** 2, axis=-1); from n = 8 numpy
+    sums in eight lanes and the two differ by a few ulp."""
+    x = np.asarray(x, dtype=float)
+    out = x[..., 0] ** 2
+    for j in range(1, x.shape[-1]):
+        out = out + x[..., j] ** 2
+    return out
 
 
 def make_quartic(dim: int) -> PotentialModel:
     def val(x):
-        x = np.asarray(x, dtype=float)
-        return 0.25 * np.sum(x ** 2, axis=-1) ** 2
+        return 0.25 * _sq_norm(x) ** 2
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
-        return np.sum(x ** 2, axis=-1)[..., None] * x
+        return _sq_norm(x)[..., None] * x
 
     return PotentialModel.smooth(val, grad, dim, name="quartic")
 
 
 def make_maxpair(dim: int) -> PotentialModel:
     def v1(x):
-        x = np.asarray(x, dtype=float)
-        return np.sum(x ** 2, axis=-1) ** 2
+        return _sq_norm(x) ** 2
 
     def g1(x):
-        x = np.asarray(x, dtype=float)
-        return 4.0 * np.sum(x ** 2, axis=-1)[..., None] * x
+        return 4.0 * _sq_norm(x)[..., None] * x
 
     def v2(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * np.sum(x ** 2, axis=-1) ** 2 - 1.0
+        return 2.0 * _sq_norm(x) ** 2 - 1.0
 
     def g2(x):
-        x = np.asarray(x, dtype=float)
-        return 8.0 * np.sum(x ** 2, axis=-1)[..., None] * x
+        return 8.0 * _sq_norm(x)[..., None] * x
 
     return PotentialModel.piecewise_max([(v1, g1), (v2, g2)], dim, name="maxpair")
 
 
 def make_subq32(dim: int) -> PotentialModel:
     def val(x):
-        x = np.asarray(x, dtype=float)
-        return np.sum(x ** 2, axis=-1) ** 0.75
+        return _sq_norm(x) ** 0.75
 
     def grad(x):
         # grad |x|^{3/2} = 1.5 |x|^{-1/2} x, which extends by 0 at x = 0.
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(_sq_norm(x))
         scale = np.where(r > 0, 1.5 * np.maximum(r, 1e-300) ** -0.5, 0.0)
         return scale[..., None] * x
 
@@ -464,13 +461,12 @@ def make_maxpoly(coeff_lists: Sequence[Sequence[float]], dim: int) -> PotentialM
         c = np.asarray(coeffs, dtype=float)
 
         def val(x, c=c):
-            x = np.asarray(x, dtype=float)
-            s = np.sum(x ** 2, axis=-1)
+            s = _sq_norm(x)
             return sum(c[j] * s ** j for j in range(len(c)))
 
         def grad(x, c=c):
             x = np.asarray(x, dtype=float)
-            s = np.sum(x ** 2, axis=-1)
+            s = _sq_norm(x)
             dvds = sum(j * c[j] * s ** (j - 1) for j in range(1, len(c)))
             if len(c) <= 1:
                 return np.zeros_like(x)

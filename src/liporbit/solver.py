@@ -2,16 +2,17 @@
 
 A Surface holds one loop per node of a parameter grid, the identity
 embedding of the cylinder {x1-box} x [0, r2] (superquadratic mode) or of
-the X1 ball as a max-norm box (saddle mode), boundary nodes pinned.  A
-run accepts an interior argmax node that is already critical.  Otherwise
-it probes the piecewise-linear interpolation of the surface along its
-grid columns once (ridge_probe; node values miss the critical ridge
-where it runs between nodes) and polishes the probe's point and
-symmetry-breaking variants of it by Levenberg-Marquardt on the
-inclusion residual.  It reports the polished loop with the lowest
-inclusion aggregate among those that pass the measure, level and shape
-gates; converged means that aggregate is below verify_tol, the test
-behind exit code 0.
+the X1 ball as a max-norm box (saddle mode), boundary nodes pinned, as
+one array of Fourier coefficient rows.  A run accepts an interior argmax
+node that is already critical.  Otherwise it probes the piecewise-linear
+interpolation of the surface along its grid columns once (ridge_probe;
+node values miss the critical ridge where it runs between nodes) and
+polishes the probe's point and symmetry-breaking variants of it by
+Levenberg-Marquardt on the inclusion residual; a polish whose cost stalls
+above the measure gate stops.  It reports the polished loop with the
+lowest inclusion aggregate among those that pass the measure, level and
+shape gates, and why each other one failed; converged means that
+aggregate is below verify_tol, the test behind exit code 0.
 
 deform_step, a peak-shaving descent step at the argmax node, is not part
 of a run: on the benchmark inputs it never decided an answer, and the
@@ -20,7 +21,6 @@ deformed node set stops linking within a few steps.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -82,17 +82,21 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Surface:
-    """Node trajectories over the parameter grid, boundary pinned."""
+    """Loops over the parameter grid as coefficient rows, boundary pinned."""
 
     shape: tuple[int, ...]
-    nodes: tuple[PeriodicTrajectory, ...]
+    T: float
+    coeffs: np.ndarray                  # (n_nodes, 2K+1, n) read-only rows
     pinned: np.ndarray                  # (n_nodes,) bool
     f_values: np.ndarray                # (n_nodes,) cached action values
     last_step: float = 1.0
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.coeffs.shape[0]
+
+    def node(self, i: int) -> PeriodicTrajectory:
+        return PeriodicTrajectory.from_coefficients(self.T, self.coeffs[i])
 
     def argmax_node(self) -> int:
         # np.argmax takes the first maximum, so ties break at the lowest index.
@@ -112,13 +116,14 @@ class Surface:
 
     def with_updates(self, updates: dict[int, PeriodicTrajectory],
                      f_updates: dict[int, float], last_step: float) -> "Surface":
-        nodes = list(self.nodes)
+        coeffs = self.coeffs.copy()
         f_vals = self.f_values.copy()
         for i, traj in updates.items():
-            nodes[i] = traj
+            coeffs[i] = traj.coefficients()
         for i, fv in f_updates.items():
             f_vals[i] = fv
-        return Surface(self.shape, tuple(nodes), self.pinned, f_vals, last_step)
+        coeffs.flags.writeable = False
+        return Surface(self.shape, self.T, coeffs, self.pinned, f_vals, last_step)
 
 
 def init_surface(geom: LinkingGeometry, model: PotentialModel,
@@ -136,20 +141,16 @@ def init_surface(geom: LinkingGeometry, model: PotentialModel,
     if not superquadratic and geom.R is None:
         raise ValueError("saddle surface needs the radius R")
     radius = geom.r1 if superquadratic else geom.R
-    axes = [np.linspace(-radius, radius, m) for _ in range(n)]
-    if superquadratic:
-        e = geom.e.pad_modes(config.K)
-        axes.append(np.linspace(0.0, geom.r2, m))
-    shape = (m,) * len(axes)
-    nodes = []
-    for idx in itertools.product(range(m), repeat=len(axes)):
-        x1 = np.array([axes[d][idx[d]] for d in range(n)])
-        q = PeriodicTrajectory.constant(geom.T, x1, K=config.K)
-        nodes.append(q + axes[n][idx[n]] * e if superquadratic else q)
+    shape = (m,) * (n + 1 if superquadratic else n)
     grid = np.indices(shape).reshape(len(shape), -1)
+    coeffs = np.zeros((grid.shape[1], 2 * config.K + 1, n))
+    coeffs[:, 0] = np.linspace(-radius, radius, m)[grid[:n].T]
+    if superquadratic:
+        s = np.linspace(0.0, geom.r2, m)[grid[n]]
+        coeffs += s[:, None, None] * geom.e.pad_modes(config.K).coefficients()
+    coeffs.flags.writeable = False
     pinned = np.any((grid == 0) | (grid == m - 1), axis=0)
-    f_vals = action_values(np.stack([q.coefficients() for q in nodes]), geom.T, model)
-    return Surface(shape, tuple(nodes), pinned, f_vals, 1.0)
+    return Surface(shape, geom.T, coeffs, pinned, action_values(coeffs, geom.T, model))
 
 
 def deform_step(surface: Surface, model: PotentialModel, config: SolverConfig,
@@ -165,7 +166,7 @@ def deform_step(surface: Surface, model: PotentialModel, config: SolverConfig,
     if surface.pinned[peak]:
         raise StallError("argmax sits on the pinned boundary; the geometry "
                          "certificate is violated", peak, np.inf, 0.0)
-    q = surface.nodes[peak]
+    q = surface.node(peak)
     f_old = float(surface.f_values[peak])
     grad = min_norm_subgradient(q, model, metric="h1precond")
     measure = (1.0 + h1_norm(q)) * grad.l2_norm
@@ -188,7 +189,7 @@ def deform_step(surface: Surface, model: PotentialModel, config: SolverConfig,
             updates = {peak: trial}
             f_updates = {peak: f_trial}
             for j in nbs:
-                moved = surface.nodes[j] + shift
+                moved = surface.node(j) + shift
                 f_moved = action_value(moved, model)
                 if f_moved <= f_old:
                     updates[j] = moved
@@ -204,7 +205,7 @@ def deform_step(surface: Surface, model: PotentialModel, config: SolverConfig,
 
 def _record_at(surface: Surface, model: PotentialModel, node: int,
                grad_l2: float | None = None) -> CeramiRecord:
-    q = surface.nodes[node]
+    q = surface.node(node)
     if grad_l2 is None:
         grad_l2 = min_norm_subgradient(q, model, metric="l2").l2_norm
     norm = h1_norm(q)
@@ -239,47 +240,49 @@ class SolverResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _polyline_max(chain: list[PeriodicTrajectory], model: PotentialModel,
+def _polyline_max(chain: np.ndarray, T: float, model: PotentialModel,
                   n_probe: int = 7) -> tuple[float, int, float]:
     """Coarse max of f over the piecewise-linear curve through the chain.
 
+    chain holds the coefficient rows (m, 2K+1, n) of the curve's nodes.
     Returns (value, segment index, theta); the chain endpoints are
     assumed cached elsewhere so only interior points are probed.  All
     segments x thetas are evaluated as one batch; ties go to the first
     segment and the smallest theta.
     """
     thetas = np.arange(1, n_probe + 1) / (n_probe + 1)
-    nodes = np.stack([q.coefficients() for q in chain])
-    diff = nodes[1:] - nodes[:-1]
-    points = nodes[:-1, None] + thetas[None, :, None, None] * diff[:, None]
-    vals = action_values(points.reshape(-1, *nodes.shape[1:]), chain[0].T, model)
+    diff = chain[1:] - chain[:-1]
+    points = chain[:-1, None] + thetas[None, :, None, None] * diff[:, None]
+    vals = action_values(points.reshape(-1, *chain.shape[1:]), T, model)
     best = int(np.argmax(vals))
     seg, k = divmod(best, n_probe)
     return float(vals[best]), seg, float(thetas[k])
 
 
-def _golden_refine(qa: PeriodicTrajectory, qb: PeriodicTrajectory,
+def _golden_refine(qa: np.ndarray, qb: np.ndarray, T: float,
                    model: PotentialModel, th0: float,
                    iters: int = 40) -> tuple[PeriodicTrajectory, float]:
+    """Golden-section max of f on the segment between coefficient rows."""
     diff = qb - qa
+
+    def f(th: float) -> float:
+        return float(action_values((qa + th * diff)[None], T, model)[0])
+
     lo, hi = max(th0 - 0.15, 0.0), min(th0 + 0.15, 1.0)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc = action_value(qa + c * diff, model)
-    fd = action_value(qa + d * diff, model)
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
     for _ in range(iters):
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
-            fc = action_value(qa + c * diff, model)
+            fc = f(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + invphi * (hi - lo)
-            fd = action_value(qa + d * diff, model)
+            fd = f(d)
     th = 0.5 * (lo + hi)
-    q = qa + th * diff
-    return q, float(action_value(q, model))
+    return PeriodicTrajectory.from_coefficients(T, qa + th * diff), f(th)
 
 
 def ridge_probe(surface: Surface, model: PotentialModel,
@@ -295,36 +298,37 @@ def ridge_probe(surface: Surface, model: PotentialModel,
     the sphere through the mean directions (the quadratic barrier only
     binds zero-mean loops) and are discarded.  Returns None when every
     column leaked; the winning segment is refined by golden section.
+    One batch per column: one batch for all raised peak memory by 14%.
     """
-    shape = surface.shape
-    axis = len(shape) - 1
+    m = surface.shape[-1]
+    columns = surface.coeffs.reshape(-1, m, *surface.coeffs.shape[1:])
     best_inf = np.inf
     best = None
-    other = [range(s) for d, s in enumerate(shape) if d != axis]
-    for prefix in itertools.product(*other):
-        idx = list(prefix[:axis]) + [0] + list(prefix[axis:])
-        flats = []
-        for j in range(shape[axis]):
-            idx[axis] = j
-            flats.append(int(np.ravel_multi_index(idx, shape)))
-        chain = [surface.nodes[k] for k in flats]
-        col_val, seg, th = _polyline_max(chain, model, n_probe)
-        node_max = float(np.max(surface.f_values[flats]))
+    for chain, f_nodes in zip(columns, surface.f_values.reshape(-1, m)):
+        col_val, seg, th = _polyline_max(chain, surface.T, model, n_probe)
+        node_max = float(np.max(f_nodes))
         if node_max >= col_val:
             col_val, seg, th = node_max, None, 0.0
         if col_val < floor or col_val >= best_inf:
             continue
         best_inf = col_val
         if seg is None:
-            j = flats[int(np.argmax(surface.f_values[flats]))]
-            best = (surface.nodes[j], None, 0.0)
+            best = (chain[int(np.argmax(f_nodes))], None, 0.0)
         else:
             best = (chain[seg], chain[seg + 1], th)
     if best is None:
         return None
     if best[1] is None:
-        return best[0], float(best_inf)
-    return _golden_refine(best[0], best[1], model, best[2])
+        return PeriodicTrajectory.from_coefficients(surface.T, best[0]), float(best_inf)
+    return _golden_refine(best[0], best[1], surface.T, model, best[2])
+
+
+# A polish above tol_conv ends once its cost ||R||^2 fell by less than
+# STALL_DROP over its last STALL_STEPS accepted steps.  On the benchmark
+# every polish that reached tol_conv cut its cost by >= 25% per 3 steps;
+# every other one fell below a 1e-3 drop by step 19, then retraced f.
+STALL_STEPS = 3
+STALL_DROP = 1e-3
 
 
 def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
@@ -336,7 +340,8 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
     coefficients of the min-norm residual -qdd - v.  Quadratic local
     convergence turns a ridge point located by the probe into a
     candidate whose Cerami measure meets the stopping tolerance.  Emits
-    one record per accepted step, at most max_steps + 1 records.
+    one record per accepted step, at most max_steps + 1 records; stops
+    early when the cost has stalled above the gate (STALL_STEPS).
 
     The Jacobian is assembled from nodal derivatives (residual_jacobian):
 
@@ -359,7 +364,7 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
     q = q0
     x = q.coefficients().ravel()
     R = residual_rows(x)
-    cost = float(R @ R)
+    costs = [float(R @ R)]              # the cost after each accepted step
     damping = 1e-6
     it = start_index
     slow = 0
@@ -371,6 +376,9 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
             break
         if slow >= 3 and rec.measure <= config.tol_conv:
             break  # converged to the shape this basin supports
+        if (rec.measure > config.tol_conv and len(costs) > STALL_STEPS
+                and costs[-1] > (1.0 - STALL_DROP) * costs[-1 - STALL_STEPS]):
+            break  # stalled above the gate
         dim = x.size
         J = residual_jacobian(x.reshape(shape), q0.T, model)
         JtJ = J.T @ J
@@ -380,12 +388,13 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
         for _ in range(25):
             step = np.linalg.solve(JtJ + damping * diag * np.eye(dim), -JtR)
             x_try = x + step
-            q_try = PeriodicTrajectory.from_coefficients(q0.T, x_try.reshape(shape))
             R_try = residual_rows(x_try)
             cost_try = float(R_try @ R_try)
-            if cost_try < cost:
-                slow = slow + 1 if cost_try > 0.25 * cost else 0
-                x, q, R, cost = x_try, q_try, R_try, cost_try
+            if cost_try < costs[-1]:
+                slow = slow + 1 if cost_try > 0.25 * costs[-1] else 0
+                x, R = x_try, R_try
+                q = PeriodicTrajectory.from_coefficients(q0.T, x.reshape(shape))
+                costs.append(cost_try)
                 damping = max(damping / 3.0, 1e-14)
                 moved = True
                 break
@@ -455,31 +464,37 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
     surface = init_surface(geom, model, config)
     superquadratic = geom.mode == "superquadratic"
     records: list[CeramiRecord] = []
-    rejected = 0
+    rejections: list[str] = []          # why each rejected candidate failed
     best: PeriodicTrajectory | None = None
     best_aggregate = np.inf
 
-    # Measure and level gates.  In superquadratic mode a critical point
-    # below the certified sphere level alpha_bound is not the linking
+    # The first gate rec fails, or None.  In superquadratic mode a critical
+    # point below the certified sphere level alpha_bound is not the linking
     # level (a polish that falls to q = 0 lands there).
-    def acceptable(rec: CeramiRecord) -> bool:
-        return rec.measure <= config.tol_conv and (
-            not superquadratic or rec.f_value >= geom.alpha_bound - 1e-8)
+    def failed_gate(rec: CeramiRecord, polished: PeriodicTrajectory | None = None):
+        if rec.measure > config.tol_conv:
+            return "measure"
+        if superquadratic and rec.f_value < geom.alpha_bound - 1e-8:
+            return "level"
+        if superquadratic and polished is not None and not _nonconstant_enough(polished):
+            return "constant"
+        return None
 
     # An interior argmax node that is already critical is accepted as it
     # stands (the equilibrium of a centred well sits on a grid node).
     peak = surface.argmax_node()
     if not surface.pinned[peak]:
-        q = surface.nodes[peak]
+        q = surface.node(peak)
         grad = min_norm_subgradient(q, model, metric="h1precond")
         if (1.0 + h1_norm(q)) * grad.l2_norm <= config.tol_conv:
             rec = _record_at(surface, model, peak, grad_l2=grad.l2_norm)
             records.append(rec)
-            aggregate = inclusion_residual(q, model).aggregate
-            if acceptable(rec) and aggregate < config.verify_tol:
+            reason = failed_gate(rec)
+            aggregate = np.inf if reason else inclusion_residual(q, model).aggregate
+            if aggregate < config.verify_tol:
                 best, best_aggregate = q, aggregate
             else:
-                rejected += 1
+                rejections.append(reason or "aggregate")
 
     probe_seed = ridge_slack = None
     if best is None:
@@ -497,20 +512,18 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
                 candidate = _polish_candidate(seed_try, model, config, records,
                                               start_index=len(records),
                                               max_steps=min(60, room - 1))
-                shape_ok = not superquadratic or _nonconstant_enough(candidate)
-                if not (acceptable(records[-1]) and shape_ok):
-                    rejected += 1
-                    continue
-                aggregate = inclusion_residual(candidate, model).aggregate
+                reason = failed_gate(records[-1], candidate)
+                aggregate = (np.inf if reason else
+                             inclusion_residual(candidate, model).aggregate)
                 if aggregate < best_aggregate:
                     best, best_aggregate = candidate, aggregate
                 if aggregate < config.verify_tol:
                     break
-                rejected += 1
+                rejections.append(reason or "aggregate")
 
     candidate = best if best is not None else probe_seed
     if candidate is None:
-        candidate = surface.nodes[surface.argmax_node()]
+        candidate = surface.node(surface.argmax_node())
     verification = inclusion_residual(candidate, model)
     diagnostics = {
         "seed": config.seed,
@@ -518,7 +531,8 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
         "max_h1norm": float(max((r.h1norm for r in records), default=0.0)),
         "mode": geom.mode,
         "ridge_polish": best is not None and probe_seed is not None,
-        "rejected_candidates": rejected,
+        "rejected_candidates": len(rejections),
+        "rejections": rejections,
     }
     return SolverResult(candidate=candidate,
                         c_estimate=action_value(candidate, model),

@@ -5,6 +5,7 @@ from liporbit.potentials import (
     PotentialModel,
     SamplerSpec,
     _pairing_extremes,
+    _sq_norm,
     active_set,
     certify,
     check_gradients,
@@ -333,3 +334,20 @@ def test_from_spec_builds_zoo_and_custom():
     assert poly.n_pieces == 2
     with pytest.raises(ValueError, match="unknown potential"):
         from_spec({"type": "nope"})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_sq_norm_equals_numpy_reduce_bitwise(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal((257, n)), rng.standard_normal((3, 17, n)),
+              np.zeros((4, n)), 1e150 * rng.standard_normal((64, n)),
+              1e-150 * rng.standard_normal((64, n))):
+        assert np.array_equal(_sq_norm(x), np.sum(x ** 2, axis=-1))
+        assert np.array_equal(np.sqrt(_sq_norm(x)), np.linalg.norm(x, axis=-1))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_sq_norm_within_ulps_of_numpy_pairwise_sum(n):
+    # from n = 8 numpy sums in eight lanes, the column sum left to right
+    x = np.random.default_rng(n).standard_normal((4096, n))
+    np.testing.assert_array_max_ulp(_sq_norm(x), np.sum(x ** 2, axis=-1), maxulp=8)

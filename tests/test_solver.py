@@ -1,7 +1,16 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from liporbit.action import action_value, min_norm_subgradient
+from liporbit.action import (
+    action_value,
+    action_values,
+    min_norm_residuals,
+    min_norm_subgradient,
+    residual_jacobian,
+)
 from liporbit.linking import (
     LinkingGeometry,
     calibrate_saddle,
@@ -14,8 +23,10 @@ from liporbit.solver import (
     GeometryNotCertified,
     SolverConfig,
     StallError,
+    _loose_record,
     _polish_candidate,
     _polyline_max,
+    _seed_variants,
     deform_step,
     init_surface,
     ridge_probe,
@@ -26,6 +37,13 @@ from liporbit.trajectory import PeriodicTrajectory, l2_norm, random_trajectory
 
 TWO_PI = 2.0 * np.pi
 QUARTIC_CERTS = {"A": 0.25, "radius": 1.0, "a1": 0.25, "a2": 0.0, "mu1": 4.0}
+MAXPAIR_CERTS = {"A": 1.0, "radius": 1.0, "a1": 1.0, "a2": -1.0, "mu1": 4.0}
+
+
+def maxpair_geometry(T):
+    M = make_maxpair(2)
+    geom = calibrate_superquadratic(M, MAXPAIR_CERTS, T)
+    return M, certify_linking(geom, M, T, n_samples=100, K=32, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -54,20 +72,20 @@ def test_init_surface_identity_embedding(quartic_setup):
     # node (x1 = 0, s = 0) is the zero loop
     mid = 2  # center of the x1 axis
     flat = int(np.ravel_multi_index((mid, 0), surf.shape))
-    assert l2_norm(surf.nodes[flat]) == 0.0
-    assert np.all(surf.nodes[flat].a0 == 0.0)
+    assert l2_norm(surf.node(flat)) == 0.0
+    assert np.all(surf.node(flat).a0 == 0.0)
     # node (0, r2) is r2 * e
     top = int(np.ravel_multi_index((mid, 4), surf.shape))
     e = geom.e.pad_modes(16)
     expect = geom.r2 * e
-    assert np.allclose(surf.nodes[top].b, expect.b)
+    assert np.allclose(surf.node(top).b, expect.b)
     # interior nodes interpolate linearly in (x1, s)
     j = int(np.ravel_multi_index((3, 2), surf.shape))
     x1 = np.linspace(-geom.r1, geom.r1, 5)[3]
     s = np.linspace(0, geom.r2, 5)[2]
     manual = PeriodicTrajectory.constant(TWO_PI, [x1], K=16) + s * e
-    assert np.allclose(surf.nodes[j].a0, manual.a0)
-    assert np.allclose(surf.nodes[j].b, manual.b)
+    assert np.allclose(surf.node(j).a0, manual.a0)
+    assert np.allclose(surf.node(j).b, manual.b)
 
 
 def test_init_surface_pins_all_faces(quartic_setup):
@@ -89,7 +107,7 @@ def test_saddle_surface_constant_loops(saddle_setup):
     surf = init_surface(geom, V, SolverConfig(mode="saddle", K=8, grid=5))
     assert surf.shape == (5, 5)
     for flat in range(surf.n_nodes):
-        q = surf.nodes[flat]
+        q = surf.node(flat)
         assert l2_norm(q.derivative()) == 0.0  # all constant loops
     corners = [0, 4, 20, 24]
     for c in corners:
@@ -140,8 +158,7 @@ def test_deform_monotone_max_and_pinned_nodes_frozen(quartic_setup):
     V, geom = quartic_setup
     cfg = SolverConfig(K=16, grid=7)
     surf = init_surface(geom, V, cfg)
-    pinned_snapshots = [(i, surf.nodes[i]) for i in range(surf.n_nodes)
-                        if surf.pinned[i]]
+    pinned_rows = surf.coeffs[surf.pinned].copy()
     prev_max = float(np.max(surf.f_values))
     for _ in range(40):
         try:
@@ -153,8 +170,7 @@ def test_deform_monotone_max_and_pinned_nodes_frozen(quartic_setup):
         prev_max = cur
         if rec.measure <= cfg.tol_conv:
             break
-    for i, traj in pinned_snapshots:
-        assert surf.nodes[i] is traj  # bitwise identical objects
+    assert np.array_equal(surf.coeffs[surf.pinned], pinned_rows)  # bitwise frozen
 
 
 def test_ridge_probe_sees_between_node_crossing(quartic_setup):
@@ -169,6 +185,10 @@ def test_ridge_probe_sees_between_node_crossing(quartic_setup):
     assert val >= node_max - 1e-12
     assert val >= geom.alpha_bound - 1e-8
     assert np.isclose(action_value(seed, V), val, rtol=1e-12)
+
+
+def rows(chain):
+    return np.stack([q.coefficients() for q in chain])
 
 
 def serial_polyline_max(chain, model, n_probe=7):
@@ -188,17 +208,18 @@ def test_polyline_max_matches_serial_loop(quartic_setup):
     V, geom = quartic_setup
     surf = init_surface(geom, V, SolverConfig(K=32, grid=9))
     for x1 in range(surf.shape[0]):
-        chain = [surf.nodes[int(np.ravel_multi_index((x1, j), surf.shape))]
+        chain = [surf.node(int(np.ravel_multi_index((x1, j), surf.shape)))
                  for j in range(surf.shape[1])]
-        assert _polyline_max(chain, V) == serial_polyline_max(chain, V)
+        assert _polyline_max(rows(chain), TWO_PI, V) == serial_polyline_max(chain, V)
     M = make_maxpair(2)
     rng = np.random.default_rng(4)
     chain = [random_trajectory(rng, 2.0, 2, 16) for _ in range(6)]
-    assert _polyline_max(chain, M, n_probe=5) == serial_polyline_max(chain, M, n_probe=5)
+    assert (_polyline_max(rows(chain), 2.0, M, n_probe=5)
+            == serial_polyline_max(chain, M, n_probe=5))
     # segment 2 repeats segment 0 bit for bit; ties go to the earlier one
     tied = chain[:2] * 2
-    assert _polyline_max(tied, M) == serial_polyline_max(tied, M)
-    assert _polyline_max(tied, M)[1] != 2
+    assert _polyline_max(rows(tied), 2.0, M) == serial_polyline_max(tied, M)
+    assert _polyline_max(rows(tied), 2.0, M)[1] != 2
 
 
 # -- full runs ---------------------------------------------------------------
@@ -259,7 +280,8 @@ def test_run_probes_once_and_never_deforms(quartic_setup, monkeypatch):
     assert res.converged
     assert probes == [1]
     assert set(res.diagnostics) == {"seed", "ridge_barrier_slack", "max_h1norm",
-                                    "mode", "ridge_polish", "rejected_candidates"}
+                                    "mode", "ridge_polish", "rejected_candidates",
+                                    "rejections"}
 
 
 def test_run_mode_guards(quartic_setup, saddle_setup):
@@ -331,10 +353,7 @@ def test_determinism_same_seed_same_candidate(quartic_setup):
 
 
 def test_nonsmooth_run_finds_verified_candidate():
-    M = make_maxpair(2)
-    certs = {"A": 1.0, "radius": 1.0, "a1": 1.0, "a2": -1.0, "mu1": 4.0}
-    geom = calibrate_superquadratic(M, certs, 2.0)
-    geom = certify_linking(geom, M, 2.0, n_samples=100, K=32, seed=0)
+    M, geom = maxpair_geometry(2.0)
     cfg = SolverConfig(K=32, grid=9, tol_conv=1e-5, max_iters=3000, seed=0)
     res = run_minimax(M, geom, cfg)
     assert res.converged
@@ -374,3 +393,218 @@ def test_polish_records_match_min_norm_subgradient():
         assert rec.min_norm == grad.l2_norm
         assert rec.f_value == action_value(rec.trajectory, M)
     assert records[-1].measure < records[0].measure
+
+
+# -- coefficient-row surface ---------------------------------------------
+
+
+def trajectory_nodes(geom, model, config):
+    """init_surface's nodes built one trajectory at a time, constant(x1) + s e."""
+    m, n = config.grid, model.dim
+    superquadratic = geom.mode == "superquadratic"
+    radius = geom.r1 if superquadratic else geom.R
+    axes = [np.linspace(-radius, radius, m) for _ in range(n)]
+    if superquadratic:
+        e = geom.e.pad_modes(config.K)
+        axes.append(np.linspace(0.0, geom.r2, m))
+    nodes = []
+    for idx in itertools.product(range(m), repeat=len(axes)):
+        x1 = np.array([axes[d][idx[d]] for d in range(n)])
+        q = PeriodicTrajectory.constant(geom.T, x1, K=config.K)
+        nodes.append(q + axes[n][idx[n]] * e if superquadratic else q)
+    return nodes
+
+
+@pytest.fixture(scope="module")
+def surfaces(quartic_setup, saddle_setup):
+    """(model, surface) for superquadratic n = 1 and 2 and saddle n = 2."""
+    V, geom = quartic_setup
+    M, mgeom = maxpair_geometry(2.0)
+    S, sgeom = saddle_setup
+    return {"quartic": (V, geom, SolverConfig(K=32, grid=9)),
+            "maxpair": (M, mgeom, SolverConfig(K=16, grid=5)),
+            "saddle": (S, sgeom, SolverConfig(mode="saddle", K=16, grid=7))}
+
+
+@pytest.mark.parametrize("case", ["quartic", "maxpair", "saddle"])
+def test_init_surface_rows_equal_trajectory_construction(surfaces, case):
+    model, geom, cfg = surfaces[case]
+    surf = init_surface(geom, model, cfg)
+    old = rows(trajectory_nodes(geom, model, cfg))
+    assert np.array_equal(surf.coeffs, old)
+    assert np.array_equal(surf.f_values, action_values(old, geom.T, model))
+    assert not surf.coeffs.flags.writeable
+
+
+def serial_golden_refine(qa, qb, model, th0, iters=40):
+    diff = qb - qa
+    lo, hi = max(th0 - 0.15, 0.0), min(th0 + 0.15, 1.0)
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc = action_value(qa + c * diff, model)
+    fd = action_value(qa + d * diff, model)
+    for _ in range(iters):
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = action_value(qa + c * diff, model)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = action_value(qa + d * diff, model)
+    q = qa + 0.5 * (lo + hi) * diff
+    return q, action_value(q, model)
+
+
+def column_flats(shape):
+    for prefix in itertools.product(*(range(s) for s in shape[:-1])):
+        yield [int(np.ravel_multi_index(prefix + (j,), shape)) for j in range(shape[-1])]
+
+
+def serial_ridge_probe(surface, nodes, model, floor):
+    """ridge_probe as a loop over columns of trajectories."""
+    best_inf, best = np.inf, None
+    for flats in column_flats(surface.shape):
+        chain = [nodes[k] for k in flats]
+        col_val, seg, th = serial_polyline_max(chain, model)
+        node_max = float(np.max(surface.f_values[flats]))
+        if node_max >= col_val:
+            col_val, seg, th = node_max, None, 0.0
+        if col_val < floor or col_val >= best_inf:
+            continue
+        best_inf = col_val
+        if seg is None:
+            best = (nodes[flats[int(np.argmax(surface.f_values[flats]))]], None, 0.0)
+        else:
+            best = (chain[seg], chain[seg + 1], th)
+    if best is None:
+        return None
+    if best[1] is None:
+        return best[0], float(best_inf)
+    return serial_golden_refine(*best[:2], model, best[2])
+
+
+@pytest.mark.parametrize("case", ["quartic", "maxpair", "saddle"])
+def test_ridge_probe_matches_serial_column_loop(surfaces, case):
+    model, geom, cfg = surfaces[case]
+    surf = init_surface(geom, model, cfg)
+    nodes = trajectory_nodes(geom, model, cfg)
+    col_vals = sorted(max(serial_polyline_max([nodes[k] for k in flats], model)[0],
+                          float(np.max(surf.f_values[flats])))
+                      for flats in column_flats(surf.shape))
+    # no floor; a floor that discards the lower half of the columns
+    for floor in (-np.inf, col_vals[len(col_vals) // 2]):
+        (q, val), (q_old, val_old) = (ridge_probe(surf, model, floor=floor),
+                                      serial_ridge_probe(surf, nodes, model, floor))
+        assert val == val_old >= floor
+        assert np.array_equal(q.coefficients(), q_old.coefficients())
+    above = col_vals[-1] + 1.0
+    assert ridge_probe(surf, model, floor=above) is None
+    assert serial_ridge_probe(surf, nodes, model, above) is None
+
+
+# -- the polish's stall stop ----------------------------------------------
+
+
+def polish_without_stall_stop(q0, model, config, records, start_index, max_steps=60):
+    """_polish_candidate as it ran before the stall stop."""
+    shape = (2 * q0.K + 1, q0.n)
+
+    def residual_rows(x):
+        return min_norm_residuals(x.reshape(1, *shape), q0.T, model)[0].ravel()
+
+    q = q0
+    x = q.coefficients().ravel()
+    R = residual_rows(x)
+    cost = float(R @ R)
+    damping = 1e-6
+    it = start_index
+    slow = 0
+    for _ in range(max_steps):
+        rec = _loose_record(q, model, R)
+        records.append(replace(rec, index=it))
+        it += 1
+        if rec.measure <= config.tol_conv * 0.1:
+            break
+        if slow >= 3 and rec.measure <= config.tol_conv:
+            break
+        J = residual_jacobian(x.reshape(shape), q0.T, model)
+        JtJ = J.T @ J
+        JtR = J.T @ R
+        diag = float(np.trace(JtJ)) / x.size + 1e-30
+        moved = False
+        for _ in range(25):
+            x_try = x + np.linalg.solve(JtJ + damping * diag * np.eye(x.size), -JtR)
+            R_try = residual_rows(x_try)
+            cost_try = float(R_try @ R_try)
+            if cost_try < cost:
+                slow = slow + 1 if cost_try > 0.25 * cost else 0
+                x, R, cost = x_try, R_try, cost_try
+                q = PeriodicTrajectory.from_coefficients(q0.T, x.reshape(shape))
+                damping = max(damping / 3.0, 1e-14)
+                moved = True
+                break
+            damping *= 10.0
+        if not moved:
+            break
+    records.append(replace(_loose_record(q, model, R), index=it))
+    return q
+
+
+def probe_seeds(model, geom, K, count):
+    surf = init_surface(geom, model, SolverConfig(K=K, grid=9))
+    seed, _ = ridge_probe(surf, model, floor=geom.alpha_bound - 1e-6)
+    return list(_seed_variants(seed, model.dim, np.random.default_rng(0), count))
+
+
+def summary(records):
+    return [(r.index, r.f_value, r.measure) for r in records]
+
+
+@pytest.mark.parametrize("T, K, count", [(TWO_PI, 32, 2), (1.875, 64, 2), (2.25, 64, 6)],
+                         ids=["quartic-2pi", "maxpair-1.875", "maxpair-2.25"])
+def test_stall_stop_keeps_converging_polishes(quartic_setup, T, K, count):
+    # quartic at T = 2 pi, maxpair at T = 1.875 and 2.25: every seed
+    # variant polishes to tol_conv, step for step as before.
+    model, geom = quartic_setup if T == TWO_PI else maxpair_geometry(T)
+    cfg = SolverConfig(K=K)
+    for q0 in probe_seeds(model, geom, K, count):
+        new, old = [], []
+        q = _polish_candidate(q0, model, cfg, new, start_index=3)
+        q_old = polish_without_stall_stop(q0, model, cfg, old, start_index=3)
+        assert new[-1].measure <= cfg.tol_conv
+        assert summary(new) == summary(old)
+        assert np.array_equal(q.coefficients(), q_old.coefficients())
+
+
+def test_stall_stop_ends_a_stalled_polish_early():
+    # maxpair at T = 2.4: the polish stalls far above tol_conv and used to
+    # run on to its step budget; the stop only cuts that tail.
+    M, geom = maxpair_geometry(2.4)
+    cfg = SolverConfig(K=64)
+    q0 = probe_seeds(M, geom, 64, 1)[0]
+    new, old = [], []
+    _polish_candidate(q0, M, cfg, new, start_index=0)
+    polish_without_stall_stop(q0, M, cfg, old, start_index=0)
+    assert new[-1].measure > cfg.tol_conv
+    assert len(new) <= 25 < len(old)
+    assert summary(new[:-1]) == summary(old[:len(new) - 1])
+
+
+# -- rejection reasons -------------------------------------------------------
+
+
+@pytest.mark.parametrize("K, expected", [
+    (64, ["aggregate"] * 6),
+    (32, ["measure"] * 4 + ["aggregate"] * 2),
+])
+def test_rejections_name_the_failed_gate(K, expected):
+    # maxpair T = 2.25: at K = 64 every polish reaches the line orbit
+    # through the origin, which fails the inclusion gate; at K = 32 four
+    # polishes stall above tol_conv first.
+    M, geom = maxpair_geometry(2.25)
+    res = run_minimax(M, geom, SolverConfig(K=K, grid=9, max_iters=4000, seed=0))
+    assert not res.converged
+    assert res.diagnostics["rejections"] == expected
+    assert res.diagnostics["rejected_candidates"] == len(expected)
