@@ -13,11 +13,9 @@ shooting cross-check for smooth potentials.
 from .action import (
     ActionGradient,
     CeramiRecord,
-    action_clarke_directional,
     action_value,
     cerami_measure,
     classify_sequence,
-    ekeland_diagnostic,
     h1_preconditioned,
     history_to_csv,
     min_norm_subgradient,

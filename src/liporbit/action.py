@@ -29,7 +29,6 @@ from .trajectory import (
     h1_norm,
     l2_inner,
     l2_norm,
-    random_trajectory,
 )
 
 # Activity tolerance is widened by this factor when assembling gradients,
@@ -414,7 +413,7 @@ class CeramiRecord:
 
     measure = (1 + ||q||_{H1}) * min-norm-gradient is the quantity whose
     decay characterizes generalized Cerami sequences; h1norm is the norm
-    anchored at q(0) (trajectory.h1_norm).
+    anchored at q(0) (trajectory.h1_norm).  Build records with at().
     """
 
     index: int
@@ -426,6 +425,14 @@ class CeramiRecord:
 
     CSV_HEADER = "iter,f,h1norm,minnorm,measure"
 
+    @classmethod
+    def at(cls, q: PeriodicTrajectory, f_value: float, min_norm: float,
+           index: int = 0) -> "CeramiRecord":
+        """The record of q, whose action and min-norm gradient norm the caller holds."""
+        norm = h1_norm(q)
+        return cls(index=index, f_value=float(f_value), h1norm=norm,
+                   min_norm=min_norm, measure=(1.0 + norm) * min_norm, trajectory=q)
+
     def csv_row(self) -> str:
         return ",".join([str(self.index)] + [repr(float(v)) for v in
                                              (self.f_value, self.h1norm,
@@ -433,102 +440,16 @@ class CeramiRecord:
 
 
 def cerami_measure(traj: PeriodicTrajectory, model: PotentialModel,
-                   index: int = 0, keep_trajectory: bool = True) -> CeramiRecord:
+                   index: int = 0) -> CeramiRecord:
     """(1 + ||q||) * min||df(q)|| packaged with the action value."""
     grad = min_norm_subgradient(traj, model, metric="l2")
-    norm = h1_norm(traj)
-    g = grad.l2_norm
-    return CeramiRecord(
-        index=index,
-        f_value=action_value(traj, model),
-        h1norm=norm,
-        min_norm=g,
-        measure=(1.0 + norm) * g,
-        trajectory=traj if keep_trajectory else None,
-    )
+    return CeramiRecord.at(traj, action_value(traj, model), grad.l2_norm, index)
 
 
 def history_to_csv(records) -> str:
     lines = [CeramiRecord.CSV_HEADER]
     lines.extend(r.csv_row() for r in records)
     return "\n".join(lines) + "\n"
-
-
-def action_clarke_directional(traj: PeriodicTrajectory, model: PotentialModel,
-                              h: PeriodicTrajectory) -> float:
-    """f0(q; h) = int <-qdd, h> + int max_{v active} <-v, h> by quadrature.
-
-    The per-node maximum realizes the sup over the discretized gradient
-    set, again by the product structure.
-    """
-    N = default_grid_size(max(traj.K, h.K))
-    qdd = traj.derivative().derivative().sample(N)
-    hs = h.pad_modes(traj.K).sample(N) if h.K < traj.K else h.sample(N)
-    qs = traj.sample(N)
-    lin = -np.sum(qdd * hs, axis=1)
-    if model.kind == "smooth":
-        grads = np.asarray(model.gradients[0](qs), dtype=float)
-        nonlin = -np.sum(grads * hs, axis=1)
-    else:
-        pair = np.stack([np.sum(np.asarray(g(qs), dtype=float) * hs, axis=1)
-                         for g in model.gradients])       # (P, N)
-        pair = np.where(active_set(model.piece_values(qs)), -pair, -np.inf)
-        nonlin = np.max(pair, axis=0)
-    return traj.T * float(np.mean(lin + nonlin))
-
-
-@dataclass(frozen=True)
-class EkelandReport:
-    """Sampled check of the variational-principle inequality.
-
-    Along a minimizing sequence produced in the bounded-below regime,
-    f0(q_n; h) >= -eps_n ||h|| / (1 + ||q_n||) must hold with eps_n read
-    from the observed gap f(q_n) - min f.  violated lists (index, pair)
-    offenders; a clean run reports fraction 0.
-    """
-
-    checked: int
-    violations: int
-    fraction: float
-    flagged: bool
-    worst_slack: float
-
-
-def ekeland_diagnostic(records, model: PotentialModel, n_directions: int = 6,
-                       seed: int = 0, tol: float = 1e-8) -> EkelandReport:
-    recs = [r for r in records if r.trajectory is not None]
-    if not recs:
-        raise ValueError("records carry no trajectories to test")
-    rng = np.random.default_rng(seed)
-    f_min = min(r.f_value for r in recs)
-    checked = 0
-    violations = 0
-    worst = np.inf
-    for rec in recs:
-        q = rec.trajectory
-        eps = float(np.sqrt(max(rec.f_value - f_min, 0.0)))
-        dirs = [random_trajectory(rng, q.T, q.n, q.K, zero_mean=False)
-                for _ in range(n_directions - 1)]
-        # The steepest-descent representative is the most demanding h.
-        grad = min_norm_subgradient(q, model, metric="l2")
-        if grad.l2_norm > 0:
-            dirs.append(grad.residual * (-1.0))
-        for h in dirs:
-            nh = h1_norm(h)
-            if nh == 0:
-                continue
-            h = h * (1.0 / nh)
-            lhs = action_clarke_directional(q, model, h)
-            bound = -eps / (1.0 + rec.h1norm)
-            slack = lhs - bound
-            worst = min(worst, slack)
-            checked += 1
-            if slack < -tol:
-                violations += 1
-    fraction = violations / checked if checked else 0.0
-    return EkelandReport(checked=checked, violations=violations,
-                         fraction=fraction, flagged=violations > 0,
-                         worst_slack=float(worst))
 
 
 @dataclass(frozen=True)

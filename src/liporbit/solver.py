@@ -22,7 +22,7 @@ deformed node set stops linking within a few steps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .linking import LinkingGeometry
 from .potentials import PotentialModel
 from .trajectory import (
     PeriodicTrajectory,
-    h1_norm,
     l2_norm,
     random_trajectory,
 )
@@ -78,6 +77,10 @@ class SolverConfig:
             raise ValueError(f"grid resolution must be >= 3, got {self.grid}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.max_polishes < 1:
+            raise ValueError(f"max_polishes must be >= 1, got {self.max_polishes}")
+        if not (np.isfinite(self.tol_conv) and self.tol_conv > 0):
+            raise ValueError(f"tol_conv must be finite and > 0, got {self.tol_conv}")
 
 
 @dataclass(frozen=True)
@@ -169,9 +172,8 @@ def deform_step(surface: Surface, model: PotentialModel, config: SolverConfig,
     q = surface.node(peak)
     f_old = float(surface.f_values[peak])
     grad = min_norm_subgradient(q, model, metric="h1precond")
-    measure = (1.0 + h1_norm(q)) * grad.l2_norm
-    if measure <= measure_tol:
-        rec = _record_at(surface, model, peak, grad_l2=grad.l2_norm)
+    rec = CeramiRecord.at(q, f_old, grad.l2_norm)
+    if rec.measure <= measure_tol:
         return surface, rec
 
     d = grad.descent_direction()
@@ -196,22 +198,14 @@ def deform_step(surface: Surface, model: PotentialModel, config: SolverConfig,
                     f_updates[j] = f_moved
             new_surface = surface.with_updates(updates, f_updates,
                                                last_step=min(step * 2.0, 1e6))
-            rec = _record_at(new_surface, model, new_surface.argmax_node())
-            return new_surface, rec
+            top = new_surface.argmax_node()
+            q_top = new_surface.node(top)
+            grad_top = min_norm_subgradient(q_top, model, metric="l2")
+            return new_surface, CeramiRecord.at(q_top, new_surface.f_values[top],
+                                                grad_top.l2_norm)
         step *= 0.5
     raise StallError(f"line search exhausted at node {peak} with Cerami "
-                     f"measure {measure:.3e}", peak, measure, step)
-
-
-def _record_at(surface: Surface, model: PotentialModel, node: int,
-               grad_l2: float | None = None) -> CeramiRecord:
-    q = surface.node(node)
-    if grad_l2 is None:
-        grad_l2 = min_norm_subgradient(q, model, metric="l2").l2_norm
-    norm = h1_norm(q)
-    return CeramiRecord(index=0, f_value=float(surface.f_values[node]),
-                        h1norm=norm, min_norm=grad_l2,
-                        measure=(1.0 + norm) * grad_l2, trajectory=q)
+                     f"measure {rec.measure:.3e}", peak, rec.measure, step)
 
 
 @dataclass(frozen=True)
@@ -340,8 +334,9 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
     coefficients of the min-norm residual -qdd - v.  Quadratic local
     convergence turns a ridge point located by the probe into a
     candidate whose Cerami measure meets the stopping tolerance.  Emits
-    one record per accepted step, at most max_steps + 1 records; stops
-    early when the cost has stalled above the gate (STALL_STEPS).
+    one record per loop it reaches, at most max_steps + 1 records, the
+    last one that of the returned loop; stops early when the cost has
+    stalled above the gate (STALL_STEPS).
 
     The Jacobian is assembled from nodal derivatives (residual_jacobian):
 
@@ -369,8 +364,8 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
     it = start_index
     slow = 0
     for _ in range(max_steps):
-        rec = _loose_record(q, model, R)
-        records.append(replace(rec, index=it))
+        rec = CeramiRecord.at(q, action_value(q, model), _rows_norm(q, R), it)
+        records.append(rec)
         it += 1
         if rec.measure <= config.tol_conv * 0.1:
             break
@@ -401,24 +396,14 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
             damping *= 10.0
         if not moved:
             break
-    records.append(replace(_loose_record(q, model, R), index=it))
+    else:
+        records.append(CeramiRecord.at(q, action_value(q, model), _rows_norm(q, R), it))
     return q
 
 
-def _loose_record(q: PeriodicTrajectory, model: PotentialModel,
-                  R: np.ndarray) -> CeramiRecord:
-    """The record of q, whose min-norm residual rows R the caller holds."""
-    residual = PeriodicTrajectory.from_coefficients(q.T, R.reshape(2 * q.K + 1, q.n))
-    grad_l2 = l2_norm(residual)
-    norm = h1_norm(q)
-    return CeramiRecord(index=0, f_value=action_value(q, model), h1norm=norm,
-                        min_norm=grad_l2, measure=(1.0 + norm) * grad_l2,
-                        trajectory=q)
-
-
-def _nonconstant_enough(q: PeriodicTrajectory) -> bool:
-    osc = PeriodicTrajectory(q.T, np.zeros(q.n), q.a, q.b)
-    return l2_norm(osc) > 1e-6 * (1.0 + float(np.linalg.norm(q.a0)))
+def _rows_norm(q: PeriodicTrajectory, R: np.ndarray) -> float:
+    """L2 norm of the loop of period q.T whose coefficient rows, raveled or not, are R."""
+    return l2_norm(PeriodicTrajectory.from_coefficients(q.T, R.reshape(2 * q.K + 1, q.n)))
 
 
 def _seed_variants(seed: PeriodicTrajectory, dim: int,
@@ -466,35 +451,39 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
     records: list[CeramiRecord] = []
     rejections: list[str] = []          # why each rejected candidate failed
     best: PeriodicTrajectory | None = None
+    best_report: VerificationReport | None = None
     best_aggregate = np.inf
 
-    # The first gate rec fails, or None.  In superquadratic mode a critical
-    # point below the certified sphere level alpha_bound is not the linking
-    # level (a polish that falls to q = 0 lands there).
-    def failed_gate(rec: CeramiRecord, polished: PeriodicTrajectory | None = None):
+    # The first gate q fails (None if it passes), and q's inclusion report
+    # when q may be reported (it passed every gate but perhaps the
+    # aggregate; else None).  In superquadratic mode a critical point
+    # below the certified sphere level alpha_bound is not the linking
+    # level, and a constant loop is not an orbit (a polish that falls to
+    # q = 0 fails both).
+    def judge(q: PeriodicTrajectory, rec: CeramiRecord):
         if rec.measure > config.tol_conv:
-            return "measure"
+            return "measure", None
         if superquadratic and rec.f_value < geom.alpha_bound - 1e-8:
-            return "level"
-        if superquadratic and polished is not None and not _nonconstant_enough(polished):
-            return "constant"
-        return None
+            return "level", None
+        report = inclusion_residual(q, model)
+        if superquadratic and not report.nonconstant:
+            return "constant", None
+        return (None if report.aggregate < config.verify_tol else "aggregate"), report
 
     # An interior argmax node that is already critical is accepted as it
     # stands (the equilibrium of a centred well sits on a grid node).
     peak = surface.argmax_node()
     if not surface.pinned[peak]:
         q = surface.node(peak)
-        grad = min_norm_subgradient(q, model, metric="h1precond")
-        if (1.0 + h1_norm(q)) * grad.l2_norm <= config.tol_conv:
-            rec = _record_at(surface, model, peak, grad_l2=grad.l2_norm)
+        R = min_norm_residuals(surface.coeffs[peak][None], geom.T, model)[0]
+        rec = CeramiRecord.at(q, surface.f_values[peak], _rows_norm(q, R))
+        if rec.measure <= config.tol_conv:
             records.append(rec)
-            reason = failed_gate(rec)
-            aggregate = np.inf if reason else inclusion_residual(q, model).aggregate
-            if aggregate < config.verify_tol:
-                best, best_aggregate = q, aggregate
+            reason, report = judge(q, rec)
+            if reason is None:
+                best, best_report, best_aggregate = q, report, report.aggregate
             else:
-                rejections.append(reason or "aggregate")
+                rejections.append(reason)
 
     probe_seed = ridge_slack = None
     if best is None:
@@ -512,19 +501,17 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
                 candidate = _polish_candidate(seed_try, model, config, records,
                                               start_index=len(records),
                                               max_steps=min(60, room - 1))
-                reason = failed_gate(records[-1], candidate)
-                aggregate = (np.inf if reason else
-                             inclusion_residual(candidate, model).aggregate)
-                if aggregate < best_aggregate:
-                    best, best_aggregate = candidate, aggregate
-                if aggregate < config.verify_tol:
+                reason, report = judge(candidate, records[-1])
+                if report is not None and report.aggregate < best_aggregate:
+                    best, best_report, best_aggregate = candidate, report, report.aggregate
+                if reason is None:
                     break
-                rejections.append(reason or "aggregate")
+                rejections.append(reason)
 
-    candidate = best if best is not None else probe_seed
+    candidate, verification = best, best_report
     if candidate is None:
-        candidate = surface.node(surface.argmax_node())
-    verification = inclusion_residual(candidate, model)
+        candidate = probe_seed if probe_seed is not None else surface.node(peak)
+        verification = inclusion_residual(candidate, model)
     diagnostics = {
         "seed": config.seed,
         "ridge_barrier_slack": ridge_slack,

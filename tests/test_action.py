@@ -5,12 +5,10 @@ from liporbit.action import (
     BATCH_ROWS,
     GRADIENT_TOL_WIDEN,
     CeramiRecord,
-    action_clarke_directional,
     action_value,
     action_values,
     cerami_measure,
     classify_sequence,
-    ekeland_diagnostic,
     h1_preconditioned,
     history_to_csv,
     min_norm_residuals,
@@ -23,12 +21,12 @@ from liporbit.potentials import (
     PotentialModel,
     make_maxpair,
     make_quartic,
-    make_subq32,
     subdiff,
 )
 from liporbit.trajectory import (
     PeriodicTrajectory,
     default_grid_size,
+    h1_norm,
     l2_inner,
     l2_norm,
     random_trajectory,
@@ -433,6 +431,24 @@ def test_cerami_measure_dominates_min_norm():
         assert rec.measure >= rec.min_norm >= 0.0
 
 
+def test_record_at_matches_the_field_by_field_formula():
+    # CeramiRecord.at is the one place the measure is computed; it must
+    # give the bits the callers' own formulas gave.
+    rng = np.random.default_rng(14)
+    for model in (make_quartic(1), make_maxpair(2)):
+        for i in range(8):
+            q = random_trajectory(rng, TWO_PI, model.dim, 6, zero_mean=False)
+            g = min_norm_subgradient(q, model, metric="l2").l2_norm
+            f = action_value(q, model)
+            norm = h1_norm(q)
+            rec = CeramiRecord.at(q, f, g, index=i)
+            assert rec.h1norm == norm
+            assert rec.measure == (1.0 + norm) * g
+            assert rec.trajectory is q
+            assert (rec.index, rec.f_value, rec.min_norm) == (i, f, g)
+            assert cerami_measure(q, model, index=i) == rec
+
+
 def test_history_csv_format():
     V = make_quartic(1)
     rng = np.random.default_rng(12)
@@ -443,55 +459,6 @@ def test_history_csv_format():
     assert lines[0] == "iter,f,h1norm,minnorm,measure"
     assert len(lines) == 4
     assert lines[1].startswith("0,")
-
-
-# -- Ekeland-type diagnostic ------------------------------------------------
-
-
-def test_ekeland_clean_at_minimizer():
-    # The zero loop is a minimizer-like critical point of the
-    # subquadratic action restricted to constants; a constant sequence
-    # there must produce no violations.
-    V = make_subq32(2)
-    z = PeriodicTrajectory.zero(1.0, 2, 8)
-    recs = [cerami_measure(z, V, index=i) for i in range(12)]
-    rep = ekeland_diagnostic(recs, V, n_directions=6, seed=0)
-    assert rep.violations == 0
-    assert rep.fraction == 0.0
-
-
-def test_ekeland_flags_ascending_sequence():
-    # Tiny ascending steps from a non-critical point: the running
-    # minimum sits at the start, so eps_0 = 0 while the directional
-    # derivative there is genuinely negative.
-    V = make_quartic(1)
-    q0 = PeriodicTrajectory.harmonic(TWO_PI, 1, 1, K=8)
-    recs = []
-    q = q0
-    for i in range(10):
-        recs.append(cerami_measure(q, V, index=i))
-        grad = min_norm_subgradient(q, V, metric="l2")
-        q = q + (1e-4 / max(grad.l2_norm, 1e-12)) * grad.residual  # ascend
-    rep = ekeland_diagnostic(recs, V, n_directions=6, seed=1)
-    assert rep.flagged
-    assert rep.violations > 0
-
-
-def test_ekeland_requires_trajectories():
-    rec = CeramiRecord(index=0, f_value=0.0, h1norm=0.0, min_norm=0.0,
-                       measure=0.0)
-    with pytest.raises(ValueError):
-        ekeland_diagnostic([rec], make_quartic(1))
-
-
-def test_action_clarke_directional_smooth_consistency():
-    V = make_quartic(1)
-    rng = np.random.default_rng(13)
-    q = random_trajectory(rng, TWO_PI, 1, 8)
-    h = random_trajectory(rng, TWO_PI, 1, 8)
-    grad = min_norm_subgradient(q, V, metric="l2")
-    f0 = action_clarke_directional(q, V, h)
-    assert np.isclose(f0, l2_inner(grad.residual, h), rtol=1e-8, atol=1e-10)
 
 
 # -- sequence classification -------------------------------------------------

@@ -38,12 +38,15 @@ def test_threads_is_not_a_solver_key(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("init_step", 1.0), ("max_restarts", 3),
-                                        ("probe_every", 5), ("max_iters", 0)])
+                                        ("probe_every", 5), ("max_iters", 0),
+                                        ("max_polishes", 0), ("tol_conv", float("nan")),
+                                        ("tol_conv", 0.0)])
 def test_removed_or_invalid_solver_key_exits_2(tmp_path, key, value):
     raw = dict(MAXPAIR_K32, solver={key: value})
     with pytest.raises(cli.ConfigError) as err:
         cli.RunConfig.from_dict(raw).solver_config()
     assert err.value.key == "solver"
+    assert key in str(err.value)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["solve", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT

@@ -79,7 +79,7 @@ def test_active_set_reproduces_every_site_rule():
         default = 1e-8 * (1.0 + float(np.max(np.abs(np.max(col)))))
         assert np.array_equal(active_set(col), col >= np.max(col) - default)
         assert np.array_equal(active_set(col, fixed), col >= np.max(col) - fixed)
-    # _pairing_extremes, action_clarke_directional, inclusion_residual
+    # _pairing_extremes, inclusion_residual
     assert np.array_equal(active_set(vals), vals >= top - rel)
     # inclusion_residual with a given tolerance, and its 10x exclusion band
     assert np.array_equal(active_set(vals, fixed), vals >= top - np.full(top.size, fixed))

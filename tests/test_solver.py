@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from liporbit.action import (
+    CeramiRecord,
     action_value,
     action_values,
     min_norm_residuals,
@@ -23,7 +24,6 @@ from liporbit.solver import (
     GeometryNotCertified,
     SolverConfig,
     StallError,
-    _loose_record,
     _polish_candidate,
     _polyline_max,
     _seed_variants,
@@ -33,7 +33,8 @@ from liporbit.solver import (
     run_minimax,
     run_saddle,
 )
-from liporbit.trajectory import PeriodicTrajectory, l2_norm, random_trajectory
+from liporbit.trajectory import PeriodicTrajectory, h1_norm, l2_norm, random_trajectory
+from liporbit.verification import inclusion_residual
 
 TWO_PI = 2.0 * np.pi
 QUARTIC_CERTS = {"A": 0.25, "radius": 1.0, "a1": 0.25, "a2": 0.0, "mu1": 4.0}
@@ -100,6 +101,17 @@ def test_init_surface_pins_all_faces(quartic_setup):
 def test_init_surface_resolution_guard():
     with pytest.raises(ValueError, match="grid"):
         SolverConfig(grid=2)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_polishes", 0), ("max_polishes", -1), ("tol_conv", 0.0),
+    ("tol_conv", -1e-5), ("tol_conv", float("nan")), ("tol_conv", float("inf")),
+])
+def test_solver_config_rejects_bad_polish_count_and_tolerance(key, value):
+    # max_polishes = 0 would still polish once, and a NaN tol_conv would
+    # pass every measure gate.
+    with pytest.raises(ValueError, match=key):
+        SolverConfig(**{key: value})
 
 
 def test_saddle_surface_constant_loops(saddle_setup):
@@ -313,11 +325,12 @@ def test_run_saddle_one_dimensional_degenerate_sphere():
     assert res.converged
 
 
-def test_run_saddle_offcenter_equilibrium_does_real_work():
-    # Shifting the well off the grid forces genuine work: the saddle of
-    # f among constants sits at the (regularized) subquadratic well p.
-    p = np.array([0.31, -0.22])
-    eps2 = 0.01
+OFFCENTER_P = np.array([0.31, -0.22])
+
+
+def offcenter_well(p=OFFCENTER_P, eps2=0.01):
+    """The subquadratic well regularized by eps2 and shifted to p, with its
+    calibrated saddle geometry and the saddle-offcenter solver settings."""
 
     def val(x):
         d2 = np.sum((x - p) ** 2, axis=-1)
@@ -334,11 +347,67 @@ def test_run_saddle_offcenter_equilibrium_does_real_work():
     geom = calibrate_saddle(V, {"A": 1.0, "a": 1.0}, 1.0, K=16, seed=0)
     cfg = SolverConfig(mode="saddle", K=16, grid=9, tol_conv=1e-6,
                        max_iters=3000, seed=0)
+    return V, geom, cfg
+
+
+def test_run_saddle_offcenter_equilibrium_does_real_work():
+    # Shifting the well off the grid forces genuine work: the saddle of
+    # f among constants sits at the (regularized) subquadratic well p.
+    p = OFFCENTER_P
+    V, geom, cfg = offcenter_well()
     res = run_saddle(V, geom, cfg)
     assert res.converged
     assert len(res.history) > 1
     assert res.verification.aggregate < 1e-4
     assert np.allclose(res.candidate.mean(), p, atol=1e-3)
+
+
+@pytest.mark.parametrize("case", ["maxpair-1.875", "offcenter", "subq32"])
+def test_reported_verification_is_the_candidates_report(saddle_setup, case):
+    # _run judges each candidate once and reports the judged report; it
+    # must be the report a fresh check of the candidate gives.
+    if case == "maxpair-1.875":
+        model, geom = maxpair_geometry(1.875)
+        res = run_minimax(model, geom, SolverConfig(K=32, grid=9, max_iters=4000, seed=0))
+    elif case == "offcenter":
+        model, geom, cfg = offcenter_well()
+        res = run_saddle(model, geom, cfg)
+    else:
+        model, geom = saddle_setup
+        res = run_saddle(model, geom, SolverConfig(mode="saddle", K=16, grid=9,
+                                                   tol_conv=1e-5, max_iters=500, seed=0))
+    assert res.converged
+    fresh = inclusion_residual(res.candidate, model)
+    assert res.verification.to_dict() == fresh.to_dict()
+    assert np.array_equal(res.verification.distances, fresh.distances)
+
+
+@pytest.mark.parametrize("case", ["subq32", "offcenter-loose"])
+def test_argmax_record_is_the_h1precond_measure(saddle_setup, case):
+    # The argmax record comes from the batched residual rows.  The centred
+    # well's equilibrium is an interior grid node, accepted without a
+    # probe; with a loose tol_conv the off-centre well's argmax node passes
+    # the measure gate with a nonzero measure and fails the aggregate.
+    if case == "subq32":
+        V, geom = saddle_setup
+        cfg = SolverConfig(mode="saddle", K=16, grid=9, tol_conv=1e-5,
+                           max_iters=500, seed=0)
+    else:
+        V, geom, cfg = offcenter_well()
+        cfg = replace(cfg, tol_conv=10.0)
+    surf = init_surface(geom, V, cfg)
+    q = surf.node(surf.argmax_node())
+    res = run_saddle(V, geom, cfg)
+    g = min_norm_subgradient(q, V, metric="h1precond").l2_norm
+    rec = res.history[0]
+    assert rec.measure == (1.0 + h1_norm(q)) * g
+    assert rec.f_value == action_value(q, V)
+    assert np.array_equal(rec.trajectory.coefficients(), q.coefficients())
+    if case == "subq32":
+        assert len(res.history) == 1 and not res.diagnostics["ridge_polish"]
+    else:
+        assert rec.measure > 0.0
+        assert res.diagnostics["rejections"][0] == "aggregate"
 
 
 def test_determinism_same_seed_same_candidate(quartic_setup):
@@ -508,11 +577,20 @@ def test_ridge_probe_matches_serial_column_loop(surfaces, case):
 
 
 def polish_without_stall_stop(q0, model, config, records, start_index, max_steps=60):
-    """_polish_candidate as it ran before the stall stop."""
+    """_polish_candidate as it ran before the stall stop, which recorded
+    its last loop again after a break."""
     shape = (2 * q0.K + 1, q0.n)
 
     def residual_rows(x):
         return min_norm_residuals(x.reshape(1, *shape), q0.T, model)[0].ravel()
+
+    def _loose_record(q, model, R):
+        residual = PeriodicTrajectory.from_coefficients(q.T, R.reshape(shape))
+        grad_l2 = l2_norm(residual)
+        norm = h1_norm(q)
+        return CeramiRecord(index=0, f_value=action_value(q, model), h1norm=norm,
+                            min_norm=grad_l2, measure=(1.0 + norm) * grad_l2,
+                            trajectory=q)
 
     q = q0
     x = q.coefficients().ravel()
@@ -562,6 +640,10 @@ def summary(records):
     return [(r.index, r.f_value, r.measure) for r in records]
 
 
+def values(record):
+    return (record.f_value, record.h1norm, record.min_norm, record.measure)
+
+
 @pytest.mark.parametrize("T, K, count", [(TWO_PI, 32, 2), (1.875, 64, 2), (2.25, 64, 6)],
                          ids=["quartic-2pi", "maxpair-1.875", "maxpair-2.25"])
 def test_stall_stop_keeps_converging_polishes(quartic_setup, T, K, count):
@@ -574,7 +656,9 @@ def test_stall_stop_keeps_converging_polishes(quartic_setup, T, K, count):
         q = _polish_candidate(q0, model, cfg, new, start_index=3)
         q_old = polish_without_stall_stop(q0, model, cfg, old, start_index=3)
         assert new[-1].measure <= cfg.tol_conv
-        assert summary(new) == summary(old)
+        # the reference records its last loop twice; the polish once
+        assert values(old[-1]) == values(old[-2])
+        assert summary(new) == summary(old[:-1])
         assert np.array_equal(q.coefficients(), q_old.coefficients())
 
 
@@ -589,7 +673,27 @@ def test_stall_stop_ends_a_stalled_polish_early():
     polish_without_stall_stop(q0, M, cfg, old, start_index=0)
     assert new[-1].measure > cfg.tol_conv
     assert len(new) <= 25 < len(old)
-    assert summary(new[:-1]) == summary(old[:len(new) - 1])
+    assert summary(new) == summary(old[:len(new)])
+
+
+@pytest.mark.parametrize("case", ["maxpair-2.4", "quartic-2pi"])
+def test_polish_records_each_loop_once(quartic_setup, case):
+    # maxpair T = 2.4 stops on the stall, quartic T = 2 pi on the measure
+    # gate; either way no loop is recorded twice, and the last record is
+    # the returned loop's.
+    model, geom = quartic_setup if case == "quartic-2pi" else maxpair_geometry(2.4)
+    K = 32 if case == "quartic-2pi" else 64
+    cfg = SolverConfig(K=K)
+    q0 = probe_seeds(model, geom, K, 1)[0]
+    for max_steps in (60, 2):
+        records = []
+        q = _polish_candidate(q0, model, cfg, records, start_index=0,
+                              max_steps=max_steps)
+        assert len(records) <= max_steps + 1
+        assert [r.index for r in records] == list(range(len(records)))
+        assert all(values(a) != values(b) for a, b in zip(records, records[1:]))
+        assert records[-1].trajectory is q
+    assert len(records) == 3          # two steps, then the loop they reached
 
 
 # -- rejection reasons -------------------------------------------------------

@@ -19,3 +19,12 @@ def test_every_spanned_name_resolves_in_its_module():
                if not callable(getattr(importlib.import_module(f"liporbit.{mod}"),
                                        name, None))]
     assert missing == []
+
+
+def test_names_perfbench_patches_are_the_action_functions():
+    # perfbench/test_perfbench.py patches and restores these bindings; a
+    # cleanup that drops one of the imports must fail here too.
+    from liporbit import action, solver, verification
+
+    assert solver.action_value is action.action_value
+    assert verification.project_hull is action.project_hull
