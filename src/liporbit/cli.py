@@ -228,6 +228,7 @@ def cmd_solve(cfg: RunConfig, force: bool = False) -> int:
     """certify -> calibrate -> run -> verify -> write artifacts."""
     model = cfg.build_model()
     sampler = cfg.sampler_spec()
+    scfg = cfg.solver_config()          # a bad solver key exits before any write
     t_start = time.time()
 
     certs = []
@@ -257,7 +258,6 @@ def cmd_solve(cfg: RunConfig, force: bool = False) -> int:
               file=sys.stderr)
         return EXIT_NEGATIVE
 
-    scfg = cfg.solver_config()
     run = solver.run_minimax if cfg.mode == "superquadratic" else solver.run_saddle
     result = run(model, geom, scfg)
 

@@ -185,10 +185,10 @@ def sphere_rows(rng: np.random.Generator, T: float, n: int, K: int, rho: float,
     """count random zero-mean loops scaled to ||qdot||_L2 = rho, as rows (count, 2K+1, n).
 
     Mixes mostly low-mode samples (which minimize f at fixed rho and so
-    dominate the true minimum) with full-spectrum ones.  Each row draws
-    from rng and is built with the arithmetic of random_trajectory,
-    pad_modes and l2_norm(q.derivative()), so a row equals the loop those
-    would give from the same rng state.
+    dominate the true minimum) with full-spectrum ones.  The rows draw
+    from rng in turn and are built with the arithmetic of
+    random_trajectory, pad_modes and l2_norm(q.derivative()), so a row
+    equals the loop those would give from the same rng state.
     """
     rows = np.zeros((count, 2 * K + 1, n))
     for row in rows:
@@ -199,12 +199,12 @@ def sphere_rows(rng: np.random.Generator, T: float, n: int, K: int, rho: float,
         scale = np.arange(1, k + 1, dtype=float) ** (-decay)
         row[1:k + 1] = rng.standard_normal((k, n)) * scale[:, None]
         row[K + 1:K + 1 + k] = rng.standard_normal((k, n)) * scale[:, None]
-        kin = _kinetic_norm(row, T)
-        if kin == 0.0:                      # fall back to sin(w_1 t) e_1
-            row[:] = 0.0
-            row[K + 1, 0] = 1.0
-            kin = _kinetic_norm(row, T)
-        row *= rho / kin
+    kin = _kinetic_norm(rows, T)
+    flat = kin == 0.0                       # fall back to sin(w_1 t) e_1
+    rows[flat] = 0.0
+    rows[flat, K + 1, 0] = 1.0
+    kin[flat] = _kinetic_norm(rows[flat], T)
+    rows *= (rho / kin)[:, None, None]
     return rows
 
 
@@ -223,11 +223,12 @@ def _l2_norm_row(c: np.ndarray, T: float) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def _kinetic_norm(c: np.ndarray, T: float) -> float:
-    """l2_norm(q.derivative()) of the loop with coefficient row c."""
-    a, b = c[1:].reshape(2, -1, c.shape[1])
-    w = (2.0 * np.pi * np.arange(1, len(a) + 1) / T)[:, None]
-    return _l2_norm_row(np.concatenate([np.zeros((1, c.shape[1])), w * b, -w * a]), T)
+def _kinetic_norm(c: np.ndarray, T: float) -> np.ndarray:
+    """l2_norm(q.derivative()) of each loop with coefficient row c (..., 2K+1, n)."""
+    K = (c.shape[-2] - 1) // 2
+    w = (2.0 * np.pi * np.arange(1, K + 1) / T)[:, None]
+    wa, wb = w * c[..., 1:K + 1, :], w * c[..., K + 1:, :]
+    return np.sqrt(0.5 * T * (np.sum(wb * wb, axis=(-2, -1)) + np.sum(wa * wa, axis=(-2, -1))))
 
 
 def certify_linking(geom: LinkingGeometry, model: PotentialModel, T: float,

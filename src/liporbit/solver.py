@@ -28,6 +28,7 @@ import numpy as np
 
 from .action import (
     CeramiRecord,
+    _synthesize,
     action_value,
     action_values,
     min_norm_residuals,
@@ -38,6 +39,7 @@ from .linking import LinkingGeometry
 from .potentials import PotentialModel
 from .trajectory import (
     PeriodicTrajectory,
+    default_grid_size,
     l2_norm,
     random_trajectory,
 )
@@ -234,23 +236,44 @@ class SolverResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _polyline_max(chain: np.ndarray, T: float, model: PotentialModel,
-                  n_probe: int = 7) -> tuple[float, int, float]:
+SCREEN_TOL = 1e-9   # screens are within 1e-14 (1 + |f|) of f on the benchmark's surfaces
+
+
+def _screened_values(chain, T: float, model: PotentialModel, n_probe: int) -> np.ndarray:
+    """f at the probe points of the polyline through chain, (m-1, n_probe), up to rounding:
+    V at the interpolated samples of the node loops, the kinetic term as a quadratic in theta."""
+    K = (chain.shape[1] - 1) // 2
+    thetas = np.arange(1, n_probe + 1) / (n_probe + 1)
+    qs, _ = _synthesize(chain, T, default_grid_size(K), accel=False)
+    pts = qs[:-1, None] + thetas[:, None, None] * (qs[1:] - qs[:-1])[:, None]
+    potential = T * np.mean(model.value(pts.reshape(-1, model.dim)).reshape(pts.shape[:3]), axis=2)
+    w2 = np.tile((2.0 * np.pi * np.arange(1, K + 1) / T) ** 2, 2)[:, None]
+    c, d = chain[:-1, 1:], chain[1:, 1:] - chain[:-1, 1:]
+    cc, cd, dd = (np.sum(w2 * x * y, axis=(1, 2))[:, None] for x, y in ((c, c), (c, d), (d, d)))
+    return 0.25 * T * (cc + thetas * (2.0 * cd + thetas * dd)) - potential
+
+
+def _polyline_max(chain: np.ndarray, T: float, model: PotentialModel, n_probe: int = 7,
+                  floor: float = -np.inf) -> tuple[float, int, float] | None:
     """Coarse max of f over the piecewise-linear curve through the chain.
 
     chain holds the coefficient rows (m, 2K+1, n) of the curve's nodes.
     Returns (value, segment index, theta); the chain endpoints are
-    assumed cached elsewhere so only interior points are probed.  All
-    segments x thetas are evaluated as one batch; ties go to the first
-    segment and the smallest theta.
+    assumed cached elsewhere so only interior points are probed.  Points
+    within SCREEN_TOL (1 + |top|) of the screened max top are evaluated by
+    action_values, as if all were; ties go to the first segment and the
+    smallest theta.  None, with no exact work, if top is that far below floor.
     """
-    thetas = np.arange(1, n_probe + 1) / (n_probe + 1)
-    diff = chain[1:] - chain[:-1]
-    points = chain[:-1, None] + thetas[None, :, None, None] * diff[:, None]
-    vals = action_values(points.reshape(-1, *chain.shape[1:]), T, model)
+    screened = _screened_values(chain, T, model, n_probe).ravel()
+    top = float(np.max(screened))
+    tol = SCREEN_TOL * (1.0 + abs(top))
+    if top < floor - tol:
+        return None
+    seg, k = np.divmod(np.flatnonzero(screened >= top - tol), n_probe)
+    th = (k + 1) / (n_probe + 1)
+    vals = action_values(chain[seg] + th[:, None, None] * (chain[seg + 1] - chain[seg]), T, model)
     best = int(np.argmax(vals))
-    seg, k = divmod(best, n_probe)
-    return float(vals[best]), seg, float(thetas[k])
+    return float(vals[best]), int(seg[best]), float(th[best])
 
 
 def _golden_refine(qa: np.ndarray, qb: np.ndarray, T: float,
@@ -280,8 +303,7 @@ def _golden_refine(qa: np.ndarray, qb: np.ndarray, T: float,
 
 
 def ridge_probe(surface: Surface, model: PotentialModel,
-                floor: float = -np.inf,
-                n_probe: int = 7) -> tuple[PeriodicTrajectory, float] | None:
+                floor: float = -np.inf) -> tuple[PeriodicTrajectory, float] | None:
     """Inf-sup over the interpolated surface: the discrete minimax point.
 
     Node values alone miss the critical ridge when it runs between grid
@@ -292,14 +314,14 @@ def ridge_probe(surface: Surface, model: PotentialModel,
     the sphere through the mean directions (the quadratic barrier only
     binds zero-mean loops) and are discarded.  Returns None when every
     column leaked; the winning segment is refined by golden section.
-    One batch per column: one batch for all raised peak memory by 14%.
+    A column screened below floor costs no exact evaluation.
     """
     m = surface.shape[-1]
     columns = surface.coeffs.reshape(-1, m, *surface.coeffs.shape[1:])
     best_inf = np.inf
     best = None
     for chain, f_nodes in zip(columns, surface.f_values.reshape(-1, m)):
-        col_val, seg, th = _polyline_max(chain, surface.T, model, n_probe)
+        col_val, seg, th = _polyline_max(chain, surface.T, model, floor=floor) or (-np.inf, 0, 0.0)
         node_max = float(np.max(f_nodes))
         if node_max >= col_val:
             col_val, seg, th = node_max, None, 0.0

@@ -9,10 +9,10 @@ out of the headline aggregate, which is the honest discrete criterion.
 
 For smooth potentials an independent shooting oracle integrates
 qdd = -grad V(q) with scipy's adaptive DOP853 (rtol = atol = FLOW_TOL)
-and closes the period map with a damped Newton iteration; the closed
-orbit is sampled from the flow's dense output on FIT_SAMPLES nodes for
-its Fourier fit.  It shares no code or discretization with the
-variational path, so agreement between the two is meaningful evidence.
+and closes the period map with a damped Newton iteration; the Fourier
+fit takes the FIT_SAMPLES dense-output samples of the flow that closed
+it.  It shares no code or discretization with the variational path, so
+agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -186,7 +186,8 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
     Every flow may call the gradient at most MAX_RHS_CALLS times, which
     bounds the cost of a guess whose orbit oscillates many times per
     period.  A damped trial past that budget counts as rejected; any other
-    flow past it, the guess's own first, raises OracleFailure.
+    flow past it, the guess's own first, raises OracleFailure.  Closure
+    flows also sample the fit nodes, at DOP853's 3 dense-output stages per step.
     """
     if model.kind != "smooth":
         raise ValueError("shooting oracle requires a smooth model")
@@ -196,12 +197,15 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
     if not np.all(np.isfinite(x)):
         raise ValueError(f"initial_guess must be finite, got {x.tolist()}")
 
-    def closure(state):
-        return _flow(model, T, state)[-1] - state
+    times = np.append(T * np.arange(FIT_SAMPLES) / FIT_SAMPLES, T)
+
+    def closure(state):             # flow_T(state) - state, q at the fit nodes
+        path = _flow(model, T, state, t_eval=times)
+        return path[-1] - state, path[:-1, :model.dim]
 
     fd_h = 1e-7
     iters = 0
-    res = closure(x)
+    res, samples = closure(x)
     res_norm = float(np.linalg.norm(res))
     scale = 1.0 + float(np.linalg.norm(x))
     xtol = FLOW_TOL * scale
@@ -232,13 +236,13 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
                 break
             trial = x + step
             try:
-                trial_res = closure(trial)
+                trial_res, trial_samples = closure(trial)
                 trial_norm = float(np.linalg.norm(trial_res))
             except OracleFailure:
                 trial_norm = np.inf
             if trial_norm < res_norm:
                 slow_steps = slow_steps + 1 if trial_norm > 0.5 * res_norm else 0
-                x, res, res_norm = trial, trial_res, trial_norm
+                x, res_norm, samples = trial, trial_norm, trial_samples
                 damping = max(damping / 3.0, 1e-12)
                 accepted = True
                 break
@@ -249,8 +253,6 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
             raise OracleFailure(
                 f"shooting damping search failed at residual {res_norm:.3e}")
 
-    nodes = T * np.arange(FIT_SAMPLES) / FIT_SAMPLES
-    samples = _flow(model, T, x, t_eval=nodes)[:, :model.dim]
     traj = PeriodicTrajectory.from_samples(samples, T, K=K)
     fit_err = float(np.max(np.linalg.norm(
         traj.sample(samples.shape[0]) - samples, axis=1)))

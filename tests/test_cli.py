@@ -50,6 +50,7 @@ def test_removed_or_invalid_solver_key_exits_2(tmp_path, key, value):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["solve", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert not (tmp_path / "out").exists()      # nothing written before the exit
 
 
 def quartic_level(T):

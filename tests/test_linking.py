@@ -313,6 +313,58 @@ def test_sphere_sample_is_one_row_of_sphere_rows():
             assert np.array_equal(serial.coefficients(), row)
 
 
+def _serial_sphere_rows(rng, T, n, K, rho, count, low_mode_fraction=0.7, low_mode_max=4):
+    # sphere_rows as a loop that normalizes each row after its draws.
+    rows = np.zeros((count, 2 * K + 1, n))
+    for row in rows:
+        if rng.uniform() < low_mode_fraction:
+            k, decay = min(low_mode_max, K), 1.0
+        else:
+            k, decay = K, 1.5
+        scale = np.arange(1, k + 1, dtype=float) ** (-decay)
+        row[1:k + 1] = rng.standard_normal((k, n)) * scale[:, None]
+        row[K + 1:K + 1 + k] = rng.standard_normal((k, n)) * scale[:, None]
+        kin = l2_norm(PeriodicTrajectory.from_coefficients(T, row).derivative())
+        if kin == 0.0:
+            row[:] = 0.0
+            row[K + 1, 0] = 1.0
+            kin = l2_norm(PeriodicTrajectory.from_coefficients(T, row).derivative())
+        row *= rho / kin
+    return rows
+
+
+class _ZeroRowsRng:
+    """A generator whose normal draws are zeros for every third row."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def uniform(self):
+        return self.rng.uniform()
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        z = self.rng.standard_normal(shape)
+        return np.zeros(shape) if (self.draws - 1) // 2 % 3 == 0 else z
+
+
+@pytest.mark.parametrize("T, n, K, count, low", [
+    (2.0, 2, 16, 12, 0.7), (5.0, 1, 32, 200, 0.7), (1.3, 2, 64, 50, 0.0),
+    (7.5, 3, 100, 20, 0.3), (0.9, 4, 1, 9, 1.0)])
+def test_sphere_rows_equal_serial_row_loop(T, n, K, count, low):
+    for seed in range(3):
+        batched = sphere_rows(np.random.default_rng(seed), T, n, K, 1.3, count, low)
+        serial = _serial_sphere_rows(np.random.default_rng(seed), T, n, K, 1.3, count, low)
+        assert np.array_equal(batched, serial)
+    # rows whose draws are all zero fall back to sin(w_1 t) e_1
+    batched = sphere_rows(_ZeroRowsRng(0), T, n, K, 1.3, count, low)
+    assert np.array_equal(batched, _serial_sphere_rows(_ZeroRowsRng(0), T, n, K, 1.3, count, low))
+    harmonic = PeriodicTrajectory.harmonic(T, n, 1, K=K)
+    scaled = harmonic * (1.3 / l2_norm(harmonic.derivative()))
+    assert np.array_equal(batched[0], scaled.coefficients())
+
+
 def test_row_norms_equal_trajectory_norms():
     rng = np.random.default_rng(11)
     for i in range(50):

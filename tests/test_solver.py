@@ -21,11 +21,13 @@ from liporbit.linking import (
 )
 from liporbit.potentials import make_maxpair, make_quartic, make_subq32
 from liporbit.solver import (
+    SCREEN_TOL,
     GeometryNotCertified,
     SolverConfig,
     StallError,
     _polish_candidate,
     _polyline_max,
+    _screened_values,
     _seed_variants,
     deform_step,
     init_surface,
@@ -571,6 +573,47 @@ def test_ridge_probe_matches_serial_column_loop(surfaces, case):
     above = col_vals[-1] + 1.0
     assert ridge_probe(surf, model, floor=above) is None
     assert serial_ridge_probe(surf, nodes, model, above) is None
+
+
+@pytest.mark.parametrize("case", ["quartic", "maxpair", "saddle"])
+def test_screened_probe_values_track_action_values(surfaces, case):
+    # The screen sits far inside SCREEN_TOL, so the exact maximum of each
+    # column is always among the points evaluated again.
+    model, geom, cfg = surfaces[case]
+    surf = init_surface(geom, model, cfg)
+    m = surf.shape[-1]
+    thetas = np.arange(1, 8) / 8
+    for chain in surf.coeffs.reshape(-1, m, *surf.coeffs.shape[1:]):
+        points = chain[:-1, None] + thetas[None, :, None, None] * (chain[1:] - chain[:-1])[:, None]
+        exact = action_values(points.reshape(-1, *chain.shape[1:]), geom.T, model)
+        screened = _screened_values(chain, geom.T, model, 7).ravel()
+        assert np.all(np.abs(screened - exact) <= 1e-12 * (1.0 + np.abs(exact)))
+
+
+def test_polyline_max_drops_only_columns_screened_below_floor(surfaces, monkeypatch):
+    import liporbit.solver as solver
+
+    model, geom, cfg = surfaces["maxpair"]
+    surf = init_surface(geom, model, cfg)
+    m = surf.shape[-1]
+    exact_rows = []
+
+    def counted_values(coeffs, T, model):
+        exact_rows.append(len(coeffs))
+        return action_values(coeffs, T, model)
+
+    monkeypatch.setattr(solver, "action_values", counted_values)
+    for chain in surf.coeffs.reshape(-1, m, *surf.coeffs.shape[1:]):
+        hit = _polyline_max(chain, geom.T, model)
+        val = hit[0]
+        # a column whose exact maximum equals the floor is kept, as is one
+        # within the screen's tolerance below it
+        assert _polyline_max(chain, geom.T, model, floor=val) == hit
+        assert _polyline_max(chain, geom.T, model, floor=val + 1e-12) == hit
+        exact_rows.clear()
+        above = val + 2.0 * SCREEN_TOL * (1.0 + abs(val))
+        assert _polyline_max(chain, geom.T, model, floor=above) is None
+        assert exact_rows == []                 # dropped without exact work
 
 
 # -- the polish's stall stop ----------------------------------------------

@@ -238,6 +238,51 @@ def test_oracle_gives_up_on_a_fast_guess_after_one_flow(monkeypatch):
     assert len(flows) == 1
 
 
+@pytest.mark.parametrize("nudge, newton_iters, n_flows", [(0.0, 0, 1), (1e-6, 1, 3)])
+def test_oracle_fits_the_flow_that_closed_the_orbit(quartic_orbit, monkeypatch,
+                                                     nudge, newton_iters, n_flows):
+    # A closed guess flows once; one Newton step flows the guess, the
+    # Jacobian batch and the accepted trial.  No flow re-samples the orbit.
+    V, res = quartic_orbit
+    flows = _count_flows(monkeypatch)
+    again = shooting_oracle(V, TWO_PI, res.initial_state + [nudge, 0.0], K=64)
+    assert (again.newton_iters, len(flows)) == (newton_iters, n_flows)
+
+
+def _reflowing_oracle(*args, **kwargs):
+    """shooting_oracle with the closure and the fit samples on separate
+    flows: each end state from a plain flow, and the fit nodes from a
+    second flow of the same state with t_eval = nodes."""
+    flow = verification._flow
+
+    def split_flow(model, T, y0, t_eval=None):
+        if t_eval is None:
+            return flow(model, T, y0)
+        return np.concatenate([flow(model, T, y0, t_eval=t_eval[:-1]),
+                               flow(model, T, y0)[-1:]])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "_flow", split_flow)
+        return shooting_oracle(*args, **kwargs)
+
+
+def _quartic_guess(T, stretch):
+    return [stretch * quartic_period(1.0) / T, 0.0]    # P(A) = P(1) / A
+
+
+@pytest.mark.parametrize("T, guess, K", [
+    (TWO_PI, [1.18, 0.0], 64), (3.5, _quartic_guess(3.5, 1.01), 32),
+    (5.5, _quartic_guess(5.5, 0.98), 64), (8.5, _quartic_guess(8.5, 1.0), 128),
+    (6.0, [0.3, 0.2], 64)])
+def test_oracle_equals_a_reflow_of_the_accepted_state(T, guess, K):
+    V = make_quartic(1)
+    res, ref = shooting_oracle(V, T, guess, K=K), _reflowing_oracle(V, T, guess, K=K)
+    assert np.array_equal(res.trajectory.coefficients(), ref.trajectory.coefficients())
+    assert (res.closure_residual, res.fit_residual, res.newton_iters) == \
+        (ref.closure_residual, ref.fit_residual, ref.newton_iters)
+    assert np.array_equal(res.initial_state, ref.initial_state)
+
+
 def test_oracle_failure_on_bad_guess():
     V = make_quartic(1)
     with pytest.raises(OracleFailure):
