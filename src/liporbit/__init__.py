@@ -4,18 +4,18 @@ Computes and certifies T-periodic orbits of second-order systems whose
 potential V is locally Lipschitz (smooth, or a finite max of smooth
 pieces), by discretizing the variational structure: the action
 functional on a truncated Fourier loop space, its generalized gradient
-with min-norm selection, Cerami-type compactness diagnostics, and the
-superquadratic linking / subquadratic saddle minimax geometries,
+with min-norm selection, the Cerami measure as the stopping rule, and
+the superquadratic linking / subquadratic saddle minimax geometries,
 followed by a posteriori residual verification and an independent
-shooting cross-check for smooth potentials.
+shooting cross-check for smooth potentials.  The package exports what a
+run calls (certify -> calibrate -> probe -> polish -> verify) and the
+types it reports.
 """
 
 from .action import (
     ActionGradient,
     CeramiRecord,
     action_value,
-    cerami_measure,
-    classify_sequence,
     h1_preconditioned,
     history_to_csv,
     min_norm_subgradient,
@@ -38,8 +38,6 @@ from .potentials import (
     SamplerSpec,
     SubgradientSet,
     certify,
-    clarke_directional,
-    clarke_directional_fd,
     make_maxpair,
     make_maxpoly,
     make_quartic,
@@ -60,19 +58,13 @@ from .solver import (
     run_saddle,
 )
 from .trajectory import (
-    InequalityReport,
     PeriodicTrajectory,
     SpaceSplit,
-    check_friedrichs,
-    check_sobolev,
-    check_wirtinger,
     h1_norm,
-    h1_norm_mean,
     l2_inner,
     l2_norm,
     random_trajectory,
     split,
-    sup_norm,
 )
 from .verification import (
     OracleFailure,

@@ -439,59 +439,7 @@ class CeramiRecord:
                                               self.min_norm, self.measure)])
 
 
-def cerami_measure(traj: PeriodicTrajectory, model: PotentialModel,
-                   index: int = 0) -> CeramiRecord:
-    """(1 + ||q||) * min||df(q)|| packaged with the action value."""
-    grad = min_norm_subgradient(traj, model, metric="l2")
-    return CeramiRecord.at(traj, action_value(traj, model), grad.l2_norm, index)
-
-
 def history_to_csv(records) -> str:
     lines = [CeramiRecord.CSV_HEADER]
     lines.extend(r.csv_row() for r in records)
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class SequenceClassification:
-    is_ps_like: bool
-    is_cps_like: bool
-    bounded: bool
-    f_limit: float
-
-
-def classify_sequence(records) -> SequenceClassification:
-    """Tag a finite run with the compactness behaviors it exhibits.
-
-    Last-quartile trends only; this can suggest, never prove, that the
-    corresponding condition holds.
-    """
-    records = list(records)
-    if len(records) < 10:
-        raise ValueError(f"need at least 10 records, got {len(records)}")
-    f = np.array([r.f_value for r in records])
-    norms = np.array([r.h1norm for r in records])
-    gs = np.array([r.min_norm for r in records])
-    measures = np.array([r.measure for r in records])
-    nq = max(len(records) // 4, 2)
-    f_q = f[-nq:]
-    f_limit = float(np.mean(f_q))
-    span_run = float(np.max(f) - np.min(f))
-    span_q = float(np.max(f_q) - np.min(f_q))
-    f_settled = span_q <= max(1e-8, 0.05 * span_run, 1e-6 * (1.0 + abs(f_limit)))
-
-    def to_zero(vals: np.ndarray) -> bool:
-        head = float(np.mean(vals[:nq]))
-        tail = float(np.mean(vals[-nq:]))
-        return tail <= max(1e-7, 1e-1 * head)
-
-    tail_norms = norms[-nq:]
-    diverging = (np.all(np.diff(tail_norms) > 0)
-                 and tail_norms[-1] > 2.0 * tail_norms[0])
-    bounded = bool(np.max(norms) < 1e6 and not diverging)
-    return SequenceClassification(
-        is_ps_like=bool(f_settled and to_zero(gs)),
-        is_cps_like=bool(f_settled and to_zero(measures)),
-        bounded=bounded,
-        f_limit=f_limit,
-    )

@@ -84,6 +84,14 @@ class RunConfig:
         if cfg.mode not in ("superquadratic", "saddle"):
             raise ConfigError("mode", f"unknown mode {cfg.mode!r}")
         cfg.hypotheses = dict(cfg._default_hypotheses(), **cfg.hypotheses)
+        for key, value in cfg.hypotheses.items():
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value)):
+                raise ConfigError(f"hypotheses.{key}",
+                                  f"must be a finite number, got {value!r}")
+        if cfg.hypotheses.get("radius", 1.0) <= 0:
+            raise ConfigError("hypotheses.radius",
+                              f"must be > 0, got {cfg.hypotheses['radius']!r}")
         mu1 = cfg.hypotheses.get("mu1")
         if mu1 is not None:
             if cfg.mode == "superquadratic" and mu1 <= 2.0:
@@ -130,7 +138,7 @@ class RunConfig:
         keys.setdefault("seed", int(self.solver.get("seed", 0)))
         try:
             return SamplerSpec(**keys)
-        except TypeError as err:
+        except (TypeError, ValueError) as err:
             raise ConfigError("sampler", str(err))
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .action import action_value, action_values, min_norm_residuals
 from .potentials import PotentialModel
-from .trajectory import PeriodicTrajectory, l2_norm, random_trajectory
+from .trajectory import PeriodicTrajectory, l2_norm, l2_norm_row, random_trajectory
 
 
 class InfeasibleGeometryError(ValueError):
@@ -208,21 +208,6 @@ def sphere_rows(rng: np.random.Generator, T: float, n: int, K: int, rho: float,
     return rows
 
 
-def sphere_sample(rng: np.random.Generator, T: float, n: int, K: int,
-                  rho: float, low_mode_fraction: float = 0.7,
-                  low_mode_max: int = 4) -> PeriodicTrajectory:
-    """Random zero-mean loop scaled to ||qdot||_L2 = rho: one row of :func:`sphere_rows`."""
-    return PeriodicTrajectory.from_coefficients(
-        T, sphere_rows(rng, T, n, K, rho, 1, low_mode_fraction, low_mode_max)[0])
-
-
-def _l2_norm_row(c: np.ndarray, T: float) -> float:
-    """l2_norm of the loop with coefficient row c, summed as l2_inner sums."""
-    a, b = c[1:].reshape(2, -1, c.shape[1])
-    val = T * float(c[0] @ c[0]) + 0.5 * T * float(np.sum(a * a) + np.sum(b * b))
-    return float(np.sqrt(max(val, 0.0)))
-
-
 def _kinetic_norm(c: np.ndarray, T: float) -> np.ndarray:
     """l2_norm(q.derivative()) of each loop with coefficient row c (..., 2K+1, n)."""
     K = (c.shape[-2] - 1) // 2
@@ -325,7 +310,7 @@ def _descend_lockstep(model: PotentialModel, T: float, starts: np.ndarray) -> np
             break
         d = min_norm_residuals(q[live], T, model) * precond * (-1.0)
         d[:, 0] = 0.0                                   # stay zero-mean
-        dn2 = np.array([_l2_norm_row(row, T) ** 2 for row in d])
+        dn2 = np.array([l2_norm_row(row, T) ** 2 for row in d])
         moving = dn2 != 0.0
         live, d, dn2 = live[moving], d[moving], dn2[moving]
         searching = np.arange(live.size)                # indices into live

@@ -27,6 +27,7 @@ and the worst observed margin rather than claiming a proof.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -128,73 +129,6 @@ def subdiff(model: PotentialModel, x, tol_active: float | None = None) -> Subgra
     return SubgradientSet(x=x, vertices=verts, active=active)
 
 
-def clarke_directional(model: PotentialModel, x, v,
-                       tol_active: float | None = None) -> float:
-    """Generalized directional derivative V0(x; v) = max_{g in dV(x)} <g, v>.
-
-    Valid for smooth and max-type potentials, where the generalized
-    gradient is the convex hull of active gradients and the linear
-    functional <., v> is maximized at a vertex.
-    """
-    v = np.asarray(v, dtype=float)
-    sg = subdiff(model, x, tol_active)
-    return float(np.max(sg.vertices @ v))
-
-
-def clarke_directional_fd(model: PotentialModel, x, v,
-                          rng: np.random.Generator | None = None,
-                          n_base: int = 16, n_steps: int = 4,
-                          radius: float = 2e-7) -> float:
-    """Finite-difference estimate of V0(x; v).
-
-    Samples sup (V(y + s v) - V(y)) / s over base points y in a ball
-    around x that shrinks with the step s, mirroring the limsup over
-    y -> x, s -> 0+.  The scales sit just above rounding noise: at
-    smooth points the upward bias is O(radius), at a kink the competing
-    pieces are detected regardless of scale.  Cross-validation companion
-    for the vertex formula.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    rng = np.random.default_rng(0) if rng is None else rng
-    best = -np.inf
-    steps = radius * 2.0 ** -np.arange(n_steps)
-    for s in steps:
-        offsets = rng.standard_normal((n_base, x.shape[0]))
-        norms = np.linalg.norm(offsets, axis=1, keepdims=True)
-        offsets = offsets / np.maximum(norms, 1e-300) * s
-        y = x + offsets
-        y = np.vstack([y, x])
-        quot = (model.value(y + s * v) - model.value(y)) / s
-        best = max(best, float(np.max(quot)))
-    return best
-
-
-def check_gradients(model: PotentialModel, rng: np.random.Generator,
-                    n_points: int = 20, radius: float = 2.0,
-                    rel_tol: float = 1e-5) -> float:
-    """Central-difference audit of every piece gradient at random points.
-
-    Returns the worst relative error; raises if it exceeds rel_tol.
-    """
-    h = 1e-6
-    worst = 0.0
-    for _ in range(n_points):
-        x = rng.uniform(-radius, radius, size=model.dim)
-        for val, grad in zip(model.values, model.gradients):
-            g = np.asarray(grad(x), dtype=float)
-            fd = np.empty_like(g)
-            for i in range(model.dim):
-                e = np.zeros(model.dim)
-                e[i] = h
-                fd[i] = (val(x + e) - val(x - e)) / (2 * h)
-            err = np.linalg.norm(fd - g) / (1.0 + np.linalg.norm(g))
-            worst = max(worst, float(err))
-    if worst > rel_tol:
-        raise ValueError(f"gradient check failed: relative error {worst:.3e}")
-    return worst
-
-
 # -- hypothesis certification ----------------------------------------
 
 
@@ -214,9 +148,13 @@ class SamplerSpec:
     count: int = 2000
     seed: int = 0
 
-    def points(self, dim: int) -> np.ndarray:
-        if not (0.0 <= self.r_min < self.r_max):
+    def __post_init__(self):
+        if not (isinstance(self.count, numbers.Integral) and self.count >= 1):
+            raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
+        if not (np.isfinite(self.r_max) and 0.0 <= self.r_min < self.r_max):
             raise ValueError(f"bad radius range [{self.r_min}, {self.r_max}]")
+
+    def points(self, dim: int) -> np.ndarray:
         n_sobol = self.count // 2
         n_rand = self.count - n_sobol
         rng = np.random.default_rng(self.seed)

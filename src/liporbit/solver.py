@@ -41,6 +41,7 @@ from .trajectory import (
     PeriodicTrajectory,
     default_grid_size,
     l2_norm,
+    l2_norm_row,
     random_trajectory,
 )
 from .verification import VerificationReport, inclusion_residual
@@ -386,7 +387,7 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
     it = start_index
     slow = 0
     for _ in range(max_steps):
-        rec = CeramiRecord.at(q, action_value(q, model), _rows_norm(q, R), it)
+        rec = CeramiRecord.at(q, action_value(q, model), l2_norm_row(R.reshape(shape), q0.T), it)
         records.append(rec)
         it += 1
         if rec.measure <= config.tol_conv * 0.1:
@@ -419,13 +420,9 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
         if not moved:
             break
     else:
-        records.append(CeramiRecord.at(q, action_value(q, model), _rows_norm(q, R), it))
+        records.append(CeramiRecord.at(q, action_value(q, model),
+                                    l2_norm_row(R.reshape(shape), q0.T), it))
     return q
-
-
-def _rows_norm(q: PeriodicTrajectory, R: np.ndarray) -> float:
-    """L2 norm of the loop of period q.T whose coefficient rows, raveled or not, are R."""
-    return l2_norm(PeriodicTrajectory.from_coefficients(q.T, R.reshape(2 * q.K + 1, q.n)))
 
 
 def _seed_variants(seed: PeriodicTrajectory, dim: int,
@@ -464,6 +461,9 @@ def _seed_variants(seed: PeriodicTrajectory, dim: int,
 
 def _run(model: PotentialModel, geom: LinkingGeometry,
          config: SolverConfig) -> SolverResult:
+    if config.mode != geom.mode:
+        raise ValueError(f"solver config mode {config.mode!r} does not match "
+                         f"the {geom.mode!r} geometry")
     if geom.passed is not True:
         raise GeometryNotCertified(
             "geometry certificate absent or failed; calibrate and certify first")
@@ -498,7 +498,7 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
     if not surface.pinned[peak]:
         q = surface.node(peak)
         R = min_norm_residuals(surface.coeffs[peak][None], geom.T, model)[0]
-        rec = CeramiRecord.at(q, surface.f_values[peak], _rows_norm(q, R))
+        rec = CeramiRecord.at(q, surface.f_values[peak], l2_norm_row(R, geom.T))
         if rec.measure <= config.tol_conv:
             records.append(rec)
             reason, report = judge(q, rec)

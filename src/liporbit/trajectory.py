@@ -7,9 +7,9 @@ A loop is stored as real Fourier data
 which is the discrete stand-in for the Sobolev space W^{1,2}(R/TZ, R^n).
 The constant part a0 spans the finite-dimensional subspace of constant
 loops; the oscillating modes span its zero-mean complement.  Norms and
-inner products are evaluated by Parseval, so the classical inequalities
-(Wirtinger, Sobolev, Friedrichs-Poincare) can be checked essentially
-exactly on this representation.
+inner products are evaluated exactly by Parseval; l2_norm_row takes the
+L2 norm straight from a coefficient row, the layout the batched action
+core works in.
 """
 
 from __future__ import annotations
@@ -20,14 +20,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-
-# Slack added to inequality margins: the sup norm is estimated on a dense
-# grid, not exactly, so a hair of tolerance absorbs the discretization.
-MARGIN_SLACK = 1e-8
-
-# Dense-grid refinement factor for sup-norm estimates.
-SUP_NORM_REFINE = 32
-
 
 def _as_coeff(x, n: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -271,19 +263,6 @@ class SpaceSplit:
         return PeriodicTrajectory(o.T, self.mean, o.a, o.b)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    """One checked inequality: margin >= 0 means it holds (up to slack)."""
-
-    lhs: float
-    rhs: float
-    margin: float
-
-    @property
-    def holds(self) -> bool:
-        return self.margin >= -MARGIN_SLACK
-
-
 def default_grid_size(K: int) -> int:
     """Quadrature grid size 4K+4: 2x oversampling of the 2K+2 round-trip grid."""
     return 4 * K + 4
@@ -306,8 +285,19 @@ def l2_inner(p: PeriodicTrajectory, q: PeriodicTrajectory) -> float:
     return val
 
 
+def l2_norm_row(c: np.ndarray, T: float) -> float:
+    """L2 norm of the loop of period T with coefficient row c (2K+1, n).
+
+    Sums as l2_inner(q, q) does, so it gives the same bits.
+    """
+    K = (c.shape[0] - 1) // 2
+    a, b = c[1:K + 1], c[K + 1:]
+    val = T * float(c[0] @ c[0]) + 0.5 * T * float(np.sum(a * a) + np.sum(b * b))
+    return float(np.sqrt(max(val, 0.0)))
+
+
 def l2_norm(q: PeriodicTrajectory) -> float:
-    return float(np.sqrt(max(l2_inner(q, q), 0.0)))
+    return l2_norm_row(q.coefficients(), q.T)
 
 
 def h1_norm(q: PeriodicTrajectory) -> float:
@@ -315,74 +305,10 @@ def h1_norm(q: PeriodicTrajectory) -> float:
     return l2_norm(q.derivative()) + float(np.linalg.norm(q.initial_value()))
 
 
-def h1_norm_mean(q: PeriodicTrajectory) -> float:
-    """Variant of h1_norm anchored at the mean instead of q(0)."""
-    return l2_norm(q.derivative()) + float(np.linalg.norm(q.mean()))
-
-
 def split(q: PeriodicTrajectory) -> SpaceSplit:
     """Project onto constants plus zero-mean oscillation; reassembly is exact."""
     osc = PeriodicTrajectory(q.T, np.zeros(q.n), q.a, q.b)
     return SpaceSplit(mean=q.mean(), oscillation=osc)
-
-
-def sup_norm(q: PeriodicTrajectory, refine: int = SUP_NORM_REFINE) -> float:
-    """max_t |q(t)| estimated on a refine-times-oversampled grid."""
-    N = refine * default_grid_size(q.K)
-    vals = q.sample(N)
-    return float(np.max(np.linalg.norm(vals, axis=1)))
-
-
-def _require_zero_mean(q: PeriodicTrajectory, who: str):
-    scale = 1.0 + float(max(np.max(np.abs(q.a)), np.max(np.abs(q.b))))
-    if np.linalg.norm(q.a0) > 1e-12 * scale:
-        raise ValueError(f"{who} requires a zero-mean trajectory, "
-                         f"got |mean| = {np.linalg.norm(q.a0):.3e}")
-
-
-def check_wirtinger(q: PeriodicTrajectory) -> InequalityReport:
-    """int |qdot|^2 >= (2*pi/T)^2 int |q|^2 for zero-mean loops.
-
-    Both sides are computed by Parseval, so the margin
-    (T/2) sum_k (w_k^2 - w_1^2)(|a_k|^2 + |b_k|^2) is exact: zero
-    precisely when only the first harmonic is present.
-    """
-    _require_zero_mean(q, "Wirtinger check")
-    mode_energy = np.sum(q.a ** 2 + q.b ** 2, axis=1)        # (K,)
-    w = q.omegas
-    lhs = 0.5 * q.T * float(w ** 2 @ mode_energy)
-    rhs = (2.0 * np.pi / q.T) ** 2 * 0.5 * q.T * float(np.sum(mode_energy))
-    return InequalityReport(lhs=lhs, rhs=rhs, margin=lhs - rhs)
-
-
-def check_sobolev(q: PeriodicTrajectory) -> InequalityReport:
-    """||q||_inf <= sqrt(T/12) (int |qdot|^2)^{1/2} for zero-mean loops."""
-    _require_zero_mean(q, "Sobolev check")
-    lhs = sup_norm(q)
-    rhs = float(np.sqrt(q.T / 12.0)) * l2_norm(q.derivative())
-    return InequalityReport(lhs=lhs, rhs=rhs, margin=rhs - lhs)
-
-
-def check_friedrichs(q: PeriodicTrajectory) -> InequalityReport:
-    """int |qdot|^2 >= (pi/T)^2 int |q|^2 for loops vanishing at t = 0.
-
-    Accepts periodic trajectories whose value at 0 vanishes numerically;
-    the integrals are evaluated by trapezoid quadrature on the standard
-    grid.  The zero loop yields the trivial report.
-    """
-    norm_q = h1_norm(q)
-    q0 = float(np.linalg.norm(q.evaluate(0.0)))
-    if norm_q == 0.0:
-        return InequalityReport(lhs=0.0, rhs=0.0, margin=0.0)
-    if q0 > 1e-10 * norm_q:
-        raise ValueError(f"Friedrichs check requires q(0) = 0, got |q(0)| = {q0:.3e}")
-    N = default_grid_size(q.K)
-    h = q.T / N
-    qd = q.derivative().sample(N)
-    qs = q.sample(N)
-    lhs = h * float(np.sum(qd ** 2))
-    rhs = (np.pi / q.T) ** 2 * h * float(np.sum(qs ** 2))
-    return InequalityReport(lhs=lhs, rhs=rhs, margin=lhs - rhs)
 
 
 def random_trajectory(rng: np.random.Generator, T: float, n: int, K: int,

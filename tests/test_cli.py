@@ -114,3 +114,26 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     capsys.readouterr()
     assert cli.main(["solve", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    ("hypotheses", "mu1", "4", "hypotheses.mu1"),
+    ("hypotheses", "A", "x", "hypotheses.A"),
+    ("hypotheses", "radius", 0.0, "hypotheses.radius"),
+    ("hypotheses", "a1", float("nan"), "hypotheses.a1"),
+    ("hypotheses", "a2", True, "hypotheses.a2"),
+    ("sampler", "count", 0, "sampler"),
+    ("sampler", "r_max", -1, "sampler"),
+    ("sampler", "r_min", float("inf"), "sampler"),
+])
+def test_bad_hypothesis_or_sampler_value_exits_2(tmp_path, capsys, section, key, value,
+                                                 named):
+    # These used to crash with a traceback and exit 1, the certified-negative code.
+    raw = {"potential": {"type": "quartic"}, "T": 6.0, "n": 1, "K": 32,
+           "mode": "superquadratic", section: {key: value}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["solve", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert f"config key {named!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

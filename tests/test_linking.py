@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from liporbit.action import action_value, h1_preconditioned, min_norm_subgradient
+from liporbit.action import action_value, action_values, h1_preconditioned, min_norm_subgradient
 from liporbit.linking import (
     InfeasibleGeometryError,
     LinkingGeometry,
@@ -17,16 +17,14 @@ from liporbit.linking import (
     _box_boundary_points,
     _descend_lockstep,
     _kinetic_norm,
-    _l2_norm_row,
     _sphere_point,
     outer_boundary_bound,
     sphere_rows,
-    sphere_sample,
     threshold_period,
     unit_direction,
 )
 from liporbit.potentials import PotentialModel, make_maxpair, make_quartic, make_subq32
-from liporbit.trajectory import PeriodicTrajectory, l2_norm, random_trajectory, sup_norm
+from liporbit.trajectory import PeriodicTrajectory, default_grid_size, l2_norm, random_trajectory
 
 TWO_PI = 2.0 * np.pi
 
@@ -149,24 +147,40 @@ def test_certify_linking_quartic_passes():
 
 
 def test_sphere_samples_respect_certificate_ball_and_bound():
+    # calibrate_superquadratic caps rho so that sup |q| <= sqrt(T/12) rho
+    # (Sobolev) keeps every sphere loop in the ball where V <= A |x|^2;
+    # there f >= alpha_lower_bound (Wirtinger), the level the run gates on.
     V = make_quartic(2)
     geom = calibrate_superquadratic(V, QUARTIC_CERTS, TWO_PI)
-    rng = np.random.default_rng(1)
-    for _ in range(40):
-        q = sphere_sample(rng, TWO_PI, 2, 16, geom.rho)
-        assert np.isclose(l2_norm(q.derivative()), geom.rho, rtol=1e-12)
-        assert sup_norm(q) <= np.sqrt(TWO_PI / 12.0) * geom.rho + 1e-9
-        assert action_value(q, V) >= geom.alpha_bound - 1e-8
+    rows = sphere_rows(np.random.default_rng(1), TWO_PI, 2, 16, geom.rho, 40)
+    assert np.allclose(_kinetic_norm(rows, TWO_PI), geom.rho, rtol=1e-12)
+    assert np.all(rows[:, 0] == 0.0)
+    for row in rows:
+        q = PeriodicTrajectory.from_coefficients(TWO_PI, row)
+        sup = np.max(np.linalg.norm(q.sample(32 * default_grid_size(q.K)), axis=1))
+        assert sup <= np.sqrt(TWO_PI / 12.0) * geom.rho + 1e-9   # = the ball radius
+    assert np.min(action_values(rows, TWO_PI, V)) >= geom.alpha_bound - 1e-8
+
+
+@pytest.mark.parametrize("A, T, rho, n", [(0.25, TWO_PI, 1.7, 1), (1.0, 2.0, 0.4, 2),
+                                          (0.05, 9.0, 3.0, 3)])
+def test_alpha_lower_bound_is_attained_by_the_first_harmonic(A, T, rho, n):
+    # For V = A |x|^2 Wirtinger holds with equality on the first harmonic,
+    # so f(rho e) is exactly the bound.
+    V = PotentialModel.smooth(lambda x: A * np.sum(x ** 2, axis=-1), lambda x: 2.0 * A * x,
+                              n, "quadratic")
+    f = action_value(unit_direction(T, n, K=8) * rho, V)
+    bound = alpha_lower_bound(A, T, rho)
+    assert abs(f - bound) <= 1e-12 * abs(bound)
 
 
 def test_alpha_sampled_is_min_over_stream():
     V = make_quartic(1)
     geom = calibrate_superquadratic(V, QUARTIC_CERTS, TWO_PI)
     geom = certify_linking(geom, V, TWO_PI, n_samples=60, K=8, seed=3)
-    rng = np.random.default_rng(3)
-    vals = [action_value(sphere_sample(rng, TWO_PI, 1, 8, geom.rho), V)
-            for _ in range(60)]
-    assert np.isclose(geom.alpha_sampled, min(vals), rtol=1e-12)
+    rows = sphere_rows(np.random.default_rng(3), TWO_PI, 1, 8, geom.rho, 60)
+    vals = [action_value(PeriodicTrajectory.from_coefficients(TWO_PI, row), V) for row in rows]
+    assert geom.alpha_sampled == min(vals)
 
 
 def test_constant_loops_inside_disk_nonpositive():
@@ -304,11 +318,12 @@ def test_batched_certificate_equals_serial_loop(name, K, n_samples, seed):
 
 
 def test_sphere_sample_is_one_row_of_sphere_rows():
+    # Rows draw from rng in turn: one-row calls give the rows of one call.
     for seed in range(4):
         rows = sphere_rows(np.random.default_rng(seed), 2.0, 2, 16, 1.3, 12)
         rng, rng_serial = np.random.default_rng(seed), np.random.default_rng(seed)
         for row in rows:
-            assert np.array_equal(sphere_sample(rng, 2.0, 2, 16, 1.3).coefficients(), row)
+            assert np.array_equal(sphere_rows(rng, 2.0, 2, 16, 1.3, 1)[0], row)
             serial = _serial_sphere_sample(rng_serial, 2.0, 2, 16, 1.3)
             assert np.array_equal(serial.coefficients(), row)
 
@@ -373,7 +388,6 @@ def test_row_norms_equal_trajectory_norms():
         if i % 3 == 0:
             q = q.pad_modes(K + int(rng.integers(1, 20)))
         assert _kinetic_norm(q.coefficients(), T) == l2_norm(q.derivative())
-        assert _l2_norm_row(q.coefficients(), T) == l2_norm(q)
 
 
 def _serial_descent(model, start):

@@ -307,6 +307,17 @@ def test_run_mode_guards(quartic_setup, saddle_setup):
         run_minimax(S, sgeom, SolverConfig(mode="saddle"))
 
 
+@pytest.mark.parametrize("case", ["superquadratic", "saddle"])
+def test_solver_config_mode_must_match_the_geometry(quartic_setup, saddle_setup, case):
+    # SolverConfig.mode is a caller argument: a mismatch fails, it is not overridden.
+    if case == "superquadratic":
+        (V, geom), run, mode = quartic_setup, run_minimax, "saddle"
+    else:
+        (V, geom), run, mode = saddle_setup, run_saddle, "superquadratic"
+    with pytest.raises(ValueError, match="mode"):
+        run(V, geom, SolverConfig(mode=mode, K=8))
+
+
 def test_run_saddle_subq32(saddle_setup):
     V, geom = saddle_setup
     cfg = SolverConfig(mode="saddle", K=16, grid=9, tol_conv=1e-5,

@@ -1,10 +1,12 @@
-"""The traced benchmark's span list against the liporbit modules."""
+"""The benchmark's span list and imports against the liporbit modules."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_every_spanned_name_resolves_in_its_module():
@@ -28,3 +30,20 @@ def test_names_perfbench_patches_are_the_action_functions():
 
     assert solver.action_value is action.action_value
     assert verification.project_hull is action.project_hull
+
+
+def test_every_name_perfbench_imports_resolves():
+    # perfbench imports these names from liporbit; deleting one must fail
+    # here, not only when the benchmark runs.
+    missing = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("liporbit"):
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{alias.name}"
+                            for alias in node.names if not hasattr(module, alias.name)]
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("liporbit"):
+                        importlib.import_module(alias.name)
+    assert missing == []

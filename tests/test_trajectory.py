@@ -7,17 +7,13 @@ from hypothesis import strategies as st
 
 from liporbit.trajectory import (
     PeriodicTrajectory,
-    check_friedrichs,
-    check_sobolev,
-    check_wirtinger,
     default_grid_size,
     h1_norm,
-    h1_norm_mean,
     l2_inner,
     l2_norm,
+    l2_norm_row,
     random_trajectory,
     split,
-    sup_norm,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -195,8 +191,10 @@ def test_h1_norm_matches_quadrature():
 
 def test_h1_norm_mean_variant_differs_for_shifted_loops():
     q = PeriodicTrajectory.harmonic(TWO_PI, 1, 1, cos_amp=1.0, sin_amp=0.0)
-    # q(0) = 1 but the mean is 0: the two conventions disagree here.
-    assert h1_norm(q) > h1_norm_mean(q)
+    # h1_norm is anchored at q(0) = 1, not at the mean 0.
+    kinetic = l2_norm(q.derivative())
+    assert h1_norm(q) == kinetic + 1.0
+    assert h1_norm(q) > kinetic + np.linalg.norm(q.mean())
 
 
 # -- splitting ----------------------------------------------------------
@@ -240,24 +238,49 @@ def test_split_roundtrip_property(seed, n, K):
 
 
 # -- classical inequalities ---------------------------------------------
+#
+# Both sides by Parseval.  Wirtinger's constant (2 pi / T)^2 is the one in
+# linking.alpha_lower_bound, Sobolev's sqrt(T / 12) the one behind the
+# rho cap of linking.calibrate_superquadratic; test_linking checks those.
+
+
+def wirtinger_sides(q):
+    """int |qdot|^2 >= (2 pi / T)^2 int |q|^2 for zero-mean loops."""
+    return l2_norm(q.derivative()) ** 2, (2.0 * np.pi / q.T) ** 2 * l2_norm(q) ** 2
+
+
+def friedrichs_sides(q):
+    """int |qdot|^2 >= (pi / T)^2 int |q|^2 for loops with q(0) = 0."""
+    return l2_norm(q.derivative()) ** 2, (np.pi / q.T) ** 2 * l2_norm(q) ** 2
+
+
+def dense_sup(q):
+    """max_t |q(t)| on a grid 32 times the quadrature grid; never above the sup."""
+    return float(np.max(np.linalg.norm(q.sample(32 * default_grid_size(q.K)), axis=1)))
+
+
+def sobolev_bound(q):
+    """sup |q| <= sqrt(T / 12) (int |qdot|^2)^(1/2) for zero-mean loops."""
+    return float(np.sqrt(q.T / 12.0)) * l2_norm(q.derivative())
 
 
 def test_wirtinger_equality_on_first_harmonic():
-    rep = check_wirtinger(PeriodicTrajectory.harmonic(TWO_PI, 1, 1))
-    assert abs(rep.margin) < 1e-12
-    assert rep.holds
+    lhs, rhs = wirtinger_sides(PeriodicTrajectory.harmonic(TWO_PI, 1, 1))
+    assert abs(lhs - rhs) < 1e-12
 
 
 def test_wirtinger_second_harmonic_ratio_is_four():
-    q = PeriodicTrajectory.harmonic(3.0, 1, 2)
-    rep = check_wirtinger(q)
-    assert np.isclose(rep.lhs / rep.rhs, 4.0, rtol=1e-12)
+    lhs, rhs = wirtinger_sides(PeriodicTrajectory.harmonic(3.0, 1, 2))
+    assert np.isclose(lhs / rhs, 4.0, rtol=1e-12)
 
 
 def test_wirtinger_rejects_nonzero_mean():
-    q = PeriodicTrajectory.constant(1.0, [1.0], K=2)
-    with pytest.raises(ValueError, match="zero-mean"):
-        check_wirtinger(q)
+    # A mean breaks the inequality; the zero-mean part of the loop keeps it.
+    q = PeriodicTrajectory.constant(1.0, [1.0], K=2) + PeriodicTrajectory.harmonic(1.0, 1, 1, K=2)
+    lhs, rhs = wirtinger_sides(q)
+    assert lhs < rhs
+    lhs, rhs = wirtinger_sides(split(q).oscillation)
+    assert abs(lhs - rhs) < 1e-12 * rhs
 
 
 @settings(max_examples=80, deadline=None)
@@ -265,33 +288,35 @@ def test_wirtinger_rejects_nonzero_mean():
        st.sampled_from([1.0, TWO_PI, 10.0]))
 def test_wirtinger_margin_nonnegative_property(seed, n, K, T):
     q = random_trajectory(np.random.default_rng(seed), T=T, n=n, K=K, zero_mean=True)
-    assert check_wirtinger(q).margin >= -1e-12
+    lhs, rhs = wirtinger_sides(q)
+    assert lhs >= rhs * (1.0 - 1e-12)
 
 
 def test_wirtinger_equality_iff_only_first_mode():
     # Construction: adding any k >= 2 content creates a strictly positive margin.
-    q1 = PeriodicTrajectory.harmonic(2.0, 1, 1, cos_amp=0.3, sin_amp=-0.8)
-    assert abs(check_wirtinger(q1).margin) < 1e-12
+    lhs, rhs = wirtinger_sides(PeriodicTrajectory.harmonic(2.0, 1, 1, cos_amp=0.3,
+                                                           sin_amp=-0.8))
+    assert abs(lhs - rhs) < 1e-12
     a = np.zeros((3, 1))
     b = np.zeros((3, 1))
     b[0, 0] = 1.0
     a[2, 0] = 1e-3
-    q2 = PeriodicTrajectory(2.0, np.zeros(1), a, b)
-    assert check_wirtinger(q2).margin > 1e-12
+    lhs, rhs = wirtinger_sides(PeriodicTrajectory(2.0, np.zeros(1), a, b))
+    assert lhs - rhs > 1e-12
 
 
 def test_sobolev_zero_loop_trivial():
-    rep = check_sobolev(PeriodicTrajectory.zero(1.0, 2, 3))
-    assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.holds
+    q = PeriodicTrajectory.zero(1.0, 2, 3)
+    assert dense_sup(q) == 0.0 and sobolev_bound(q) == 0.0
 
 
 def test_sobolev_first_harmonic_strict():
     T = TWO_PI
     w1 = 2 * np.pi / T
-    rep = check_sobolev(PeriodicTrajectory.harmonic(T, 1, 1))
-    assert np.isclose(rep.lhs, 1.0, atol=1e-10)
-    assert np.isclose(rep.rhs, np.sqrt(T / 12.0) * w1 * np.sqrt(T / 2.0), rtol=1e-12)
-    assert rep.margin > 0.2  # pi/sqrt(6) - 1 ~ 0.28
+    q = PeriodicTrajectory.harmonic(T, 1, 1)
+    assert np.isclose(dense_sup(q), 1.0, atol=1e-10)
+    assert np.isclose(sobolev_bound(q), np.sqrt(T / 12.0) * w1 * np.sqrt(T / 2.0), rtol=1e-12)
+    assert sobolev_bound(q) - dense_sup(q) > 0.2  # pi/sqrt(6) - 1 ~ 0.28
 
 
 @settings(max_examples=80, deadline=None)
@@ -299,7 +324,7 @@ def test_sobolev_first_harmonic_strict():
        st.sampled_from([1.0, TWO_PI, 10.0]))
 def test_sobolev_property(seed, n, K, T):
     q = random_trajectory(np.random.default_rng(seed), T=T, n=n, K=K, zero_mean=True)
-    assert check_sobolev(q).holds
+    assert dense_sup(q) <= sobolev_bound(q) + 1e-8
 
 
 def half_sine_trajectory(T, K):
@@ -318,36 +343,52 @@ def half_sine_trajectory(T, K):
 
 
 def test_friedrichs_near_equality_on_half_sine():
-    T = 2.0
-    q = half_sine_trajectory(T, K=64)
-    rep = check_friedrichs(q)
-    assert rep.margin >= -1e-10
+    q = half_sine_trajectory(2.0, K=64)
+    assert abs(q.evaluate(0.0)[0]) < 1e-12
+    lhs, rhs = friedrichs_sides(q)
+    assert lhs - rhs >= -1e-10
     # The half sine is the extremal: the two sides agree to a few percent
     # at this truncation (the kink in the periodization slows convergence).
-    assert rep.lhs / rep.rhs < 1.05
+    assert lhs / rhs < 1.05
 
 
 def test_friedrichs_first_harmonic_ratio_four():
-    rep = check_friedrichs(PeriodicTrajectory.harmonic(3.0, 1, 1))
-    assert np.isclose(rep.lhs / rep.rhs, 4.0, rtol=1e-10)
+    lhs, rhs = friedrichs_sides(PeriodicTrajectory.harmonic(3.0, 1, 1))
+    assert np.isclose(lhs / rhs, 4.0, rtol=1e-10)
 
 
 def test_friedrichs_zero_loop_trivial_report():
-    rep = check_friedrichs(PeriodicTrajectory.zero(1.0, 1, 2))
-    assert rep.lhs == rep.rhs == rep.margin == 0.0
+    assert friedrichs_sides(PeriodicTrajectory.zero(1.0, 1, 2)) == (0.0, 0.0)
 
 
 def test_friedrichs_rejects_nonvanishing_start():
-    q = PeriodicTrajectory.harmonic(1.0, 1, 1, cos_amp=1.0, sin_amp=0.0)
-    with pytest.raises(ValueError, match=r"q\(0\)"):
-        check_friedrichs(q)
+    # Without q(0) = 0 the inequality fails: a constant loop has no kinetic term.
+    lhs, rhs = friedrichs_sides(PeriodicTrajectory.constant(1.0, [1.0], K=2))
+    assert lhs == 0.0 < rhs
 
 
 def test_sup_norm_on_known_loop():
     q = PeriodicTrajectory.harmonic(1.0, 2, 1, cos_amp=0.6, sin_amp=0.8)
     # Dense-grid max slightly undershoots the true sup; it never overshoots.
-    est = sup_norm(q)
-    assert 1.0 - 1e-4 < est <= 1.0 + 1e-12
+    assert 1.0 - 1e-4 < dense_sup(q) <= 1.0 + 1e-12
+
+
+# -- the row norm ---------------------------------------------------------
+
+
+def test_l2_norm_row_is_the_parseval_norm_bitwise():
+    # The polish, the saddle descents and l2_norm all take norms of
+    # coefficient rows through l2_norm_row; it must give the bits of
+    # the Parseval inner product, across sizes and scales.
+    rng = np.random.default_rng(23)
+    for K in (1, 2, 7, 32, 64, 128):
+        for n in (1, 2, 3, 5):
+            for scale in (1e-8, 1e-3, 1.0, 1e3):
+                T = rng.uniform(0.5, 9.0)
+                c = scale * rng.standard_normal((2 * K + 1, n))
+                q = PeriodicTrajectory.from_coefficients(T, c)
+                assert l2_norm_row(c, T) == float(np.sqrt(l2_inner(q, q)))
+                assert l2_norm(q) == l2_norm_row(c, T)
 
 
 # -- serialization ------------------------------------------------------
