@@ -27,7 +27,6 @@ from .trajectory import (
     PeriodicTrajectory,
     default_grid_size,
     h1_norm,
-    l2_inner,
     l2_norm,
 )
 
@@ -364,9 +363,7 @@ class ActionGradient:
     residual: PeriodicTrajectory
     direction: PeriodicTrajectory
     l2_norm: float
-    h1_precond_norm: float
     weights: np.ndarray          # (N, n_pieces)
-    metric: str
 
     def descent_direction(self) -> PeriodicTrajectory:
         return -1.0 * self.direction
@@ -395,13 +392,9 @@ def min_norm_subgradient(traj: PeriodicTrajectory, model: PotentialModel,
     rows, weights = _residual_block(traj.coefficients()[None], traj.T, model,
                                     tol_active)
     residual = PeriodicTrajectory.from_coefficients(traj.T, rows[0])
-    r_norm = l2_norm(residual)
-    precond = h1_preconditioned(residual)
-    precond_norm = float(np.sqrt(max(l2_inner(residual, precond), 0.0)))
-    direction = precond if metric == "h1precond" else residual
+    direction = h1_preconditioned(residual) if metric == "h1precond" else residual
     return ActionGradient(residual=residual, direction=direction,
-                          l2_norm=r_norm, h1_precond_norm=precond_norm,
-                          weights=weights[0], metric=metric)
+                          l2_norm=l2_norm(residual), weights=weights[0])
 
 
 # -- Cerami-type sequence diagnostics ----------------------------------

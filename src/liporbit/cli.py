@@ -1,7 +1,10 @@
 """Batch front door: certify, calibrate, solve, verify, bench.
 
 One declarative JSON config drives every subcommand; command-line flags
-override config keys (flags > file > defaults).  Exit code contract:
+override config keys (flags > file > defaults).  `solver` takes grid,
+tol_conv, max_iters and seed; `hypotheses` takes the parameters that
+potentials.HYPOTHESIS_PARAMS names for the mode's hypotheses, and any
+other key is an input error.  Exit code contract:
 0 success, 1 certified-negative (a checker ran and said no), 2 input
 error, 3 hypothesis/threshold infeasible.  Result artifacts are
 deterministic for a fixed config and seed; wall-clock metadata is
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import linking, potentials, solver
 from .action import history_to_csv
-from .potentials import PotentialModel, SamplerSpec, certify
+from .potentials import HypothesisCertificate, PotentialModel, SamplerSpec, certify
 from .trajectory import PeriodicTrajectory
 from .verification import inclusion_residual
 
@@ -37,10 +40,6 @@ class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"config key {key!r}: {message}")
         self.key = key
-
-
-SUPER_HYPS = ("V2", "V3", "V4")
-SADDLE_HYPS = ("V2'", "V3'", "V4'")
 
 
 @dataclass
@@ -83,15 +82,27 @@ class RunConfig:
                 raise ConfigError(key, f"must be a positive integer, got {value!r}")
         if cfg.mode not in ("superquadratic", "saddle"):
             raise ConfigError("mode", f"unknown mode {cfg.mode!r}")
-        cfg.hypotheses = dict(cfg._default_hypotheses(), **cfg.hypotheses)
+        # Unknown keys fail; the table's defaults, then the zoo's constants,
+        # fill in what the config leaves out.
+        table = [potentials.HYPOTHESIS_PARAMS[hyp] for hyp in cfg.hypothesis_names]
+        zoo = potentials.ZOO_PARAMS.get(cfg.potential.get("type"), {})
+        for key in cfg.hypotheses:
+            if not any(key in params for params in table):
+                raise ConfigError(f"hypotheses.{key}",
+                                  f"unknown key in {cfg.mode} mode")
+        defaults = table + [zoo.get(hyp, {}) for hyp in cfg.hypothesis_names]
+        cfg.hypotheses = dict({key: value for params in defaults
+                               for key, value in params.items() if value is not None},
+                              **cfg.hypotheses)
         for key, value in cfg.hypotheses.items():
             if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
                     and math.isfinite(value)):
                 raise ConfigError(f"hypotheses.{key}",
                                   f"must be a finite number, got {value!r}")
-        if cfg.hypotheses.get("radius", 1.0) <= 0:
-            raise ConfigError("hypotheses.radius",
-                              f"must be > 0, got {cfg.hypotheses['radius']!r}")
+        for key in ("radius", "a1", "A"):
+            if key in cfg.hypotheses and cfg.hypotheses[key] <= 0:
+                raise ConfigError(f"hypotheses.{key}",
+                                  f"must be > 0, got {cfg.hypotheses[key]!r}")
         mu1 = cfg.hypotheses.get("mu1")
         if mu1 is not None:
             if cfg.mode == "superquadratic" and mu1 <= 2.0:
@@ -102,17 +113,22 @@ class RunConfig:
                                   f"saddle mode requires mu1 < 2, got {mu1}")
         return cfg
 
-    def _default_hypotheses(self) -> dict:
-        name = self.potential.get("type")
-        table = potentials.ZOO_PARAMS.get(name, {})
-        flat: dict = {}
-        for hyp, params in table.items():
-            if self.mode == "superquadratic" and hyp not in SUPER_HYPS:
-                continue
-            if self.mode == "saddle" and hyp not in SADDLE_HYPS:
-                continue
-            flat.update(params)
-        return flat
+    @property
+    def hypothesis_names(self) -> tuple[str, ...]:
+        if self.mode == "superquadratic":
+            return potentials.SUPERQUADRATIC
+        return potentials.SUBQUADRATIC
+
+    def hypothesis_params(self) -> list[tuple[str, dict]]:
+        """(hypothesis, its parameters) for each hypothesis of the mode."""
+        out = []
+        for hyp in self.hypothesis_names:
+            for key in potentials.HYPOTHESIS_PARAMS[hyp]:
+                if key not in self.hypotheses:
+                    raise ConfigError(f"hypotheses.{key}", f"required by {hyp} but missing")
+            out.append((hyp, {key: self.hypotheses[key]
+                              for key in potentials.HYPOTHESIS_PARAMS[hyp]}))
+        return out
 
     def build_model(self) -> PotentialModel:
         spec = dict(self.potential)
@@ -125,42 +141,19 @@ class RunConfig:
             raise ConfigError("potential", str(err))
 
     def solver_config(self) -> solver.SolverConfig:
-        keys = dict(self.solver)
-        keys.setdefault("seed", 0)
         try:
             return solver.SolverConfig(mode=self.mode, K=self.K,
-                                       verify_tol=self.verify_tol, **keys)
+                                       verify_tol=self.verify_tol, **self.solver)
         except (TypeError, ValueError) as err:
             raise ConfigError("solver", str(err))
 
     def sampler_spec(self) -> SamplerSpec:
         keys = dict(self.sampler)
-        keys.setdefault("seed", int(self.solver.get("seed", 0)))
+        keys.setdefault("seed", int(self.solver_config().seed))
         try:
             return SamplerSpec(**keys)
         except (TypeError, ValueError) as err:
             raise ConfigError("sampler", str(err))
-
-
-def _applicable_hypotheses(cfg: RunConfig) -> list[tuple[str, dict]]:
-    h = cfg.hypotheses
-    if cfg.mode == "superquadratic":
-        return [
-            ("V2", {"mu1": h.get("mu1"), "mu2": h.get("mu2", 0.0)}),
-            ("V3", {"mu1": h.get("mu1"), "a1": h.get("a1"), "a2": h.get("a2", 0.0)}),
-            ("V4", {"A": h.get("A"), "radius": h.get("radius", 1.0)}),
-        ]
-    return [
-        ("V2'", {"mu1": h.get("mu1"), "mu2": h.get("mu2", 0.0)}),
-        ("V3'", {"threshold": h.get("threshold", 0.0)}),
-        ("V4'", {"A": h.get("A"), "a": h.get("a", 0.0)}),
-    ]
-
-
-def _require_params(hyp: str, params: dict):
-    for key, val in params.items():
-        if val is None:
-            raise ConfigError(f"hypotheses.{key}", f"required by {hyp} but missing")
 
 
 def _write(out_dir: Path, name: str, text: str, verbosity: int):
@@ -170,97 +163,76 @@ def _write(out_dir: Path, name: str, text: str, verbosity: int):
         print(f"wrote {out_dir / name}")
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    """Run every certifier applicable to the configured mode."""
-    model = cfg.build_model()
+def _certify(cfg: RunConfig, model: PotentialModel) -> list[HypothesisCertificate]:
+    """Certify every hypothesis of the mode and write certificates.json."""
     sampler = cfg.sampler_spec()
-    certs = []
-    for hyp, params in _applicable_hypotheses(cfg):
-        _require_params(hyp, params)
-        certs.append(certify(model, hyp, params, sampler))
-    payload = json.dumps({"certificates": [c.to_dict() for c in certs]},
-                         sort_keys=True, indent=1)
-    _write(Path(cfg.output_dir), "certificates.json", payload, cfg.verbosity)
-    all_pass = all(c.passed for c in certs)
-    if cfg.verbosity:
-        for c in certs:
-            flag = " [non-coercive]" if c.flags.get("non_coercive") else ""
-            print(f"{c.hypothesis:4s} {'PASS' if c.passed else 'FAIL'} "
-                  f"worst margin {c.worst_margin:+.3e}{flag}")
-    return EXIT_OK if all_pass else EXIT_NEGATIVE
+    certs = [certify(model, hyp, params, sampler) for hyp, params in cfg.hypothesis_params()]
+    _write(Path(cfg.output_dir), "certificates.json",
+           json.dumps({"certificates": [c.to_dict() for c in certs]},
+                      sort_keys=True, indent=1), cfg.verbosity)
+    return certs
 
 
-def _calibrated_geometry(cfg: RunConfig, model: PotentialModel) -> linking.LinkingGeometry:
-    h = cfg.hypotheses
-    seed = int(cfg.solver.get("seed", 0))
-    if cfg.mode == "superquadratic":
-        for key in ("A", "a1", "mu1"):
-            if h.get(key) is None:
-                raise ConfigError(f"hypotheses.{key}", "required for calibration")
-        geom = linking.calibrate_superquadratic(
-            model, {"A": h["A"], "a1": h["a1"], "a2": h.get("a2", 0.0),
-                    "mu1": h["mu1"], "radius": h.get("radius", 1.0)}, cfg.T)
-        return linking.certify_linking(geom, model, cfg.T, K=cfg.K, seed=seed)
-    if h.get("A") is None:
-        raise ConfigError("hypotheses.A", "required for calibration")
-    return linking.calibrate_saddle(model, {"A": h["A"], "a": h.get("a", 0.0)},
-                                    cfg.T, K=cfg.K, seed=seed)
-
-
-def cmd_calibrate(cfg: RunConfig) -> int:
-    model = cfg.build_model()
+def _calibrate(cfg: RunConfig, model: PotentialModel) -> linking.LinkingGeometry | int:
+    """Calibrate and certify the geometry and write geometry.json, or
+    return the exit code of a calibration that cannot proceed."""
+    params = {key: value for _, hyp_params in cfg.hypothesis_params()
+              for key, value in hyp_params.items()}
+    seed = int(cfg.solver_config().seed)
     try:
-        geom = _calibrated_geometry(cfg, model)
+        if cfg.mode == "superquadratic":
+            geom = linking.certify_linking(
+                linking.calibrate_superquadratic(model, params, cfg.T),
+                model, cfg.T, K=cfg.K, seed=seed)
+        else:
+            geom = linking.calibrate_saddle(model, params, cfg.T, K=cfg.K, seed=seed)
     except linking.InfeasibleGeometryError as err:
-        return _report_threshold(cfg, err)
+        print(f"infeasible: {err}\nadmissible periods: "
+              f"0 < T < {linking.threshold_period(params['A']):g}",
+              file=sys.stderr)
+        return EXIT_INFEASIBLE
     except linking.NonCoerciveError as err:
         print(f"calibration failed: {err}", file=sys.stderr)
         return EXIT_NEGATIVE
     _write(Path(cfg.output_dir), "geometry.json",
            json.dumps(geom.to_dict(), sort_keys=True, indent=1), cfg.verbosity)
+    return geom
+
+
+def cmd_certify(cfg: RunConfig) -> int:
+    """Run every certifier applicable to the configured mode."""
+    certs = _certify(cfg, cfg.build_model())
+    if cfg.verbosity:
+        for c in certs:
+            flag = " [non-coercive]" if c.flags.get("non_coercive") else ""
+            print(f"{c.hypothesis:4s} {'PASS' if c.passed else 'FAIL'} "
+                  f"worst margin {c.worst_margin:+.3e}{flag}")
+    return EXIT_OK if all(c.passed for c in certs) else EXIT_NEGATIVE
+
+
+def cmd_calibrate(cfg: RunConfig) -> int:
+    geom = _calibrate(cfg, cfg.build_model())
+    if isinstance(geom, int):
+        return geom
     if cfg.verbosity:
         print(f"mode={geom.mode} pass={geom.passed} "
               f"alpha={geom.alpha_sampled} beta={geom.beta_sampled}")
     return EXIT_OK if geom.passed else EXIT_NEGATIVE
 
 
-def _report_threshold(cfg: RunConfig, err: Exception) -> int:
-    A = cfg.hypotheses.get("A")
-    window = linking.threshold_period(A) if A else float("nan")
-    print(f"infeasible: {err}\nadmissible periods: 0 < T < {window:g}",
-          file=sys.stderr)
-    return EXIT_INFEASIBLE
-
-
 def cmd_solve(cfg: RunConfig, force: bool = False) -> int:
     """certify -> calibrate -> run -> verify -> write artifacts."""
     model = cfg.build_model()
-    sampler = cfg.sampler_spec()
     scfg = cfg.solver_config()          # a bad solver key exits before any write
     t_start = time.time()
 
-    certs = []
-    for hyp, params in _applicable_hypotheses(cfg):
-        _require_params(hyp, params)
-        certs.append(certify(model, hyp, params, sampler))
-    out = Path(cfg.output_dir)
-    _write(out, "certificates.json",
-           json.dumps({"certificates": [c.to_dict() for c in certs]},
-                      sort_keys=True, indent=1), cfg.verbosity)
-    if not all(c.passed for c in certs) and not force:
+    if not all(c.passed for c in _certify(cfg, model)) and not force:
         print("hypothesis certificates failed (use --force to override)",
               file=sys.stderr)
         return EXIT_NEGATIVE
-
-    try:
-        geom = _calibrated_geometry(cfg, model)
-    except linking.InfeasibleGeometryError as err:
-        return _report_threshold(cfg, err)
-    except linking.NonCoerciveError as err:
-        print(f"calibration failed: {err}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    _write(out, "geometry.json",
-           json.dumps(geom.to_dict(), sort_keys=True, indent=1), cfg.verbosity)
+    geom = _calibrate(cfg, model)
+    if isinstance(geom, int):
+        return geom
     if not geom.passed and not force:
         print("linking certificate failed (use --force to override)",
               file=sys.stderr)
@@ -269,6 +241,7 @@ def cmd_solve(cfg: RunConfig, force: bool = False) -> int:
     run = solver.run_minimax if cfg.mode == "superquadratic" else solver.run_saddle
     result = run(model, geom, scfg)
 
+    out = Path(cfg.output_dir)
     _write(out, "result.json", result.to_json(), cfg.verbosity)
     _write(out, "trajectory.json", result.candidate.to_json(), cfg.verbosity)
     _write(out, "trajectory.csv", result.candidate.to_csv(), cfg.verbosity)

@@ -133,7 +133,7 @@ class LinkingGeometry:
 
 def outer_boundary_bound(s, x1_norm, certs: dict, T: float, e_l2sq: float):
     """Jensen upper bound for f(x1 + s e) on the cylinder boundary."""
-    a1, a2, mu1 = certs["a1"], certs.get("a2", 0.0), certs["mu1"]
+    a1, a2, mu1 = certs["a1"], certs["a2"], certs["mu1"]
     mass = T * np.asarray(x1_norm) ** 2 + np.asarray(s) ** 2 * e_l2sq
     return 0.5 * np.asarray(s) ** 2 - a1 * T ** (1.0 - mu1 / 2.0) * mass ** (mu1 / 2.0) - a2 * T
 
@@ -155,7 +155,7 @@ def calibrate_superquadratic(model: PotentialModel, certs: dict, T: float,
         raise ValueError(f"superquadratic calibration needs mu1 > 2, got {certs['mu1']}")
     if float(certs["a1"]) <= 0.0:
         raise ValueError(f"growth constant a1 must be positive, got {certs['a1']}")
-    radius = float(certs.get("radius", 1.0))
+    radius = float(certs["radius"])
     rho = radius * np.sqrt(12.0 / T)
     alpha = alpha_lower_bound(A, T, rho)
 
@@ -345,7 +345,7 @@ def calibrate_saddle(model: PotentialModel, certs: dict, T: float,
     in lockstep as one batch; a row stopped by dn2 == 0 or by a failed
     line search drops out of it.
     """
-    A, a = float(certs["A"]), float(certs.get("a", 0.0))
+    A, a = float(certs["A"]), float(certs["a"])
     _require_below_threshold(A, T)
     rng = np.random.default_rng(seed)
     n = model.dim

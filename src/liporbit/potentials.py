@@ -40,7 +40,17 @@ Gradient = Callable[[np.ndarray], np.ndarray]
 
 SUPERQUADRATIC = ("V2", "V3", "V4")
 SUBQUADRATIC = ("V2'", "V3'", "V4'")
-KNOWN_HYPOTHESES = SUPERQUADRATIC + SUBQUADRATIC
+
+# The parameters of each hypothesis and their defaults; None marks a
+# required one.
+HYPOTHESIS_PARAMS = {
+    "V2": {"mu1": None, "mu2": 0.0},
+    "V3": {"mu1": None, "a1": None, "a2": 0.0},
+    "V4": {"A": None, "radius": 1.0},
+    "V2'": {"mu1": None, "mu2": 0.0},
+    "V3'": {"threshold": 0.0},
+    "V4'": {"A": None, "a": 0.0},
+}
 
 
 @dataclass(frozen=True)
@@ -232,18 +242,24 @@ def certify(model: PotentialModel, hypothesis: str, params: dict,
       V4   min(V(x), A|x|^2 - V(x)) on the stated ball
       V4'  A|x|^2 + a - V(x)
     """
-    if hypothesis not in KNOWN_HYPOTHESES:
-        raise ValueError(f"unknown hypothesis {hypothesis!r}, expected one of {KNOWN_HYPOTHESES}")
-    if hypothesis == "V2" and not params.get("mu1", 0.0) > 2.0:
-        raise ValueError(f"V2 requires mu1 > 2, got {params.get('mu1')}")
-    if hypothesis == "V2'" and not params.get("mu1", 3.0) < 2.0:
-        raise ValueError(f"V2' requires mu1 < 2, got {params.get('mu1')}")
+    if hypothesis not in HYPOTHESIS_PARAMS:
+        raise ValueError(f"unknown hypothesis {hypothesis!r}, "
+                         f"expected one of {tuple(HYPOTHESIS_PARAMS)}")
+    params = {**HYPOTHESIS_PARAMS[hypothesis], **params}
+    missing = [key for key, value in params.items() if value is None]
+    if missing:
+        raise ValueError(f"{hypothesis} requires {missing}")
+    if hypothesis == "V2" and not params["mu1"] > 2.0:
+        raise ValueError(f"V2 requires mu1 > 2, got {params['mu1']}")
+    if hypothesis == "V2'" and not params["mu1"] < 2.0:
+        raise ValueError(f"V2' requires mu1 < 2, got {params['mu1']}")
+    if hypothesis == "V3" and not params["a1"] > 0.0:
+        raise ValueError(f"V3 requires a1 > 0, got {params['a1']}")
 
     if sampler is None:
         sampler = SamplerSpec()
-    if hypothesis in ("V4",):
-        radius = float(params.get("radius", 1.0))
-        sampler = SamplerSpec(0.0, radius, sampler.count, sampler.seed)
+    if hypothesis == "V4":
+        sampler = SamplerSpec(0.0, float(params["radius"]), sampler.count, sampler.seed)
     if hypothesis == "V3'":
         # Coercivity is probed on the outer shell only.
         shell = max(sampler.r_max * 0.9, sampler.r_min)
@@ -255,20 +271,17 @@ def certify(model: PotentialModel, hypothesis: str, params: dict,
     flags: dict = {}
 
     if hypothesis in ("V2", "V2'"):
-        mu1, mu2 = float(params["mu1"]), float(params.get("mu2", 0.0))
+        mu1, mu2 = float(params["mu1"]), float(params["mu2"])
         pairing = _pairing_extremes(model, pts, minimum=(hypothesis == "V2"))
         if hypothesis == "V2":
             margins = pairing - mu1 * vals - mu2
         else:
             margins = mu1 * vals + mu2 - pairing
     elif hypothesis == "V3":
-        a1, a2 = float(params["a1"]), float(params.get("a2", 0.0))
-        if a1 <= 0:
-            raise ValueError(f"V3 requires a1 > 0, got {a1}")
-        mu1 = float(params["mu1"])
+        a1, a2, mu1 = float(params["a1"]), float(params["a2"]), float(params["mu1"])
         margins = vals - a1 * np.sqrt(r2) ** mu1 - a2
     elif hypothesis == "V3'":
-        threshold = float(params.get("threshold", 0.0))
+        threshold = float(params["threshold"])
         margins = vals - threshold
         min_shell = float(np.min(vals))
         flags["min_on_shell"] = min_shell
@@ -277,9 +290,9 @@ def certify(model: PotentialModel, hypothesis: str, params: dict,
     elif hypothesis == "V4":
         A = float(params["A"])
         margins = np.minimum(vals, A * r2 - vals)
-        flags["radius"] = float(params.get("radius", 1.0))
+        flags["radius"] = float(params["radius"])
     else:  # V4'
-        A, a = float(params["A"]), float(params.get("a", 0.0))
+        A, a = float(params["A"]), float(params["a"])
         margins = A * r2 + a - vals
 
     worst = float(np.min(margins))

@@ -258,10 +258,6 @@ class SpaceSplit:
     mean: np.ndarray
     oscillation: PeriodicTrajectory
 
-    def reassemble(self) -> PeriodicTrajectory:
-        o = self.oscillation
-        return PeriodicTrajectory(o.T, self.mean, o.a, o.b)
-
 
 def default_grid_size(K: int) -> int:
     """Quadrature grid size 4K+4: 2x oversampling of the 2K+2 round-trip grid."""
@@ -306,7 +302,7 @@ def h1_norm(q: PeriodicTrajectory) -> float:
 
 
 def split(q: PeriodicTrajectory) -> SpaceSplit:
-    """Project onto constants plus zero-mean oscillation; reassembly is exact."""
+    """Project onto constants plus zero-mean oscillation."""
     osc = PeriodicTrajectory(q.T, np.zeros(q.n), q.a, q.b)
     return SpaceSplit(mean=q.mean(), oscillation=osc)
 

@@ -57,13 +57,6 @@ class VerificationReport:
             "n_nodes": int(self.distances.size),
         }
 
-    def distances_csv(self, traj: PeriodicTrajectory) -> str:
-        t = traj.grid(self.distances.size)
-        lines = ["t,dist"]
-        lines.extend(f"{repr(float(tj))},{repr(float(dj))}"
-                     for tj, dj in zip(t, self.distances))
-        return "\n".join(lines) + "\n"
-
 
 def inclusion_residual(traj: PeriodicTrajectory, model: PotentialModel,
                        tol_active: float | None = None) -> VerificationReport:

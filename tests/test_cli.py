@@ -39,7 +39,8 @@ def test_threads_is_not_a_solver_key(tmp_path):
 
 @pytest.mark.parametrize("key, value", [("init_step", 1.0), ("max_restarts", 3),
                                         ("probe_every", 5), ("max_iters", 0),
-                                        ("max_polishes", 0), ("tol_conv", float("nan")),
+                                        ("max_polishes", 0), ("eta", 123), ("sigma", -5),
+                                        ("max_halvings", -3), ("tol_conv", float("nan")),
                                         ("tol_conv", 0.0)])
 def test_removed_or_invalid_solver_key_exits_2(tmp_path, key, value):
     raw = dict(MAXPAIR_K32, solver={key: value})
@@ -119,8 +120,11 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("section, key, value, named", [
     ("hypotheses", "mu1", "4", "hypotheses.mu1"),
     ("hypotheses", "A", "x", "hypotheses.A"),
+    ("hypotheses", "A", 0.0, "hypotheses.A"),
     ("hypotheses", "radius", 0.0, "hypotheses.radius"),
     ("hypotheses", "a1", float("nan"), "hypotheses.a1"),
+    ("hypotheses", "a1", -1, "hypotheses.a1"),
+    ("hypotheses", "a1", 0.0, "hypotheses.a1"),
     ("hypotheses", "a2", True, "hypotheses.a2"),
     ("sampler", "count", 0, "sampler"),
     ("sampler", "r_max", -1, "sampler"),
@@ -136,4 +140,33 @@ def test_bad_hypothesis_or_sampler_value_exits_2(tmp_path, capsys, section, key,
     capsys.readouterr()
     assert cli.main(["solve", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
     assert f"config key {named!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, potential, key", [
+    ("superquadratic", "quartic", "a_1"), ("superquadratic", "quartic", "Radius"),
+    ("saddle", "subq32", "radius"),
+])
+def test_unknown_hypothesis_key_exits_2(tmp_path, capsys, mode, potential, key):
+    # A misspelt or other-mode key used to be ignored in favour of the zoo default.
+    raw = {"potential": {"type": potential}, "T": 1.0, "n": 1, "K": 16, "mode": mode,
+           "hypotheses": {key: 0.5}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["solve", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert f"config key 'hypotheses.{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "calibrate", "solve"])
+def test_missing_required_hypothesis_exits_2(tmp_path, capsys, command):
+    # maxpoly has no zoo constants, so mu1, a1 and A must come from the config.
+    raw = {"potential": {"type": "maxpoly", "pieces": [[0.0, 0.0, 1.0]]}, "T": 2.0,
+           "n": 1, "K": 16, "hypotheses": {"mu1": 4.0, "a1": 1.0}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main([command, str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert "config key 'hypotheses.A'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

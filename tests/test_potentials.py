@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from liporbit.potentials import (
+    HYPOTHESIS_PARAMS,
+    ZOO_PARAMS,
     PotentialModel,
     SamplerSpec,
     _pairing_extremes,
@@ -379,3 +381,11 @@ def test_sq_norm_within_ulps_of_numpy_pairwise_sum(n):
     # from n = 8 numpy sums in eight lanes, the column sum left to right
     x = np.random.default_rng(n).standard_normal((4096, n))
     np.testing.assert_array_max_ulp(_sq_norm(x), np.sum(x ** 2, axis=-1), maxulp=8)
+
+
+def test_zoo_constants_are_parameters_of_their_hypothesis():
+    # RunConfig rejects a hypotheses key the table does not name, so a zoo
+    # constant outside the table could never be overridden.
+    for name, table in ZOO_PARAMS.items():
+        for hyp, params in table.items():
+            assert set(params) <= set(HYPOTHESIS_PARAMS[hyp]), (name, hyp)

@@ -3,7 +3,12 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
+
+from liporbit import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -47,3 +52,26 @@ def test_every_name_perfbench_imports_resolves():
                     if alias.name.startswith("liporbit"):
                         importlib.import_module(alias.name)
     assert missing == []
+
+
+def _bench_configs():
+    yield from cli.BENCH_CONFIGS.values()
+    # workloads.py imports checks and speed from perfbench/.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, workloads)     # for its dataclasses
+        spec.loader.exec_module(workloads)
+    yield workloads.SmoothSweep.config(*workloads.SmoothSweep.GRID[0], 0)
+    yield workloads.KinkSweep.config(workloads.KinkSweep.GRID[0], 0)
+
+
+def test_every_config_perfbench_solves_is_accepted():
+    # A config the benchmark passes and from_dict rejects kills the
+    # benchmark's setup before any solve.
+    for raw in _bench_configs():
+        cfg = cli.RunConfig.from_dict(dict(raw))
+        cfg.build_model()
+        cfg.solver_config()

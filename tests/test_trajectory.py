@@ -218,8 +218,9 @@ def test_split_pure_harmonic():
 def test_split_reassembles_exactly():
     rng = np.random.default_rng(31)
     q = random_trajectory(rng, T=1.5, n=3, K=6)
-    back = split(q).reassemble()
-    assert np.all(back.a0 == q.a0) and np.all(back.a == q.a) and np.all(back.b == q.b)
+    parts = split(q)
+    assert np.all(parts.mean == q.a0) and np.all(parts.oscillation.a0 == 0.0)
+    assert np.all(parts.oscillation.a == q.a) and np.all(parts.oscillation.b == q.b)
 
 
 def test_split_is_idempotent_projection():
@@ -233,8 +234,9 @@ def test_split_is_idempotent_projection():
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 12))
 def test_split_roundtrip_property(seed, n, K):
     q = random_trajectory(np.random.default_rng(seed), T=2.0, n=n, K=K)
-    back = split(q).reassemble()
-    assert np.all(back.a0 == q.a0) and np.all(back.a == q.a) and np.all(back.b == q.b)
+    parts = split(q)
+    assert np.all(parts.mean == q.a0) and np.all(parts.oscillation.a0 == 0.0)
+    assert np.all(parts.oscillation.a == q.a) and np.all(parts.oscillation.b == q.b)
 
 
 # -- classical inequalities ---------------------------------------------

@@ -89,10 +89,6 @@ def test_report_dict_and_csv():
     d = rep.to_dict()
     assert set(d) >= {"aggregate", "max_distance", "excluded_fraction",
                       "energy_drift", "nonconstant", "periodicity"}
-    csv_text = rep.distances_csv(q)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "t,dist"
-    assert len(lines) == rep.distances.size + 1
 
 
 # -- energy drift ----------------------------------------------------------
