@@ -7,12 +7,13 @@ one array of Fourier coefficient rows.  A run accepts an interior argmax
 node that is already critical.  Otherwise it probes the piecewise-linear
 interpolation of the surface along its grid columns once (ridge_probe;
 node values miss the critical ridge where it runs between nodes) and
-polishes the probe's point and symmetry-breaking variants of it by
-Levenberg-Marquardt on the inclusion residual; a polish whose cost stalls
-above the measure gate stops.  It reports the polished loop with the
-lowest inclusion aggregate among those that pass the measure, level and
-shape gates, and why each other one failed; converged means that
-aggregate is below verify_tol, the test behind exit code 0.
+polishes the probe's point by phase-anchored damped Newton on the
+inclusion residual; in superquadratic mode a polish that fails a gate
+reseeds with a symmetry-breaking variant of the point.  It reports the
+polished loop with the lowest inclusion aggregate among those that pass
+the measure, level and shape gates, and why each other one failed;
+converged means that aggregate is below verify_tol, the test behind
+exit code 0.
 
 deform_step, a peak-shaving descent step at the argmax node, is not part
 of a run: on the benchmark inputs it never decided an answer, and the
@@ -21,6 +22,7 @@ deformed node set stops linking within a few steps.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -36,6 +38,7 @@ from .action import (
     residual_jacobian,
 )
 from .linking import LinkingGeometry
+from .newton import newton_steps
 from .potentials import PotentialModel
 from .trajectory import (
     PeriodicTrajectory,
@@ -44,7 +47,7 @@ from .trajectory import (
     l2_norm_row,
     random_trajectory,
 )
-from .verification import VerificationReport, inclusion_residual
+from .verification import VerificationReport, inclusion_residual, is_nonconstant
 
 
 class StallError(RuntimeError):
@@ -61,7 +64,7 @@ class GeometryNotCertified(ValueError):
     """run_* requires a geometry whose certificate passed."""
 
 
-# Polishes per run: the probe point and its seed variants.
+# Polishes per superquadratic run: the probe point and its seed variants.
 MAX_POLISHES = 6
 
 # deform_step's line search: neighbor diffusion factor, Armijo decrement
@@ -82,6 +85,9 @@ class SolverConfig:
     verify_tol: float = 1e-4            # posterior inclusion gate for candidates
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.grid < 3:
             raise ValueError(f"grid resolution must be >= 3, got {self.grid}")
         if self.max_iters < 1:
@@ -281,32 +287,6 @@ def _polyline_max(chain: np.ndarray, T: float, model: PotentialModel, n_probe: i
     return float(vals[best]), int(seg[best]), float(th[best])
 
 
-def _golden_refine(qa: np.ndarray, qb: np.ndarray, T: float,
-                   model: PotentialModel, th0: float,
-                   iters: int = 40) -> tuple[PeriodicTrajectory, float]:
-    """Golden-section max of f on the segment between coefficient rows."""
-    diff = qb - qa
-
-    def f(th: float) -> float:
-        return float(action_values((qa + th * diff)[None], T, model)[0])
-
-    lo, hi = max(th0 - 0.15, 0.0), min(th0 + 0.15, 1.0)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    th = 0.5 * (lo + hi)
-    return PeriodicTrajectory.from_coefficients(T, qa + th * diff), f(th)
-
-
 def ridge_probe(surface: Surface, model: PotentialModel,
                 floor: float = -np.inf) -> tuple[PeriodicTrajectory, float] | None:
     """Inf-sup over the interpolated surface: the discrete minimax point.
@@ -318,15 +298,8 @@ def ridge_probe(surface: Surface, model: PotentialModel,
     inf-sup.  Columns whose max falls below floor have slipped around
     the sphere through the mean directions (the quadratic barrier only
     binds zero-mean loops) and are discarded.  Returns None when every
-    column leaked; the winning segment is refined by golden section.
+    column leaked, else the best point of the winning column and its f.
     A column screened below floor costs no exact evaluation.
-
-    Measured against returning the polyline's best point, the refine
-    changes no pass on benchmark seeds 1-2 (62 of 70; quartic and maxpair
-    c within 7.4e-15 relative) or saddle seeds 3-10 (128 of 136), and
-    saves no saddle solve time (2-vCPU Xeon VM).  It stays because it
-    sets which gate rejects the failing maxpair T = 2.25 candidates, the
-    line brake orbits that kink-crossing shooting will need.
     """
     m = surface.shape[-1]
     columns = surface.coeffs.reshape(-1, m, *surface.coeffs.shape[1:])
@@ -334,105 +307,68 @@ def ridge_probe(surface: Surface, model: PotentialModel,
     best = None
     for chain, f_nodes in zip(columns, surface.f_values.reshape(-1, m)):
         col_val, seg, th = _polyline_max(chain, surface.T, model, floor=floor) or (-np.inf, 0, 0.0)
-        node_max = float(np.max(f_nodes))
-        if node_max >= col_val:
-            col_val, seg, th = node_max, None, 0.0
+        point = chain[seg] + th * (chain[seg + 1] - chain[seg])
+        if np.max(f_nodes) >= col_val:
+            col_val, point = float(np.max(f_nodes)), chain[int(np.argmax(f_nodes))]
         if col_val < floor or col_val >= best_inf:
             continue
-        best_inf = col_val
-        if seg is None:
-            best = (chain[int(np.argmax(f_nodes))], None, 0.0)
-        else:
-            best = (chain[seg], chain[seg + 1], th)
+        best_inf, best = col_val, point
     if best is None:
         return None
-    if best[1] is None:
-        return PeriodicTrajectory.from_coefficients(surface.T, best[0]), float(best_inf)
-    return _golden_refine(best[0], best[1], surface.T, model, best[2])
+    return PeriodicTrajectory.from_coefficients(surface.T, best), float(best_inf)
 
 
-# A polish above tol_conv ends once its cost ||R||^2 fell by less than
-# STALL_DROP over its last STALL_STEPS accepted steps.  On the benchmark
-# every polish that reached tol_conv cut its cost by >= 25% per 3 steps;
-# every other one fell below a 1e-3 drop by step 19, then retraced f.
-STALL_STEPS = 3
-STALL_DROP = 1e-3
+def _polish_step(x: np.ndarray, R: np.ndarray, shape: tuple[int, int], T: float,
+                 model: PotentialModel) -> np.ndarray:
+    """The Newton step of the residual rows R at x, anchored in phase.
+
+    Every time shift of a critical loop is critical, so on a nonconstant
+    loop J is near-singular along the tangent q' (benchmark Jacobians have
+    one singular value of 5e-9 to 2e-4, the next >= 1.36).  The step s
+    solves [J p; p^T 0][s; lam] = [-R; 0] with p = q'/|q'|; p is a column
+    as well as a row because f is shift-invariant, so R is orthogonal to
+    q'.  On a constant loop q' = 0, and J s = -R keeps the loop constant.
+    """
+    J = residual_jacobian(x.reshape(shape), T, model)
+    q = PeriodicTrajectory.from_coefficients(T, x.reshape(shape))
+    if not is_nonconstant(q):
+        return np.linalg.solve(J, -R)
+    p = q.derivative().coefficients().ravel()
+    p /= np.linalg.norm(p)
+    bordered = np.block([[J, p[:, None]], [p[None, :], np.zeros((1, 1))]])
+    return np.linalg.solve(bordered, np.append(-R, 0.0))[:-1]
 
 
 def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
                       config: SolverConfig, records: list[CeramiRecord],
                       start_index: int, max_steps: int = 60) -> PeriodicTrajectory:
-    """Levenberg-Marquardt zero-finding on the discrete inclusion residual.
+    """Damped Newton zero-finding on the discrete inclusion residual.
 
-    Minimizes ||R(q)||^2 where R maps Fourier coefficients to the
-    coefficients of the min-norm residual -qdd - v.  Quadratic local
-    convergence turns a ridge point located by the probe into a
-    candidate whose Cerami measure meets the stopping tolerance.  Emits
-    one record per loop it reaches, at most max_steps + 1 records, the
-    last one that of the returned loop; stops early when the cost has
-    stalled above the gate (STALL_STEPS).
-
-    The Jacobian is assembled from nodal derivatives (residual_jacobian):
-
-        J = diag(w_k^2) (x) I_n - P (dv/dq S + dv/da S diag(w_k^2)),
-
-    where S synthesizes node values from coefficients, P projects node
-    values back onto the K modes, and dv/dq, dv/da are the (n, n) blocks
-    of the min-norm selection v(t_j) at each node.  The selection at t_j
-    depends only on q(t_j) and a(t_j) = -qdd(t_j), so moving every node
-    at once by h e_d gives all N blocks together: one selection over
-    2n + 1 copies of the nodes per step instead of (2K+1) n full
-    residuals.  Each node keeps its active pieces under the step, so a
-    node on a kink gives the derivative on its segment.
+    R maps Fourier coefficients to those of the min-norm residual
+    -qdd - v (its Jacobian is residual_jacobian's).  newton_steps with
+    _polish_step's phase-anchored step turns a ridge point located by the
+    probe into a candidate whose Cerami measure meets the stopping
+    tolerance.  Emits one record per loop it reaches, at most
+    max_steps + 1 records, the last one that of the returned loop; stops
+    once the measure is below tol_conv / 10 or no step lowers ||R||.
     """
     shape = (2 * q0.K + 1, q0.n)
 
-    def residual_rows(x: np.ndarray) -> np.ndarray:
-        return min_norm_residuals(x.reshape(1, *shape), q0.T, model)[0].ravel()
+    def residual(x: np.ndarray):
+        rows = x.reshape(shape)
+        return (min_norm_residuals(rows[None], q0.T, model)[0].ravel(),
+                PeriodicTrajectory.from_coefficients(q0.T, rows))
 
-    q = q0
-    x = q.coefficients().ravel()
-    R = residual_rows(x)
-    costs = [float(R @ R)]              # the cost after each accepted step
-    damping = 1e-6
-    it = start_index
-    slow = 0
-    for _ in range(max_steps):
-        rec = CeramiRecord.at(q, action_value(q, model), l2_norm_row(R.reshape(shape), q0.T), it)
+    x = q0.coefficients().ravel()
+    R, _ = residual(x)
+    steps = newton_steps(x, R, residual,
+                         lambda x, R: _polish_step(x, R, shape, q0.T, model), max_steps)
+    for index, (_, R, q) in enumerate(itertools.chain([(x, R, q0)], steps), start_index):
+        rec = CeramiRecord.at(q, action_value(q, model),
+                              l2_norm_row(R.reshape(shape), q0.T), index)
         records.append(rec)
-        it += 1
         if rec.measure <= config.tol_conv * 0.1:
             break
-        if slow >= 3 and rec.measure <= config.tol_conv:
-            break  # converged to the shape this basin supports
-        if (rec.measure > config.tol_conv and len(costs) > STALL_STEPS
-                and costs[-1] > (1.0 - STALL_DROP) * costs[-1 - STALL_STEPS]):
-            break  # stalled above the gate
-        dim = x.size
-        J = residual_jacobian(x.reshape(shape), q0.T, model)
-        JtJ = J.T @ J
-        JtR = J.T @ R
-        diag = float(np.trace(JtJ)) / dim + 1e-30
-        moved = False
-        for _ in range(25):
-            step = np.linalg.solve(JtJ + damping * diag * np.eye(dim), -JtR)
-            x_try = x + step
-            R_try = residual_rows(x_try)
-            cost_try = float(R_try @ R_try)
-            if cost_try < costs[-1]:
-                slow = slow + 1 if cost_try > 0.25 * costs[-1] else 0
-                x, R = x_try, R_try
-                q = PeriodicTrajectory.from_coefficients(q0.T, x.reshape(shape))
-                costs.append(cost_try)
-                damping = max(damping / 3.0, 1e-14)
-                moved = True
-                break
-            damping *= 10.0
-        if not moved:
-            break
-    else:
-        records.append(CeramiRecord.at(q, action_value(q, model),
-                                    l2_norm_row(R.reshape(shape), q0.T), it))
     return q
 
 
@@ -527,7 +463,10 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
         if hit is not None:
             probe_seed, probe_val = hit
             ridge_slack = float(probe_val - geom.alpha_bound)
-            for seed_try in _seed_variants(probe_seed, model.dim, rng, MAX_POLISHES):
+            # A saddle seed is a constant loop, whose variants repeat it or
+            # polish to tiny nonconstant loops that are not the equilibrium.
+            polishes = MAX_POLISHES if superquadratic else 1
+            for seed_try in _seed_variants(probe_seed, model.dim, rng, polishes):
                 room = config.max_iters - len(records)
                 if room < 1:
                     break

@@ -9,10 +9,11 @@ out of the headline aggregate, which is the honest discrete criterion.
 
 For smooth potentials an independent shooting oracle integrates
 qdd = -grad V(q) with scipy's adaptive DOP853 (rtol = atol = FLOW_TOL)
-and closes the period map with a damped Newton iteration; the Fourier
-fit takes the FIT_SAMPLES dense-output samples of the flow that closed
-it.  It shares no code or discretization with the variational path, so
-agreement between the two is meaningful evidence.
+and closes the period map with newton.newton_steps; the Fourier fit
+takes the FIT_SAMPLES dense-output samples of the flow that closed it.
+It shares only that line search with the polish, not the discretization
+or the closure residual that decides closure, so agreement between the
+two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .action import project_hull
+from .newton import newton_steps
 from .potentials import PotentialModel, active_set
 from .trajectory import PeriodicTrajectory, default_grid_size, split, l2_norm
 
@@ -88,17 +90,20 @@ def inclusion_residual(traj: PeriodicTrajectory, model: PotentialModel,
     h = traj.T / N
     included = ~excluded
     aggregate = float(np.sqrt(np.sum(dists[included] ** 2) * h))
-    parts = split(traj)
-    osc_norm = l2_norm(parts.oscillation)
-    nonconstant = osc_norm > 1e-6 * (1.0 + float(np.linalg.norm(parts.mean)))
     return VerificationReport(
         distances=dists,
         aggregate=aggregate,
         max_distance=float(np.max(dists)),
         excluded_fraction=float(np.mean(excluded)),
         energy_drift=energy_drift(traj, model),
-        nonconstant=nonconstant,
+        nonconstant=is_nonconstant(traj),
     )
+
+
+def is_nonconstant(traj: PeriodicTrajectory) -> bool:
+    """Whether the loop's oscillation exceeds 1e-6 (1 + |mean|) in L2."""
+    parts = split(traj)
+    return l2_norm(parts.oscillation) > 1e-6 * (1.0 + float(np.linalg.norm(parts.mean)))
 
 
 def energy_drift(traj: PeriodicTrajectory, model: PotentialModel) -> float:
@@ -162,23 +167,23 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
                     tol: float = 1e-9, stall_accept: float = 1e-6) -> ShootingResult:
     """Close the period-T orbit of qdd = -grad V(q) through Newton on (q0, v0).
 
-    Smooth models only.  The Newton step is damped Levenberg-Marquardt
-    (the monodromy of an autonomous orbit is singular along the flow
-    direction) on a forward-difference Jacobian of the period map.  Its
-    2n + 1 flows run as one stacked batch: columns differenced across
-    separately adapted meshes would carry the flow's tolerance FLOW_TOL
-    divided by the difference step, about 1e-6, as noise.
+    Smooth models only.  newton_steps takes its steps from a
+    forward-difference Jacobian of the period map, whose 2n + 1 flows run
+    as one stacked batch: columns differenced across separately adapted
+    meshes would carry the flow's tolerance FLOW_TOL divided by the
+    difference step, about 1e-6, as noise.  That ratio is also the cutoff
+    of the least-squares step, since the monodromy of a conservative
+    orbit is singular along the flow and misses the energy direction.
 
     The adaptive flow only admits fixed points up to its own truncation
-    error, so stagnation below stall_accept counts as closure and the
-    achieved residual is reported; stagnation above it raises
-    OracleFailure.  The damping search ends once the step is shorter than
-    FLOW_TOL * scale, the accuracy the flow is asked for: a shorter step
-    cannot move the end state by more than the flow's own error.
+    error: the iteration ends once no step longer than FLOW_TOL * scale,
+    the accuracy asked of the flow, lowers the residual.  An end below
+    stall_accept counts as closure, with the achieved residual reported;
+    an end above it raises OracleFailure.
 
     Every flow may call the gradient at most MAX_RHS_CALLS times, which
     bounds the cost of a guess whose orbit oscillates many times per
-    period.  A damped trial past that budget counts as rejected; any other
+    period.  A trial step past that budget counts as rejected; any other
     flow past it, the guess's own first, raises OracleFailure.  Closure
     flows also sample the fit nodes, at DOP853's 3 dense-output stages per step.
     """
@@ -196,55 +201,34 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
         path = _flow(model, T, state, t_eval=times)
         return path[-1] - state, path[:-1, :model.dim]
 
+    def trial_closure(state):
+        try:
+            return closure(state)
+        except OracleFailure:
+            return np.full(state.size, np.inf), None
+
     fd_h = 1e-7
-    iters = 0
-    res, samples = closure(x)
-    res_norm = float(np.linalg.norm(res))
-    scale = 1.0 + float(np.linalg.norm(x))
-    xtol = FLOW_TOL * scale
-    damping = 1e-8
-    slow_steps = 0
-    while res_norm > tol * scale:
-        if slow_steps >= 2 and res_norm <= stall_accept * scale:
-            break  # ground out on the flow's own truncation floor
-        if iters >= max_newton:
-            if res_norm <= stall_accept * scale:
-                break
-            raise OracleFailure(
-                f"shooting Newton stalled at residual {res_norm:.3e} "
-                f"after {iters} iterations")
-        iters += 1
-        dim = x.size
-        batch = np.vstack([x, x[None, :] + fd_h * np.eye(dim)])
+
+    def newton_step(state, _res):
+        batch = np.vstack([state, state[None, :] + fd_h * np.eye(state.size)])
         yT = _flow(model, T, batch)[-1]
-        F0 = yT[0] - x
+        F0 = yT[0] - state
         J = (((yT[1:] - batch[1:]) - F0) / fd_h).T   # J[i, j] = dF_i / dx_j
-        JtJ = J.T @ J
-        JtF = J.T @ F0
-        diag_scale = float(np.trace(JtJ)) / dim + 1e-30
-        accepted = False
-        for _ in range(25):
-            step = np.linalg.solve(JtJ + damping * diag_scale * np.eye(dim), -JtF)
-            if np.linalg.norm(step) <= xtol:
+        return np.linalg.lstsq(J, -F0, rcond=FLOW_TOL / fd_h)[0]
+
+    res, samples = closure(x)
+    scale = 1.0 + float(np.linalg.norm(x))
+    iters = 0
+    if np.linalg.norm(res) > tol * scale:
+        for iters, (x, res, samples) in enumerate(newton_steps(
+                x, res, trial_closure, newton_step, max_newton,
+                xtol=FLOW_TOL * scale), 1):
+            if np.linalg.norm(res) <= tol * scale:
                 break
-            trial = x + step
-            try:
-                trial_res, trial_samples = closure(trial)
-                trial_norm = float(np.linalg.norm(trial_res))
-            except OracleFailure:
-                trial_norm = np.inf
-            if trial_norm < res_norm:
-                slow_steps = slow_steps + 1 if trial_norm > 0.5 * res_norm else 0
-                x, res_norm, samples = trial, trial_norm, trial_samples
-                damping = max(damping / 3.0, 1e-12)
-                accepted = True
-                break
-            damping *= 10.0
-        if not accepted:
-            if res_norm <= stall_accept * scale:
-                break
-            raise OracleFailure(
-                f"shooting damping search failed at residual {res_norm:.3e}")
+    res_norm = float(np.linalg.norm(res))
+    if res_norm > stall_accept * scale:
+        raise OracleFailure(f"shooting Newton stopped at residual {res_norm:.3e} "
+                            f"after {iters} iterations")
 
     traj = PeriodicTrajectory.from_samples(samples, T, K=K)
     fit_err = float(np.max(np.linalg.norm(

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from liporbit import cli
@@ -41,7 +42,8 @@ def test_threads_is_not_a_solver_key(tmp_path):
                                         ("probe_every", 5), ("max_iters", 0),
                                         ("max_polishes", 0), ("eta", 123), ("sigma", -5),
                                         ("max_halvings", -3), ("tol_conv", float("nan")),
-                                        ("tol_conv", 0.0)])
+                                        ("tol_conv", 0.0), ("seed", 1.5), ("seed", "3"),
+                                        ("seed", -1), ("seed", True)])
 def test_removed_or_invalid_solver_key_exits_2(tmp_path, key, value):
     raw = dict(MAXPAIR_K32, solver={key: value})
     with pytest.raises(cli.ConfigError) as err:
@@ -68,14 +70,26 @@ def quartic_config(T, K, tmp_path, **extra):
          "output_dir": str(tmp_path), "verbosity": 0}, **extra))
 
 
-@pytest.mark.parametrize("T", [4.5, 8.0])
-def test_quartic_solve_reaches_closed_form_level(tmp_path, T):
+@pytest.mark.parametrize("T, K", [(4.5, 32), (8.0, 32), (8.5, 64)], ids=["4.5", "8.0", "8.5"])
+def test_quartic_solve_reaches_closed_form_level(tmp_path, T, K):
     # T = 4.5: a probe of the deformed surface seeded q = 0; T = 8.0: the
-    # sampled sphere level lies above c(T), so gating on it rejected c(T).
-    assert cli.cmd_solve(quartic_config(T, 32, tmp_path)) == cli.EXIT_OK
+    # sampled sphere level lies above c(T), so gating on it rejected c(T);
+    # T = 8.5: the polishes of the probe point fell to q = 0 under LM.
+    assert cli.cmd_solve(quartic_config(T, K, tmp_path)) == cli.EXIT_OK
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["converged"] is True
     assert abs(result["c_estimate"] - quartic_level(T)) <= 1e-8 * quartic_level(T)
+
+
+def test_a_singular_newton_system_exits_1_after_writing_the_result(tmp_path, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli.solver, "_polish_step", singular)
+    assert cli.cmd_solve(quartic_config(2 * math.pi, 32, tmp_path)) == cli.EXIT_NEGATIVE
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["converged"] is False
+    assert set(result["diagnostics"]["rejections"]) == {"measure"}
 
 
 def test_converged_is_false_when_the_inclusion_gate_fails(tmp_path):

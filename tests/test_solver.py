@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from liporbit.action import (
-    CeramiRecord,
     action_value,
     action_values,
     min_norm_residuals,
@@ -26,6 +25,7 @@ from liporbit.solver import (
     SolverConfig,
     StallError,
     _polish_candidate,
+    _polish_step,
     _polyline_max,
     _screened_values,
     _seed_variants,
@@ -517,27 +517,6 @@ def test_init_surface_rows_equal_trajectory_construction(surfaces, case):
     assert not surf.coeffs.flags.writeable
 
 
-def serial_golden_refine(qa, qb, model, th0, iters=40):
-    diff = qb - qa
-    lo, hi = max(th0 - 0.15, 0.0), min(th0 + 0.15, 1.0)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc = action_value(qa + c * diff, model)
-    fd = action_value(qa + d * diff, model)
-    for _ in range(iters):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = action_value(qa + c * diff, model)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = action_value(qa + d * diff, model)
-    q = qa + 0.5 * (lo + hi) * diff
-    return q, action_value(q, model)
-
-
 def column_flats(shape):
     for prefix in itertools.product(*(range(s) for s in shape[:-1])):
         yield [int(np.ravel_multi_index(prefix + (j,), shape)) for j in range(shape[-1])]
@@ -556,14 +535,12 @@ def serial_ridge_probe(surface, nodes, model, floor):
             continue
         best_inf = col_val
         if seg is None:
-            best = (nodes[flats[int(np.argmax(surface.f_values[flats]))]], None, 0.0)
+            best = nodes[flats[int(np.argmax(surface.f_values[flats]))]]
         else:
-            best = (chain[seg], chain[seg + 1], th)
+            best = chain[seg] + th * (chain[seg + 1] - chain[seg])
     if best is None:
         return None
-    if best[1] is None:
-        return best[0], float(best_inf)
-    return serial_golden_refine(*best[:2], model, best[2])
+    return best, float(best_inf)
 
 
 @pytest.mark.parametrize("case", ["quartic", "maxpair", "saddle"])
@@ -626,61 +603,7 @@ def test_polyline_max_drops_only_columns_screened_below_floor(surfaces, monkeypa
         assert exact_rows == []                 # dropped without exact work
 
 
-# -- the polish's stall stop ----------------------------------------------
-
-
-def polish_without_stall_stop(q0, model, config, records, start_index, max_steps=60):
-    """_polish_candidate as it ran before the stall stop, which recorded
-    its last loop again after a break."""
-    shape = (2 * q0.K + 1, q0.n)
-
-    def residual_rows(x):
-        return min_norm_residuals(x.reshape(1, *shape), q0.T, model)[0].ravel()
-
-    def _loose_record(q, model, R):
-        residual = PeriodicTrajectory.from_coefficients(q.T, R.reshape(shape))
-        grad_l2 = l2_norm(residual)
-        norm = h1_norm(q)
-        return CeramiRecord(index=0, f_value=action_value(q, model), h1norm=norm,
-                            min_norm=grad_l2, measure=(1.0 + norm) * grad_l2,
-                            trajectory=q)
-
-    q = q0
-    x = q.coefficients().ravel()
-    R = residual_rows(x)
-    cost = float(R @ R)
-    damping = 1e-6
-    it = start_index
-    slow = 0
-    for _ in range(max_steps):
-        rec = _loose_record(q, model, R)
-        records.append(replace(rec, index=it))
-        it += 1
-        if rec.measure <= config.tol_conv * 0.1:
-            break
-        if slow >= 3 and rec.measure <= config.tol_conv:
-            break
-        J = residual_jacobian(x.reshape(shape), q0.T, model)
-        JtJ = J.T @ J
-        JtR = J.T @ R
-        diag = float(np.trace(JtJ)) / x.size + 1e-30
-        moved = False
-        for _ in range(25):
-            x_try = x + np.linalg.solve(JtJ + damping * diag * np.eye(x.size), -JtR)
-            R_try = residual_rows(x_try)
-            cost_try = float(R_try @ R_try)
-            if cost_try < cost:
-                slow = slow + 1 if cost_try > 0.25 * cost else 0
-                x, R, cost = x_try, R_try, cost_try
-                q = PeriodicTrajectory.from_coefficients(q0.T, x.reshape(shape))
-                damping = max(damping / 3.0, 1e-14)
-                moved = True
-                break
-            damping *= 10.0
-        if not moved:
-            break
-    records.append(replace(_loose_record(q, model, R), index=it))
-    return q
+# -- the Newton polish ---------------------------------------------------
 
 
 def probe_seeds(model, geom, K, count):
@@ -689,51 +612,14 @@ def probe_seeds(model, geom, K, count):
     return list(_seed_variants(seed, model.dim, np.random.default_rng(0), count))
 
 
-def summary(records):
-    return [(r.index, r.f_value, r.measure) for r in records]
-
-
 def values(record):
     return (record.f_value, record.h1norm, record.min_norm, record.measure)
 
 
-@pytest.mark.parametrize("T, K, count", [(TWO_PI, 32, 2), (1.875, 64, 2), (2.25, 64, 6)],
-                         ids=["quartic-2pi", "maxpair-1.875", "maxpair-2.25"])
-def test_stall_stop_keeps_converging_polishes(quartic_setup, T, K, count):
-    # quartic at T = 2 pi, maxpair at T = 1.875 and 2.25: every seed
-    # variant polishes to tol_conv, step for step as before.
-    model, geom = quartic_setup if T == TWO_PI else maxpair_geometry(T)
-    cfg = SolverConfig(K=K)
-    for q0 in probe_seeds(model, geom, K, count):
-        new, old = [], []
-        q = _polish_candidate(q0, model, cfg, new, start_index=3)
-        q_old = polish_without_stall_stop(q0, model, cfg, old, start_index=3)
-        assert new[-1].measure <= cfg.tol_conv
-        # the reference records its last loop twice; the polish once
-        assert values(old[-1]) == values(old[-2])
-        assert summary(new) == summary(old[:-1])
-        assert np.array_equal(q.coefficients(), q_old.coefficients())
-
-
-def test_stall_stop_ends_a_stalled_polish_early():
-    # maxpair at T = 2.4: the polish stalls far above tol_conv and used to
-    # run on to its step budget; the stop only cuts that tail.
-    M, geom = maxpair_geometry(2.4)
-    cfg = SolverConfig(K=64)
-    q0 = probe_seeds(M, geom, 64, 1)[0]
-    new, old = [], []
-    _polish_candidate(q0, M, cfg, new, start_index=0)
-    polish_without_stall_stop(q0, M, cfg, old, start_index=0)
-    assert new[-1].measure > cfg.tol_conv
-    assert len(new) <= 25 < len(old)
-    assert summary(new) == summary(old[:len(new)])
-
-
 @pytest.mark.parametrize("case", ["maxpair-2.4", "quartic-2pi"])
 def test_polish_records_each_loop_once(quartic_setup, case):
-    # maxpair T = 2.4 stops on the stall, quartic T = 2 pi on the measure
-    # gate; either way no loop is recorded twice, and the last record is
-    # the returned loop's.
+    # maxpair T = 2.4 (its line brake orbit) and quartic T = 2 pi: no loop
+    # is recorded twice, and the last record is the returned loop's.
     model, geom = quartic_setup if case == "quartic-2pi" else maxpair_geometry(2.4)
     K = 32 if case == "quartic-2pi" else 64
     cfg = SolverConfig(K=K)
@@ -749,17 +635,81 @@ def test_polish_records_each_loop_once(quartic_setup, case):
     assert len(records) == 3          # two steps, then the loop they reached
 
 
+@pytest.mark.parametrize("case", ["maxpair-1.875", "quartic-2pi"])
+def test_polish_step_is_orthogonal_to_the_tangent(quartic_setup, case):
+    # The bordered step has no component along q', and solves J s = -R up
+    # to a multiple of q'.
+    model, geom = quartic_setup if case == "quartic-2pi" else maxpair_geometry(1.875)
+    K = 32 if case == "quartic-2pi" else 64
+    q = probe_seeds(model, geom, K, 1)[0]
+    shape = (2 * K + 1, q.n)
+    x = q.coefficients().ravel()
+    R = min_norm_residuals(x.reshape(1, *shape), q.T, model)[0].ravel()
+    s = _polish_step(x, R, shape, q.T, model)
+    p = q.derivative().coefficients().ravel()
+    p /= np.linalg.norm(p)
+    assert np.linalg.norm(s) > 1e-6
+    assert abs(s @ p) <= 1e-12 * np.linalg.norm(s)
+    r = residual_jacobian(x.reshape(shape), q.T, model) @ s + R
+    assert np.linalg.norm(r - (r @ p) * p) <= 1e-9 * np.linalg.norm(R)
+
+
+def test_constant_seed_polishes_to_a_constant_loop():
+    # On a constant loop the step is J s = -R, which moves only the mean:
+    # the polish is Newton on grad V(x) = 0 and ends at the well centre.
+    V, geom, cfg = offcenter_well()
+    q0 = PeriodicTrajectory.constant(1.0, [0.8, 0.4], K=16)
+    records = []
+    q = _polish_candidate(q0, V, cfg, records, start_index=0)
+    assert records[-1].measure <= 0.1 * cfg.tol_conv
+    assert len(records) > 3
+    assert np.max(np.abs(np.concatenate([q.a, q.b]))) <= 1e-15
+    assert np.allclose(q.a0, OFFCENTER_P, atol=1e-8)
+
+
+def test_saddle_mode_runs_one_polish(monkeypatch):
+    # A saddle seed is a constant loop: run_saddle polishes the probe point
+    # only, even when that polish fails its gate (here an unreachable
+    # tol_conv).
+    import liporbit.solver as solver
+
+    V, geom, cfg = offcenter_well()
+    polishes = []
+    polish = solver._polish_candidate
+    monkeypatch.setattr(solver, "_polish_candidate",
+                        lambda *a, **kw: polishes.append(1) or polish(*a, **kw))
+    res = run_saddle(V, geom, replace(cfg, tol_conv=1e-300))
+    assert len(polishes) == 1
+    assert res.diagnostics["rejections"] == ["measure"]
+
+
+def test_a_singular_newton_system_ends_the_polish(quartic_setup, monkeypatch):
+    # A LinAlgError from the step ends that polish with what it reached;
+    # it never escapes the run.
+    import liporbit.solver as solver
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(solver, "_polish_step", singular)
+    V, geom = quartic_setup
+    res = run_minimax(V, geom, SolverConfig(K=32, grid=9, max_iters=4000, seed=0))
+    assert not res.converged
+    assert res.diagnostics["rejections"] == ["measure"] * 6
+    assert len(res.history) == 6                # one record per polish: its seed
+
+
 # -- rejection reasons -------------------------------------------------------
 
 
 @pytest.mark.parametrize("K, expected", [
-    (64, ["aggregate"] * 6),
-    (32, ["measure"] * 4 + ["aggregate"] * 2),
+    (64, ["aggregate"] + ["measure"] * 5),
+    (32, ["measure"] * 6),
 ])
 def test_rejections_name_the_failed_gate(K, expected):
-    # maxpair T = 2.25: at K = 64 every polish reaches the line orbit
-    # through the origin, which fails the inclusion gate; at K = 32 four
-    # polishes stall above tol_conv first.
+    # maxpair T = 2.25: at K = 64 the first polish reaches the line orbit
+    # through the origin, which fails the inclusion gate, and the seed
+    # variants end above tol_conv; at K = 32 every polish does.
     M, geom = maxpair_geometry(2.25)
     res = run_minimax(M, geom, SolverConfig(K=K, grid=9, max_iters=4000, seed=0))
     assert not res.converged

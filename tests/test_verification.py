@@ -285,6 +285,15 @@ def test_oracle_failure_on_bad_guess():
         shooting_oracle(V, TWO_PI, [40.0, 2.0], K=8, max_newton=4)
 
 
+def test_a_singular_oracle_system_is_an_oracle_failure(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "lstsq", singular)
+    with pytest.raises(OracleFailure, match="after 0 iterations"):
+        shooting_oracle(make_quartic(1), TWO_PI, [1.18, 0.0], K=16)
+
+
 def test_oracle_rejects_nonsmooth_models():
     with pytest.raises(ValueError, match="smooth"):
         shooting_oracle(make_maxpair(1), 1.0, [1.0, 0.0])
