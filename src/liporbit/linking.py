@@ -13,13 +13,15 @@ cylinder Q = {x1 + s e} the growth bound and Jensen's inequality force
 
 which goes negative once the box is large enough.  Saddle mode grows a
 radius R until the sup of f over constant loops on the boundary sphere
-drops below the analytic lower bound of f on the zero-mean subspace.
+drops below the analytic lower bound of f on the zero-mean subspace X2,
+and estimates inf f on X2 by Newton descents on that subspace.
 
 Certificates are sampled evidence plus the analytic bound: a failing
 certificate is a valid negative result.  Samples are coefficient rows
 drawn in a fixed rng order and evaluated as stacked action_values
 batches, bit-identical per row to one action_value call each; the
-descents that estimate inf f on X2 run in lockstep as such a batch.
+descents that estimate inf f on X2 run in lockstep as such a batch, and
+each row ends as it would alone.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action import action_value, action_values, min_norm_residuals
+from .action import action_value, action_values, min_norm_residuals, residual_jacobian
 from .potentials import PotentialModel
-from .trajectory import PeriodicTrajectory, l2_norm, l2_norm_row, random_trajectory
+from .trajectory import PeriodicTrajectory, l2_norm, random_trajectory
 
 
 class InfeasibleGeometryError(ValueError):
@@ -289,41 +291,67 @@ def _box_boundary_points(rng: np.random.Generator, n: int, R: float,
     return np.vstack([pts, centers])
 
 
-def _descend_lockstep(model: PotentialModel, T: float, starts: np.ndarray) -> np.ndarray:
-    """Crude preconditioned descents in the zero-mean subspace, one per row of starts.
+def _descent_step(row: np.ndarray, R: np.ndarray, T: float, model: PotentialModel,
+                  precond: np.ndarray) -> np.ndarray:
+    """The zero-mean step of one descent row: Newton's, else the preconditioned gradient.
 
-    Each step makes one min_norm_residuals call over the live rows and one
-    action_values call per halving round over the rows still searching;
-    every row keeps its own step, Armijo test and 60-step budget.  Returns
-    each row's last accepted f, its smallest (an accepted step lowers f).
-    Used only to estimate inf f on the subspace, not to locate critical points.
+    R holds the row's zero-mean residual coefficients (2K, n).  The Newton
+    step solves the zero-mean block of residual_jacobian; it is kept when
+    it is finite and goes downhill, <R, s> < 0 (the gradient of f is
+    T/2 R on these coefficients).  Otherwise, or on a LinAlgError, the
+    step is -R / (1 + w_k^2).
+    """
+    n = R.shape[1]
+    try:
+        step = np.linalg.solve(residual_jacobian(row, T, model)[n:, n:],
+                               -R.ravel()).reshape(R.shape)
+        if np.all(np.isfinite(step)) and np.sum(R * step) < 0.0:
+            return step
+    except np.linalg.LinAlgError:
+        pass
+    return -precond * R
+
+
+def _descend_lockstep(model: PotentialModel, T: float, starts: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton descents in the zero-mean subspace, one per row of starts.
+
+    Each step makes one min_norm_residuals call over the live rows, takes
+    each row's _descent_step, and backtracks from step length 1 under the
+    Armijo test f(q + t s) <= f(q) + 1e-4 t slope, slope = T/2 <R, s>,
+    with one action_values call per halving round over the rows still
+    searching.  A row stops once its decrement -slope is at most
+    4 eps (1 + |f|), when 30 step lengths fail, or after 60 steps.  No
+    step reaches a row from another, so a row ends as it would alone.
+    Returns each row's last accepted f, its smallest (an accepted step
+    lowers f).  newton.newton_steps is not used: it accepts on ||R||,
+    which may climb to a saddle of f on the subspace.
     """
     q = np.array(starts, dtype=float)
     K = (q.shape[1] - 1) // 2
     omegas = 2.0 * np.pi * np.arange(1, K + 1) / T
-    precond = np.concatenate([[0.0], np.tile(1.0 / (1.0 + omegas ** 2), 2)])[:, None]
+    precond = np.tile(1.0 / (1.0 + omegas ** 2), 2)[:, None]
     f = action_values(q, T, model)
-    step = np.ones(len(q))
     live = np.arange(len(q))
     for _ in range(60):
         if not live.size:
             break
-        d = min_norm_residuals(q[live], T, model) * precond * (-1.0)
-        d[:, 0] = 0.0                                   # stay zero-mean
-        dn2 = np.array([l2_norm_row(row, T) ** 2 for row in d])
-        moving = dn2 != 0.0
-        live, d, dn2 = live[moving], d[moving], dn2[moving]
+        R = min_norm_residuals(q[live], T, model)[:, 1:]
+        d = np.array([_descent_step(q[i], r, T, model, precond) for i, r in zip(live, R)])
+        slope = 0.5 * T * np.sum(R * d, axis=(1, 2))
+        going = -slope > 4.0 * np.finfo(float).eps * (1.0 + np.abs(f[live]))
+        live, d, slope = live[going], d[going], slope[going]
+        t = np.ones(live.size)
         searching = np.arange(live.size)                # indices into live
         for _ in range(30):
             if not searching.size:
                 break
             rows = live[searching]
-            trial = q[rows] + step[rows, None, None] * d[searching]
+            trial = q[rows]
+            trial[:, 1:] += t[searching, None, None] * d[searching]
             ft = action_values(trial, T, model)
-            ok = ft <= f[rows] - 1e-4 * step[rows] * dn2[searching]
+            ok = ft <= f[rows] + 1e-4 * t[searching] * slope[searching]
             q[rows[ok]], f[rows[ok]] = trial[ok], ft[ok]
-            step[rows[ok]] *= 2.0
-            step[rows[~ok]] *= 0.5
+            t[searching[~ok]] *= 0.5
             searching = searching[~ok]
         live = np.delete(live, searching)               # failed line searches stop
     return f
@@ -336,14 +364,15 @@ def calibrate_saddle(model: PotentialModel, certs: dict, T: float,
     """Grow R until sup f on the boundary sphere sits below inf f on X2.
 
     The inf is bounded analytically by -a T through the quadratic bound
-    (with the Wirtinger constant) and estimated by preconditioned
-    descent from random zero-mean starts; the sup over constant loops on
-    the boundary is sampled.  Failure to open a gap within the doubling
-    budget reports the potential as non-coercive.
+    (with the Wirtinger constant) and estimated by safeguarded Newton
+    descents from random zero-mean starts (_descend_lockstep) and by f
+    of the zero loop; the sup over constant loops on the boundary is
+    sampled.  Failure to open a gap within the doubling budget reports
+    the potential as non-coercive.
 
     The starts are drawn up front (the descents draw nothing) and descend
-    in lockstep as one batch; a row stopped by dn2 == 0 or by a failed
-    line search drops out of it.
+    in lockstep as one batch; a row whose Newton decrement reaches
+    rounding level, or whose line search fails, drops out of it.
     """
     A, a = float(certs["A"]), float(certs["a"])
     _require_below_threshold(A, T)

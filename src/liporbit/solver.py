@@ -299,13 +299,17 @@ def ridge_probe(surface: Surface, model: PotentialModel,
     the sphere through the mean directions (the quadratic barrier only
     binds zero-mean loops) and are discarded.  Returns None when every
     column leaked, else the best point of the winning column and its f.
-    A column screened below floor costs no exact evaluation.
+    A column screened below floor costs no exact evaluation, and a
+    column whose node max already reaches the best column max so far is
+    not screened.
     """
     m = surface.shape[-1]
     columns = surface.coeffs.reshape(-1, m, *surface.coeffs.shape[1:])
     best_inf = np.inf
     best = None
     for chain, f_nodes in zip(columns, surface.f_values.reshape(-1, m)):
+        if np.max(f_nodes) >= best_inf:             # its max is at least that
+            continue
         col_val, seg, th = _polyline_max(chain, surface.T, model, floor=floor) or (-np.inf, 0, 0.0)
         point = chain[seg] + th * (chain[seg + 1] - chain[seg])
         if np.max(f_nodes) >= col_val:
@@ -327,12 +331,19 @@ def _polish_step(x: np.ndarray, R: np.ndarray, shape: tuple[int, int], T: float,
     one singular value of 5e-9 to 2e-4, the next >= 1.36).  The step s
     solves [J p; p^T 0][s; lam] = [-R; 0] with p = q'/|q'|; p is a column
     as well as a row because f is shift-invariant, so R is orthogonal to
-    q'.  On a constant loop q' = 0, and J s = -R keeps the loop constant.
+    q'.  On a constant loop q' = 0, and the step solves the n x n mean
+    block J[:n, :n] s0 = -R[:n] and leaves every other coefficient as it
+    is: solving all of J s = -R there lets rounding grow an oscillation
+    (1e-14, then 3.6e-13 at |a0 - p| ~ 1e-12 on the eps2 = 0 cusp wells)
+    that stalls the polish just above tol_conv.
     """
     J = residual_jacobian(x.reshape(shape), T, model)
     q = PeriodicTrajectory.from_coefficients(T, x.reshape(shape))
     if not is_nonconstant(q):
-        return np.linalg.solve(J, -R)
+        n = shape[1]
+        step = np.zeros_like(R)
+        step[:n] = np.linalg.solve(J[:n, :n], -R[:n])
+        return step
     p = q.derivative().coefficients().ravel()
     p /= np.linalg.norm(p)
     bordered = np.block([[J, p[:, None]], [p[None, :], np.zeros((1, 1))]])

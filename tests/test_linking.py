@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from liporbit.action import action_value, action_values, h1_preconditioned, min_norm_subgradient
+from liporbit.action import action_value, action_values
 from liporbit.linking import (
     InfeasibleGeometryError,
     LinkingGeometry,
@@ -390,57 +390,6 @@ def test_row_norms_equal_trajectory_norms():
         assert _kinetic_norm(q.coefficients(), T) == l2_norm(q.derivative())
 
 
-def _serial_descent(model, start):
-    # The per-loop descent the lockstep batch replaced.
-    q = start
-    best = action_value(q, model)
-    step = 1.0
-    for _ in range(60):
-        grad = min_norm_subgradient(q, model, metric="l2")
-        d = h1_preconditioned(grad.residual) * (-1.0)
-        d = PeriodicTrajectory(d.T, np.zeros(d.n), d.a, d.b)
-        dn2 = l2_norm(d) ** 2
-        if dn2 == 0.0:
-            break
-        f0 = action_value(q, model)
-        accepted = False
-        for _ in range(30):
-            trial = q + step * d
-            ft = action_value(trial, model)
-            if ft <= f0 - 1e-4 * step * dn2:
-                q, best = trial, min(best, ft)
-                step *= 2.0
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return best
-
-
-def _serial_calibrate_saddle(model, certs, T, K, seed, n_samples=120, n_descents=4):
-    A, a = float(certs["A"]), float(certs.get("a", 0.0))
-    rng = np.random.default_rng(seed)
-    n = model.dim
-    inf_bound = -a * T
-    R = 1.0
-    for _ in range(40):
-        pts = _box_boundary_points(rng, n, R, n_samples)
-        beta = float(np.max(-T * model.value(pts)))
-        if beta <= inf_bound - 1e-3 * T * (1.0 + abs(a)):
-            break
-        R *= 2.0
-    alpha = np.inf
-    for _ in range(n_descents):
-        start = random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5)
-        alpha = min(alpha, _serial_descent(model, start))
-    alpha = float(min(alpha, action_value(PeriodicTrajectory.zero(T, n, K), model)))
-    return LinkingGeometry(mode="saddle", T=T, alpha_bound=inf_bound, R=R,
-                           alpha_sampled=alpha, beta_sampled=beta,
-                           passed=bool(alpha > beta and inf_bound > beta),
-                           n_samples=n_samples, seed=seed)
-
-
 def _shifted_well(p, eps2):
     def value(x):
         d2 = np.sum((x - p) ** 2, axis=-1)
@@ -461,43 +410,107 @@ SADDLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SADDLE_CASES))
-def test_lockstep_descent_equals_serial_descent(name):
-    make, a = SADDLE_CASES[name]
-    model = make()
-    T, n, K = 1.0, 2, 16
+def _saddle_starts(T, n, K):
     rng = np.random.default_rng(5)
     starts = [random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5) for _ in range(5)]
     starts.insert(2, PeriodicTrajectory.zero(T, n, K))
-    got = _descend_lockstep(model, T, np.stack([q.coefficients() for q in starts]))
-    want = [_serial_descent(model, q) for q in starts]
-    assert got.tolist() == want
+    return np.stack([q.coefficients() for q in starts])
+
+
+@pytest.mark.parametrize("name", sorted(SADDLE_CASES))
+def test_lockstep_rows_equal_their_one_row_calls(name):
+    # No step reaches a row from another, so each row of the batch ends
+    # bitwise where it ends alone; an accepted step lowers f.
+    make, _ = SADDLE_CASES[name]
+    model = make()
+    T, n, K = 1.0, 2, 16
+    starts = _saddle_starts(T, n, K)
+    got = _descend_lockstep(model, T, starts)
+    alone = [_descend_lockstep(model, T, row[None])[0] for row in starts]
+    assert got.tolist() == alone
+    assert np.all(got <= action_values(starts, T, model))
     if name == "subq32":
         # grad V(0) = 0: the zero row stops at once beside live rows.
-        assert got[2] == action_value(starts[2], model)
+        assert got[2] == action_value(PeriodicTrajectory.zero(T, n, K), model)
         assert np.all(got[[0, 1, 3, 4, 5]] < got[2])
-    for seed in (0, 3):
-        geom = calibrate_saddle(model, {"A": 1.0, "a": a}, T, K=K, seed=seed)
-        ref = _serial_calibrate_saddle(model, {"A": 1.0, "a": a}, T, K, seed)
-        assert geom.to_dict() == ref.to_dict()
 
 
-def test_lockstep_descent_drops_rows_whose_line_search_fails():
+def test_newton_descent_reaches_inf_on_the_subspace(monkeypatch):
+    # On p = (0.3, -0.15), eps2 = 0.01 the zero loop is the minimiser of f
+    # on X2 (grad V(0) is constant); the Newton descents reach its f within
+    # a few residual evaluations.
+    import liporbit.linking as linking
+
+    model = SADDLE_CASES["well_eps2_0.01"][0]()
+    T, n, K = 1.0, 2, 16
+    rng = np.random.default_rng(0)
+    starts = np.stack([random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5).coefficients()
+                       for _ in range(4)])
+    calls = []
+    residuals = linking.min_norm_residuals
+    monkeypatch.setattr(linking, "min_norm_residuals",
+                        lambda *a, **kw: calls.append(1) or residuals(*a, **kw))
+    got = _descend_lockstep(model, T, starts)
+    inf = action_value(PeriodicTrajectory.zero(T, n, K), model)
+    assert np.all(np.abs(got - inf) <= 1e-12 * abs(inf))
+    assert len(calls) <= 6
+
+
+def test_lockstep_descent_keeps_start_f_when_line_search_fails():
     # The gradient is reported with the wrong sign, so on the first mode
-    # (w_1^2 < 2c) the direction climbs and the line search fails at
-    # once, while on the second mode (w_2^2 > 2c) the kinetic part wins
-    # and the row keeps descending beside it.
+    # (w_1^2 < 2c) the Newton step looks uphill, the fallback gradient
+    # climbs the true f and the line search fails at once, while on the
+    # second mode (w_2^2 > 2c) the kinetic part wins and the row descends
+    # beside it.
     c = 50.0
     model = PotentialModel.smooth(lambda x: -c * np.sum(x ** 2, axis=-1),
                                   lambda x: 2.0 * c * x, 2)
     rng = np.random.default_rng(2)
-    starts = [PeriodicTrajectory.harmonic(1.0, 2, 1, K=8),
-              PeriodicTrajectory.harmonic(1.0, 2, 2, axis=1, K=8),
-              random_trajectory(rng, 1.0, 2, 8, zero_mean=True)]
-    got = _descend_lockstep(model, 1.0, np.stack([q.coefficients() for q in starts]))
-    assert got.tolist() == [_serial_descent(model, q) for q in starts]
-    assert got[0] == action_value(starts[0], model)
-    assert got[1] < action_value(starts[1], model)
+    starts = np.stack([q.coefficients() for q in (
+        PeriodicTrajectory.harmonic(1.0, 2, 1, K=8),
+        PeriodicTrajectory.harmonic(1.0, 2, 2, axis=1, K=8),
+        random_trajectory(rng, 1.0, 2, 8, zero_mean=True))])
+    f0 = action_values(starts, 1.0, model)
+    got = _descend_lockstep(model, 1.0, starts)
+    assert got[0] == f0[0]
+    assert got[1] < f0[1]
+    assert np.all(got <= f0)
+
+
+def _staged_calibrate_saddle(model, certs, T, K, seed, n_samples=120, n_descents=4):
+    # calibrate_saddle's stages in its rng order: the R doublings, then the
+    # zero-mean starts drawn one loop at a time, then the descents.
+    a = float(certs["a"])
+    rng = np.random.default_rng(seed)
+    n = model.dim
+    inf_bound = -a * T
+    R = 1.0
+    for _ in range(40):
+        pts = _box_boundary_points(rng, n, R, n_samples)
+        beta = float(np.max(-T * model.value(pts)))
+        if beta <= inf_bound - 1e-3 * T * (1.0 + abs(a)):
+            break
+        R *= 2.0
+    starts = [random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5)
+              for _ in range(n_descents)]
+    alpha = min(min(_descend_lockstep(model, T, row.coefficients()[None])[0]
+                    for row in starts),
+                action_value(PeriodicTrajectory.zero(T, n, K), model))
+    return LinkingGeometry(mode="saddle", T=T, alpha_bound=inf_bound, R=R,
+                           alpha_sampled=float(alpha), beta_sampled=beta,
+                           passed=bool(alpha > beta and inf_bound > beta),
+                           n_samples=n_samples, seed=seed)
+
+
+@pytest.mark.parametrize("name", sorted(SADDLE_CASES))
+def test_calibrate_saddle_equals_its_stages(name):
+    make, a = SADDLE_CASES[name]
+    model = make()
+    for seed in (0, 3):
+        geom = calibrate_saddle(model, {"A": 1.0, "a": a}, 1.0, K=16, seed=seed)
+        ref = _staged_calibrate_saddle(model, {"A": 1.0, "a": a}, 1.0, 16, seed)
+        assert geom.to_dict() == ref.to_dict()
+        assert geom.alpha_sampled >= geom.alpha_bound
 
 
 def test_calibrate_saddle_without_descents_uses_zero_loop():

@@ -362,6 +362,33 @@ def offcenter_well(p=OFFCENTER_P, eps2=0.01):
     return V, geom, cfg
 
 
+def test_run_saddle_settles_the_cusp_well():
+    # eps2 = 0: V ~ |x - p|^(3/2) has a cusp at p.  A full solve of
+    # J s = -R on the constant seed lets rounding grow an oscillation that
+    # stalls the polish just above tol_conv; the mean-block step keeps the
+    # loop constant and reaches p.
+    p = np.array([-0.3858659575748219, -0.21630366888929675])
+    V, geom, cfg = offcenter_well(p, eps2=0.0)
+    res = run_saddle(V, geom, cfg)
+    assert res.converged
+    assert res.diagnostics["rejections"] == []
+    assert np.all(res.candidate.a == 0.0) and np.all(res.candidate.b == 0.0)
+    assert np.allclose(res.candidate.mean(), p, atol=1e-9)
+
+
+def test_constant_polish_step_moves_the_mean_only():
+    # On a constant loop the step solves the n x n mean block of J and
+    # leaves the other coefficients at zero.
+    V, geom, cfg = offcenter_well()
+    x = np.zeros((2 * 16 + 1, 2))
+    x[0] = [0.5, 0.5]
+    R = min_norm_residuals(x[None], 1.0, V)[0].ravel()
+    step = _polish_step(x.ravel(), R, x.shape, 1.0, V)
+    J = residual_jacobian(x, 1.0, V)
+    assert np.all(step[2:] == 0.0)
+    assert np.array_equal(step[:2], np.linalg.solve(J[:2, :2], -R[:2]))
+
+
 def test_run_saddle_offcenter_equilibrium_does_real_work():
     # Shifting the well off the grid forces genuine work: the saddle of
     # f among constants sits at the (regularized) subquadratic well p.
@@ -563,6 +590,30 @@ def test_ridge_probe_matches_serial_column_loop(surfaces, case):
 
 
 @pytest.mark.parametrize("case", ["quartic", "maxpair", "saddle"])
+def test_ridge_probe_screens_only_columns_that_can_win(surfaces, case, monkeypatch):
+    # A column whose node max already reaches the best column max so far
+    # cannot win, and ridge_probe skips it before screening.
+    import liporbit.solver as solver
+
+    model, geom, cfg = surfaces[case]
+    surf = init_surface(geom, model, cfg)
+    nodes = trajectory_nodes(geom, model, cfg)
+    want, best_inf = 0, np.inf
+    for flats in column_flats(surf.shape):
+        node_max = float(np.max(surf.f_values[flats]))
+        if node_max < best_inf:
+            want += 1
+            best_inf = min(best_inf, max(node_max, serial_polyline_max(
+                [nodes[k] for k in flats], model)[0]))
+    screened = []
+    polyline_max = solver._polyline_max
+    monkeypatch.setattr(solver, "_polyline_max",
+                        lambda *a, **kw: screened.append(1) or polyline_max(*a, **kw))
+    ridge_probe(surf, model)
+    assert len(screened) == want < len(list(column_flats(surf.shape)))
+
+
+@pytest.mark.parametrize("case", ["quartic", "maxpair", "saddle"])
 def test_screened_probe_values_track_action_values(surfaces, case):
     # The screen sits far inside SCREEN_TOL, so the exact maximum of each
     # column is always among the points evaluated again.
@@ -669,16 +720,20 @@ def test_constant_seed_polishes_to_a_constant_loop():
 
 def test_saddle_mode_runs_one_polish(monkeypatch):
     # A saddle seed is a constant loop: run_saddle polishes the probe point
-    # only, even when that polish fails its gate (here an unreachable
-    # tol_conv).
+    # only, even when that polish fails its gate (here a singular Newton
+    # system leaves it at its seed).
     import liporbit.solver as solver
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
 
     V, geom, cfg = offcenter_well()
     polishes = []
     polish = solver._polish_candidate
     monkeypatch.setattr(solver, "_polish_candidate",
                         lambda *a, **kw: polishes.append(1) or polish(*a, **kw))
-    res = run_saddle(V, geom, replace(cfg, tol_conv=1e-300))
+    monkeypatch.setattr(solver, "_polish_step", singular)
+    res = run_saddle(V, geom, cfg)
     assert len(polishes) == 1
     assert res.diagnostics["rejections"] == ["measure"]
 
