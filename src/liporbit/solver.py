@@ -1,19 +1,19 @@
-"""Minimax candidates from a grid surface: probe it once, then polish.
+"""Minimax candidates from a grid surface: one seed list, then polish.
 
 A Surface holds one loop per node of a parameter grid, the identity
 embedding of the cylinder {x1-box} x [0, r2] (superquadratic mode) or of
 the X1 ball as a max-norm box (saddle mode), boundary nodes pinned, as
-one array of Fourier coefficient rows.  A run accepts an interior argmax
-node that is already critical.  Otherwise it probes the piecewise-linear
-interpolation of the surface along its grid columns once (ridge_probe;
-node values miss the critical ridge where it runs between nodes) and
-polishes the probe's point by phase-anchored damped Newton on the
-inclusion residual; in superquadratic mode a polish that fails a gate
-reseeds with a symmetry-breaking variant of the point.  It reports the
-polished loop with the lowest inclusion aggregate among those that pass
-the measure, level and shape gates, and why each other one failed;
-converged means that aggregate is below verify_tol, the test behind
-exit code 0.
+one array of Fourier coefficient rows.  A run polishes a list of seeds
+by phase-anchored damped Newton on the inclusion residual until one
+passes every gate.  In superquadratic mode the seeds are the point of
+one probe of the piecewise-linear interpolation of the surface along
+its grid columns (ridge_probe; node values miss the critical ridge
+where it runs between nodes), then symmetry-breaking variants of it.
+In saddle mode the one seed is the argmax node, the max of f over the
+X1 ball.  A run reports the polished loop with the lowest inclusion
+aggregate among those that pass the measure, level and shape gates,
+and why each other one failed; converged means that aggregate is below
+verify_tol, the test behind exit code 0.
 
 deform_step, a peak-shaving descent step at the argmax node, is not part
 of a run: on the benchmark inputs it never decided an answer, and the
@@ -85,13 +85,10 @@ class SolverConfig:
     verify_tol: float = 1e-4            # posterior inclusion gate for candidates
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
-                or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.grid < 3:
-            raise ValueError(f"grid resolution must be >= 3, got {self.grid}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        for key, low in (("seed", 0), ("grid", 3), ("max_iters", 1)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
         if not (np.isfinite(self.tol_conv) and self.tol_conv > 0):
             raise ValueError(f"tol_conv must be finite and > 0, got {self.tol_conv}")
 
@@ -288,14 +285,14 @@ def _polyline_max(chain: np.ndarray, T: float, model: PotentialModel, n_probe: i
 
 
 def ridge_probe(surface: Surface, model: PotentialModel,
-                floor: float = -np.inf) -> tuple[PeriodicTrajectory, float] | None:
-    """Inf-sup over the interpolated surface: the discrete minimax point.
+                floor: float) -> tuple[PeriodicTrajectory, float] | None:
+    """Inf-sup over the interpolated cylinder surface: the discrete minimax point.
 
-    Node values alone miss the critical ridge when it runs between grid
-    points; the piecewise-linear curves through each grid column (along
-    the last parameter axis) are paths whose maxima estimate the ridge
-    crossing level, and the smallest column max realizes the discrete
-    inf-sup.  Columns whose max falls below floor have slipped around
+    Superquadratic mode only.  Node values alone miss the critical ridge
+    when it runs between grid points; the piecewise-linear curves through
+    each grid column (the s axis) are paths whose maxima estimate the
+    ridge crossing level, and the smallest column max realizes the
+    discrete inf-sup.  Columns whose max falls below floor have slipped around
     the sphere through the mean directions (the quadratic barrier only
     binds zero-mean loops) and are discarded.  Returns None when every
     column leaked, else the best point of the winning column and its f.
@@ -419,6 +416,15 @@ def _seed_variants(seed: PeriodicTrajectory, dim: int,
 
 def _run(model: PotentialModel, geom: LinkingGeometry,
          config: SolverConfig) -> SolverResult:
+    """Polish the geometry's seeds in order until one passes every gate.
+
+    Superquadratic: the ridge_probe point, then its _seed_variants, at
+    most MAX_POLISHES.  Saddle: the argmax node alone; a constant seed's
+    variants repeat it or polish to tiny nonconstant loops that are not
+    the equilibrium.  A seed that is already critical is its polish's
+    only record.  With no polished loop to report, the report is the
+    probe point or, without one, the argmax node.
+    """
     if config.mode != geom.mode:
         raise ValueError(f"solver config mode {config.mode!r} does not match "
                          f"the {geom.mode!r} geometry")
@@ -450,57 +456,38 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
             return "constant", None
         return (None if report.aggregate < config.verify_tol else "aggregate"), report
 
-    # An interior argmax node that is already critical is accepted as it
-    # stands (the equilibrium of a centred well sits on a grid node).
-    peak = surface.argmax_node()
-    if not surface.pinned[peak]:
-        q = surface.node(peak)
-        R = min_norm_residuals(surface.coeffs[peak][None], geom.T, model)[0]
-        rec = CeramiRecord.at(q, surface.f_values[peak], l2_norm_row(R, geom.T))
-        if rec.measure <= config.tol_conv:
-            records.append(rec)
-            reason, report = judge(q, rec)
-            if reason is None:
-                best, best_report, best_aggregate = q, report, report.aggregate
-            else:
-                rejections.append(reason)
-
     probe_seed = ridge_slack = None
-    if best is None:
-        # One probe of the linked surface seeds the polish; a polished loop
-        # that fails a gate reseeds with the next variant of the seed.
-        floor = geom.alpha_bound - 1e-6 if superquadratic else -np.inf
-        hit = ridge_probe(surface, model, floor=floor)
-        if hit is not None:
-            probe_seed, probe_val = hit
-            ridge_slack = float(probe_val - geom.alpha_bound)
-            # A saddle seed is a constant loop, whose variants repeat it or
-            # polish to tiny nonconstant loops that are not the equilibrium.
-            polishes = MAX_POLISHES if superquadratic else 1
-            for seed_try in _seed_variants(probe_seed, model.dim, rng, polishes):
-                room = config.max_iters - len(records)
-                if room < 1:
-                    break
-                candidate = _polish_candidate(seed_try, model, config, records,
-                                              start_index=len(records),
-                                              max_steps=min(60, room - 1))
-                reason, report = judge(candidate, records[-1])
-                if report is not None and report.aggregate < best_aggregate:
-                    best, best_report, best_aggregate = candidate, report, report.aggregate
-                if reason is None:
-                    break
-                rejections.append(reason)
+    seeds = []
+    if not superquadratic:
+        seeds = [surface.node(surface.argmax_node())]
+    elif (hit := ridge_probe(surface, model, floor=geom.alpha_bound - 1e-6)) is not None:
+        probe_seed, probe_val = hit
+        ridge_slack = float(probe_val - geom.alpha_bound)
+        seeds = _seed_variants(probe_seed, model.dim, rng, MAX_POLISHES)
+    for seed_try in seeds:
+        room = config.max_iters - len(records)
+        if room < 1:
+            break
+        candidate = _polish_candidate(seed_try, model, config, records,
+                                      start_index=len(records),
+                                      max_steps=min(60, room - 1))
+        reason, report = judge(candidate, records[-1])
+        if report is not None and report.aggregate < best_aggregate:
+            best, best_report, best_aggregate = candidate, report, report.aggregate
+        if reason is None:
+            break
+        rejections.append(reason)
 
     candidate, verification = best, best_report
     if candidate is None:
-        candidate = probe_seed if probe_seed is not None else surface.node(peak)
+        candidate = probe_seed or surface.node(surface.argmax_node())
         verification = inclusion_residual(candidate, model)
     diagnostics = {
         "seed": config.seed,
         "ridge_barrier_slack": ridge_slack,
         "max_h1norm": float(max((r.h1norm for r in records), default=0.0)),
         "mode": geom.mode,
-        "ridge_polish": best is not None and probe_seed is not None,
+        "ridge_polish": best is not None,
         "rejected_candidates": len(rejections),
         "rejections": rejections,
     }
@@ -526,7 +513,7 @@ def run_minimax(model: PotentialModel, geom: LinkingGeometry,
 
 def run_saddle(model: PotentialModel, geom: LinkingGeometry,
                config: SolverConfig) -> SolverResult:
-    """Probe and polish over the X1 ball of constant loops (no level gate)."""
+    """Polish the max of f over the X1 ball of constant loops (no level gate)."""
     if geom.mode != "saddle":
         raise ValueError("run_saddle expects a saddle geometry")
     return _run(model, geom, config)

@@ -43,7 +43,8 @@ def test_threads_is_not_a_solver_key(tmp_path):
                                         ("max_polishes", 0), ("eta", 123), ("sigma", -5),
                                         ("max_halvings", -3), ("tol_conv", float("nan")),
                                         ("tol_conv", 0.0), ("seed", 1.5), ("seed", "3"),
-                                        ("seed", -1), ("seed", True)])
+                                        ("seed", -1), ("seed", True), ("grid", 4.5),
+                                        ("max_iters", 50.5), ("grid", True)])
 def test_removed_or_invalid_solver_key_exits_2(tmp_path, key, value):
     raw = dict(MAXPAIR_K32, solver={key: value})
     with pytest.raises(cli.ConfigError) as err:
@@ -54,6 +55,24 @@ def test_removed_or_invalid_solver_key_exits_2(tmp_path, key, value):
     path.write_text(json.dumps(raw))
     assert cli.main(["solve", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
     assert not (tmp_path / "out").exists()      # nothing written before the exit
+
+
+def test_force_overrides_only_the_hypothesis_certificates(tmp_path, capsys):
+    # radius = 10 fails a hypothesis certificate and, under --force, the
+    # linking certificate, which no flag overrides: both paths exit 1.
+    raw = {"potential": {"type": "quartic"}, "T": 6.0, "n": 1, "K": 32,
+           "hypotheses": {"radius": 10.0}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    for flags, message in (([], "hypothesis certificates failed (use --force"),
+                           (["--force"], "linking certificate failed\n")):
+        out = tmp_path / f"out{len(flags)}"
+        capsys.readouterr()
+        assert cli.main(["solve", str(path), "-o", str(out)] + flags) == cli.EXIT_NEGATIVE
+        assert capsys.readouterr().err.startswith(message)
+        assert not (out / "result.json").exists()
+    assert (out / "geometry.json").exists()
+    assert json.loads((out / "geometry.json").read_text())["pass"] is False
 
 
 def quartic_level(T):

@@ -274,7 +274,7 @@ def test_run_minimax_budget_exhaustion_returns_result(quartic_setup):
     assert len(res.history) <= 2
 
 
-def test_run_probes_once_and_never_deforms(quartic_setup, monkeypatch):
+def test_run_probes_once_and_never_deforms(quartic_setup, saddle_setup, monkeypatch):
     import liporbit.solver as solver
 
     def no_deform(*args, **kwargs):
@@ -295,6 +295,16 @@ def test_run_probes_once_and_never_deforms(quartic_setup, monkeypatch):
     assert set(res.diagnostics) == {"seed", "ridge_barrier_slack", "max_h1norm",
                                     "mode", "ridge_polish", "rejected_candidates",
                                     "rejections"}
+    # Saddle mode seeds its one polish with the argmax node and never probes.
+    probes.clear()
+    for V, geom, cfg in (offcenter_well(), (*saddle_setup, SolverConfig(
+            mode="saddle", K=16, grid=9, tol_conv=1e-5, max_iters=500, seed=0))):
+        res = run_saddle(V, geom, cfg)
+        surf = init_surface(geom, V, cfg)
+        assert res.converged and probes == []
+        assert res.diagnostics["ridge_barrier_slack"] is None
+        assert np.array_equal(res.history[0].trajectory.coefficients(),
+                              surf.coeffs[surf.argmax_node()])
 
 
 def test_run_mode_guards(quartic_setup, saddle_setup):
@@ -423,10 +433,11 @@ def test_reported_verification_is_the_candidates_report(saddle_setup, case):
 
 @pytest.mark.parametrize("case", ["subq32", "offcenter-loose"])
 def test_argmax_record_is_the_h1precond_measure(saddle_setup, case):
-    # The argmax record comes from the batched residual rows.  The centred
-    # well's equilibrium is an interior grid node, accepted without a
-    # probe; with a loose tol_conv the off-centre well's argmax node passes
-    # the measure gate with a nonzero measure and fails the aggregate.
+    # The argmax node seeds the saddle polish, and its record comes from
+    # the batched residual rows.  The centred well's equilibrium is an
+    # interior grid node, so the polish stops at that first record and
+    # reports it; with a loose tol_conv the off-centre well's argmax node
+    # passes the measure gate with a nonzero measure and fails the aggregate.
     if case == "subq32":
         V, geom = saddle_setup
         cfg = SolverConfig(mode="saddle", K=16, grid=9, tol_conv=1e-5,
@@ -443,7 +454,7 @@ def test_argmax_record_is_the_h1precond_measure(saddle_setup, case):
     assert rec.f_value == action_value(q, V)
     assert np.array_equal(rec.trajectory.coefficients(), q.coefficients())
     if case == "subq32":
-        assert len(res.history) == 1 and not res.diagnostics["ridge_polish"]
+        assert len(res.history) == 1 and res.diagnostics["ridge_polish"]
     else:
         assert rec.measure > 0.0
         assert res.diagnostics["rejections"][0] == "aggregate"
@@ -609,7 +620,7 @@ def test_ridge_probe_screens_only_columns_that_can_win(surfaces, case, monkeypat
     polyline_max = solver._polyline_max
     monkeypatch.setattr(solver, "_polyline_max",
                         lambda *a, **kw: screened.append(1) or polyline_max(*a, **kw))
-    ridge_probe(surf, model)
+    ridge_probe(surf, model, floor=-np.inf)
     assert len(screened) == want < len(list(column_flats(surf.shape)))
 
 
