@@ -36,6 +36,10 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 
+# The BLAS thread settings that run_meta.json records: the trailing digits
+# of the other artifacts depend on them.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
@@ -223,6 +227,8 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 
 def cmd_solve(cfg: RunConfig, force: bool = False) -> int:
     """certify -> calibrate -> run -> verify -> write artifacts."""
+    import os
+
     model = cfg.build_model()
     scfg = cfg.solver_config()          # a bad solver key exits before any write
     t_start = time.time()
@@ -248,7 +254,8 @@ def cmd_solve(cfg: RunConfig, force: bool = False) -> int:
     _write(out, "cerami.csv", history_to_csv(result.history), cfg.verbosity)
     _write(out, "run_meta.json",
            json.dumps({"wall_seconds": time.time() - t_start,
-                       "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")},
+                       "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                       "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}},
                       sort_keys=True), cfg.verbosity)
 
     ver = result.verification

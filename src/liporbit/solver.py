@@ -15,6 +15,14 @@ aggregate among those that pass the measure, level and shape gates,
 and why each other one failed; converged means that aggregate is below
 verify_tol, the test behind exit code 0.
 
+A run works on two levels of the Fourier space (nested iteration).  The
+surface, the probe, the seeds and a first polish of each seed live at
+the coarse K0 = min(K, max(16, K // 4)) modes; a seed whose coarse polish
+ends at a measure at or below tol_conv is padded to the caller's K and
+polished and judged there.  The coarse level only rejects: a seed that
+ends above tol_conv at K0 is rejected on "measure", and every pass is
+decided by the gates at K.  For K <= 16 the two levels coincide.
+
 deform_step, a peak-shaving descent step at the argmax node, is not part
 of a run: on the benchmark inputs it never decided an answer, and the
 deformed node set stops linking within a few steps.
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,20 +85,24 @@ DEFORM_MAX_HALVINGS = 40
 @dataclass
 class SolverConfig:
     mode: str = "superquadratic"        # "superquadratic" | "saddle"
-    K: int = 64
+    K: int = 64                         # Fourier modes of the reported loop
     grid: int = 9                       # nodes per grid axis
     tol_conv: float = 1e-5              # Cerami-measure stopping level
-    max_iters: int = 20000              # Cerami records for the whole run
+    # Cerami records for the whole run, the coarse polishes at
+    # K0 = min(K, max(16, K // 4)) included; the coarse level only rejects.
+    max_iters: int = 20000
     seed: int = 0
     verify_tol: float = 1e-4            # posterior inclusion gate for candidates
 
     def __post_init__(self):
-        for key, low in (("seed", 0), ("grid", 3), ("max_iters", 1)):
+        for key, low in (("seed", 0), ("grid", 3), ("max_iters", 1), ("K", 1)):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
-        if not (np.isfinite(self.tol_conv) and self.tol_conv > 0):
-            raise ValueError(f"tol_conv must be finite and > 0, got {self.tol_conv}")
+        for key in ("tol_conv", "verify_tol"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -421,9 +433,14 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
     Superquadratic: the ridge_probe point, then its _seed_variants, at
     most MAX_POLISHES.  Saddle: the argmax node alone; a constant seed's
     variants repeat it or polish to tiny nonconstant loops that are not
-    the equilibrium.  A seed that is already critical is its polish's
+    the equilibrium.  The surface, the seeds and their first polish are
+    at K0 = min(K, max(16, K // 4)) modes.  A seed whose coarse polish
+    ends above tol_conv is rejected on "measure"; else its loop, padded
+    to K, is polished again at K and judged there, so every pass is
+    decided at K.  Both levels' records go into the history and count
+    against max_iters.  A seed that is already critical is its polish's
     only record.  With no polished loop to report, the report is the
-    probe point or, without one, the argmax node.
+    probe point or, without one, the argmax node, padded to K.
     """
     if config.mode != geom.mode:
         raise ValueError(f"solver config mode {config.mode!r} does not match "
@@ -432,7 +449,8 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
         raise GeometryNotCertified(
             "geometry certificate absent or failed; calibrate and certify first")
     rng = np.random.default_rng(config.seed)
-    surface = init_surface(geom, model, config)
+    coarse_K = int(min(config.K, max(16, config.K // 4)))
+    surface = init_surface(geom, model, replace(config, K=coarse_K))
     superquadratic = geom.mode == "superquadratic"
     records: list[CeramiRecord] = []
     rejections: list[str] = []          # why each rejected candidate failed
@@ -456,6 +474,14 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
             return "constant", None
         return (None if report.aggregate < config.verify_tol else "aggregate"), report
 
+    # The polish of q0 at q0's K, or None when the record budget is spent.
+    def polish(q0: PeriodicTrajectory) -> PeriodicTrajectory | None:
+        room = config.max_iters - len(records)
+        if room < 1:
+            return None
+        return _polish_candidate(q0, model, config, records, start_index=len(records),
+                                 max_steps=min(60, room - 1))
+
     probe_seed = ridge_slack = None
     seeds = []
     if not superquadratic:
@@ -465,12 +491,14 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
         ridge_slack = float(probe_val - geom.alpha_bound)
         seeds = _seed_variants(probe_seed, model.dim, rng, MAX_POLISHES)
     for seed_try in seeds:
-        room = config.max_iters - len(records)
-        if room < 1:
+        candidate = polish(seed_try)
+        if candidate is not None and coarse_K < config.K:
+            if records[-1].measure > config.tol_conv:
+                rejections.append("measure")
+                continue
+            candidate = polish(candidate.pad_modes(config.K))
+        if candidate is None:
             break
-        candidate = _polish_candidate(seed_try, model, config, records,
-                                      start_index=len(records),
-                                      max_steps=min(60, room - 1))
         reason, report = judge(candidate, records[-1])
         if report is not None and report.aggregate < best_aggregate:
             best, best_report, best_aggregate = candidate, report, report.aggregate
@@ -480,10 +508,11 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
 
     candidate, verification = best, best_report
     if candidate is None:
-        candidate = probe_seed or surface.node(surface.argmax_node())
+        candidate = (probe_seed or surface.node(surface.argmax_node())).pad_modes(config.K)
         verification = inclusion_residual(candidate, model)
     diagnostics = {
         "seed": config.seed,
+        "coarse_K": coarse_K,
         "ridge_barrier_slack": ridge_slack,
         "max_h1norm": float(max((r.h1norm for r in records), default=0.0)),
         "mode": geom.mode,

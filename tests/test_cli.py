@@ -14,6 +14,7 @@ MAXPAIR_K32 = {
 
 
 def test_solve_artifacts_are_byte_reproducible(tmp_path):
+    # K = 32 goes through the coarse level at K0 = 16.
     outs = []
     for run in ("a", "b"):
         out = tmp_path / run
@@ -21,8 +22,20 @@ def test_solve_artifacts_are_byte_reproducible(tmp_path):
             dict(MAXPAIR_K32, output_dir=str(out), verbosity=0)))
         assert code == cli.EXIT_OK
         outs.append(out)
-    for name in ("result.json", "trajectory.json", "cerami.csv"):
+    for name in ("certificates.json", "geometry.json", "result.json",
+                 "trajectory.json", "trajectory.csv", "cerami.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert json.loads((outs[0] / "result.json").read_text())["diagnostics"]["coarse_K"] == 16
+
+
+def test_run_meta_records_the_blas_thread_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert cli.cmd_solve(quartic_config(2 * math.pi, 16, tmp_path)) == cli.EXIT_OK
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["blas_threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2",
+                                    "MKL_NUM_THREADS": None}
 
 
 def test_threads_is_not_a_solver_key(tmp_path):

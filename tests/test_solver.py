@@ -107,10 +107,13 @@ def test_init_surface_resolution_guard():
 
 @pytest.mark.parametrize("key, value", [
     ("tol_conv", 0.0), ("tol_conv", -1e-5), ("tol_conv", float("nan")),
-    ("tol_conv", float("inf")),
+    ("tol_conv", float("inf")), ("K", True), ("K", 0), ("K", 20.5),
+    ("verify_tol", float("nan")), ("verify_tol", -1.0), ("verify_tol", 0.0),
+    ("verify_tol", float("inf")),
 ])
 def test_solver_config_rejects_bad_polish_count_and_tolerance(key, value):
-    # A NaN tol_conv would pass every measure gate.
+    # A NaN tol_conv would pass every measure gate, an infinite verify_tol
+    # every aggregate; K = True would run at K = 1.
     with pytest.raises(ValueError, match=key):
         SolverConfig(**{key: value})
 
@@ -292,7 +295,7 @@ def test_run_probes_once_and_never_deforms(quartic_setup, saddle_setup, monkeypa
     res = run_minimax(V, geom, SolverConfig(K=32, grid=9, max_iters=3000, seed=0))
     assert res.converged
     assert probes == [1]
-    assert set(res.diagnostics) == {"seed", "ridge_barrier_slack", "max_h1norm",
+    assert set(res.diagnostics) == {"seed", "coarse_K", "ridge_barrier_slack", "max_h1norm",
                                     "mode", "ridge_polish", "rejected_candidates",
                                     "rejections"}
     # Saddle mode seeds its one polish with the argmax node and never probes.
@@ -305,6 +308,70 @@ def test_run_probes_once_and_never_deforms(quartic_setup, saddle_setup, monkeypa
         assert res.diagnostics["ridge_barrier_slack"] is None
         assert np.array_equal(res.history[0].trajectory.coefficients(),
                               surf.coeffs[surf.argmax_node()])
+
+
+def test_coarse_level_polishes_at_a_quarter_of_K(quartic_setup, monkeypatch):
+    # K = 64: the seeds are polished at K0 = 16, and the pass is decided by
+    # a polish at K of the coarse loop padded to K.
+    import liporbit.solver as solver
+
+    seed_modes = []
+    polish = solver._polish_candidate
+    monkeypatch.setattr(solver, "_polish_candidate",
+                        lambda q0, *a, **kw: seed_modes.append(q0.K) or polish(q0, *a, **kw))
+    V, geom = quartic_setup
+    cfg = SolverConfig(K=64, grid=9, max_iters=3000, seed=0)
+    res = run_minimax(V, geom, cfg)
+    assert res.converged and res.diagnostics["coarse_K"] == 16
+    assert res.history[0].trajectory.K == 16
+    assert res.history[-1].trajectory.K == 64 and res.candidate.K == 64
+    assert res.history[-1].measure <= cfg.tol_conv
+    assert seed_modes == [16, 64]
+    assert [r.index for r in res.history] == list(range(len(res.history)))
+
+
+@pytest.mark.parametrize("K", [8, 16])
+def test_coarse_level_is_the_run_for_K_at_most_16(quartic_setup, saddle_setup, K):
+    V, geom = quartic_setup
+    S, sgeom = saddle_setup
+    for res in (run_minimax(V, geom, SolverConfig(K=K, grid=9, max_iters=3000, seed=0)),
+                run_saddle(S, sgeom, SolverConfig(mode="saddle", K=K, grid=9,
+                                                  max_iters=500, seed=0))):
+        assert res.diagnostics["coarse_K"] == K
+        assert {r.trajectory.K for r in res.history} == {K}
+        assert res.candidate.K == K
+
+
+def test_coarse_records_count_against_max_iters(quartic_setup):
+    V, geom = quartic_setup
+    res = run_minimax(V, geom, SolverConfig(K=32, grid=9, max_iters=3, seed=0))
+    assert res.diagnostics["coarse_K"] == 16
+    assert len(res.history) <= 3
+    assert res.candidate.K == 32
+
+
+def test_coarse_level_only_rejects(quartic_setup, monkeypatch):
+    # A seed whose coarse polish ends above tol_conv is rejected on
+    # "measure" without a polish at K; the reported loop is the probe
+    # point padded to K.
+    import liporbit.solver as solver
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    seed_modes = []
+    polish = solver._polish_candidate
+    monkeypatch.setattr(solver, "_polish_candidate",
+                        lambda q0, *a, **kw: seed_modes.append(q0.K) or polish(q0, *a, **kw))
+    monkeypatch.setattr(solver, "_polish_step", singular)
+    V, geom = quartic_setup
+    res = run_minimax(V, geom, SolverConfig(K=64, grid=9, max_iters=3000, seed=0))
+    assert not res.converged
+    assert seed_modes == [16] * 6
+    assert res.diagnostics["rejections"] == ["measure"] * 6
+    assert res.candidate.K == 64
+    assert np.array_equal(res.candidate.coefficients(),
+                          res.history[0].trajectory.pad_modes(64).coefficients())
 
 
 def test_run_mode_guards(quartic_setup, saddle_setup):
