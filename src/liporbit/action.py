@@ -57,7 +57,9 @@ def action_value(traj: PeriodicTrajectory, model: PotentialModel) -> float:
 # (B, 2K+1, n), each row laid out as PeriodicTrajectory.coefficients().
 # The core evaluates BATCH_ROWS rows at a time; a row gives the same bits
 # as it would alone, because every step is elementwise per node or a
-# 1-D transform or reduction per row.
+# 1-D transform or reduction per row.  The residual Jacobians are batched
+# too: residual_jacobians takes the whole stack (its callers pass a few
+# rows) through one selection and one matrix product per row and block.
 
 # Rows per evaluated block.  Bigger blocks run no faster, and their
 # temporaries (about 50 kB per row at K = 64, n = 2) raise the peak
@@ -198,27 +200,38 @@ def residual_jacobian(coeffs: np.ndarray, T: float,
                       model: PotentialModel) -> np.ndarray:
     """Jacobian of the min-norm residual rows at one coefficient row.
 
-    With x = coeffs.ravel() (shape (2K+1, n)) and R(x) the matching
-    ravel of min_norm_residuals, R = D x - P v(q, a) where q = S x and
-    a = -qdd = S D x at the nodes and D = diag(w_k^2) (0 for the mean).
-    The selection v(t_j) depends on q(t_j) and a(t_j) alone, so
+    A one-row call of :func:`residual_jacobians`.
+    """
+    return residual_jacobians(np.asarray(coeffs, dtype=float)[None], T, model)[0]
+
+
+def residual_jacobians(coeffs: np.ndarray, T: float,
+                       model: PotentialModel) -> np.ndarray:
+    """Jacobians of the min-norm residual rows at stacked coefficient rows.
+
+    coeffs has shape (B, 2K+1, n); the result (B, m, m), m = (2K+1) n.
+    With x = coeffs[b].ravel() and R(x) the matching ravel of
+    min_norm_residuals, R = D x - P v(q, a) where q = S x and a = -qdd =
+    S D x at the nodes and D = diag(w_k^2) (0 for the mean).  The
+    selection v(t_j) depends on q(t_j) and a(t_j) alone, so
 
         J = D (x) I_n - P (dv/dq S + dv/da S D),
 
     with the nodal blocks dv/dq and dv/da (N, n, n) taken by forward
     differences of step JACOBIAN_STEP that move every node at once; all
-    perturbed copies of the nodes go through one selection.  Each node
-    keeps its unperturbed active pieces, so the blocks are derivatives of
-    the selection on that piece set: a step that carried a kink node out
-    of the activity band would pick up the jump of the selection instead.
-    dv/da vanishes where one piece is active and is skipped for smooth
-    models.
+    perturbed copies of the nodes of all rows go through one selection.
+    Each node keeps its unperturbed active pieces, so the blocks are
+    derivatives of the selection on that piece set: a step that carried
+    a kink node out of the activity band would pick up the jump of the
+    selection instead.  dv/da vanishes where one piece is active and is
+    skipped for smooth models.  The selection is per node and S^T X a
+    matrix product per row, so a row gives the same bits as it would alone.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    rows, n = coeffs.shape
+    B, rows, n = coeffs.shape
     K = (rows - 1) // 2
     N = default_grid_size(K)
-    qs, target = (v[0] for v in _synthesize(coeffs[None], T, N, accel=True))
+    qs, target = _synthesize(coeffs, T, N, accel=True)      # (B, N, n)
     S = _synthesis_basis(K, N)
     scale = np.full((rows, 1), -2.0 / N)                  # -P = scale * S^T
     scale[0] = -1.0 / N
@@ -233,23 +246,23 @@ def residual_jacobian(coeffs: np.ndarray, T: float,
     if model.kind != "smooth":
         q_copies += [qs] * n
         a_copies += [target + e for e in steps]
-        active = np.tile(active_set(model.piece_values(qs), None, GRADIENT_TOL_WIDEN),
-                         (1, 2 * n + 1))
-    v = _select(model, np.concatenate(q_copies), np.concatenate(a_copies), None,
-                active)[0]
-    v = v.reshape(-1, N, n)
-    dv = ((v[1:] - v[0]) / h).transpose(1, 2, 0)          # [j, out, copy - 1]
+        active = np.tile(active_set(model.piece_values(qs.reshape(-1, n)), None,
+                                    GRADIENT_TOL_WIDEN), (1, 2 * n + 1))
+    v = _select(model, np.concatenate(q_copies).reshape(-1, n),
+                np.concatenate(a_copies).reshape(-1, n), None, active)[0]
+    v = v.reshape(-1, B, N, n)
+    dv = ((v[1:] - v[0]) / h).transpose(1, 2, 3, 0)       # [row, j, out, copy - 1]
     SD = S * d2 if model.kind != "smooth" else None
-    J = np.empty((rows * n, rows * n))
+    J = np.empty((B, rows * n, rows * n))
     for out in range(n):
         for d in range(n):
-            nodal = dv[:, out, d, None] * S
+            nodal = dv[:, :, out, d, None] * S
             if SD is not None:
-                nodal += dv[:, out, n + d, None] * SD
+                nodal += dv[:, :, out, n + d, None] * SD
             block = S.T @ nodal
             block *= scale
-            J[out::n, d::n] = block
-    J[np.diag_indices(rows * n)] += np.repeat(d2, n)
+            J[:, out::n, d::n] = block
+    J.reshape(B, -1)[:, ::rows * n + 1] += np.repeat(d2, n)     # the diagonals
     return J
 
 

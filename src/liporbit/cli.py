@@ -41,6 +41,10 @@ EXIT_INFEASIBLE = 3
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _is_positive_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"config key {key!r}: {message}")
@@ -82,8 +86,7 @@ class RunConfig:
                 raise ConfigError(key, f"must be a finite positive number, got {value!r}")
         for key in ("n", "K"):
             value = getattr(cfg, key)
-            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-                    and value >= 1):
+            if not _is_positive_int(value):
                 raise ConfigError(key, f"must be a positive integer, got {value!r}")
         if cfg.mode not in ("superquadratic", "saddle"):
             raise ConfigError("mode", f"unknown mode {cfg.mode!r}")
@@ -137,8 +140,10 @@ class RunConfig:
 
     def build_model(self) -> PotentialModel:
         spec = dict(self.potential)
-        spec.setdefault("dim", self.n)
-        if int(spec["dim"]) != self.n:
+        dim = spec.setdefault("dim", self.n)
+        if not _is_positive_int(dim):
+            raise ConfigError("potential.dim", f"must be a positive integer, got {dim!r}")
+        if dim != self.n:
             raise ConfigError("potential.dim", f"disagrees with n = {self.n}")
         try:
             return potentials.from_spec(spec)

@@ -20,8 +20,9 @@ Certificates are sampled evidence plus the analytic bound: a failing
 certificate is a valid negative result.  Samples are coefficient rows
 drawn in a fixed rng order and evaluated as stacked action_values
 batches, bit-identical per row to one action_value call each; the
-descents that estimate inf f on X2 run in lockstep as such a batch, and
-each row ends as it would alone.
+descents that estimate inf f on X2 run in lockstep as such a batch, with
+one residual_jacobians call and one stacked solve per step, and each row
+ends as it would alone.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action import action_value, action_values, min_norm_residuals, residual_jacobian
+from .action import action_value, action_values, min_norm_residuals, residual_jacobians
 from .potentials import PotentialModel
 from .trajectory import PeriodicTrajectory, l2_norm, random_trajectory
 
@@ -291,43 +292,46 @@ def _box_boundary_points(rng: np.random.Generator, n: int, R: float,
     return np.vstack([pts, centers])
 
 
-def _descent_step(row: np.ndarray, R: np.ndarray, T: float, model: PotentialModel,
-                  precond: np.ndarray) -> np.ndarray:
-    """The zero-mean step of one descent row: Newton's, else the preconditioned gradient.
+def _descent_steps(J: np.ndarray, R: np.ndarray, precond: np.ndarray) -> np.ndarray:
+    """The zero-mean step of each descent row: Newton's, else the preconditioned gradient.
 
-    R holds the row's zero-mean residual coefficients (2K, n).  The Newton
-    step solves the zero-mean block of residual_jacobian; it is kept when
-    it is finite and goes downhill, <R, s> < 0 (the gradient of f is
-    T/2 R on these coefficients).  Otherwise, or on a LinAlgError, the
-    step is -R / (1 + w_k^2).
+    R holds the rows' zero-mean residual coefficients (B, 2K, n) and J
+    the zero-mean blocks of their residual_jacobians.  One stacked solve
+    gives every row's Newton step; a row keeps it when it is finite and
+    goes downhill, <R, s> < 0 (the gradient of f is T/2 R on these
+    coefficients), else its step is -R / (1 + w_k^2).  If a block is
+    singular the stacked solve raises LinAlgError, and every row is
+    solved alone, a singular row taking the gradient step, so each row
+    gets the step it would get alone.
     """
-    n = R.shape[1]
     try:
-        step = np.linalg.solve(residual_jacobian(row, T, model)[n:, n:],
-                               -R.ravel()).reshape(R.shape)
-        if np.all(np.isfinite(step)) and np.sum(R * step) < 0.0:
-            return step
+        step = np.linalg.solve(J, -R.reshape(len(R), -1, 1)).reshape(R.shape)
     except np.linalg.LinAlgError:
-        pass
-    return -precond * R
+        if len(R) == 1:
+            return -precond * R
+        return np.concatenate([_descent_steps(j[None], r[None], precond)
+                               for j, r in zip(J, R)])
+    downhill = np.all(np.isfinite(step), axis=(1, 2)) & (np.sum(R * step, axis=(1, 2)) < 0.0)
+    return np.where(downhill[:, None, None], step, -precond * R)
 
 
 def _descend_lockstep(model: PotentialModel, T: float, starts: np.ndarray) -> np.ndarray:
     """Safeguarded Newton descents in the zero-mean subspace, one per row of starts.
 
-    Each step makes one min_norm_residuals call over the live rows, takes
-    each row's _descent_step, and backtracks from step length 1 under the
-    Armijo test f(q + t s) <= f(q) + 1e-4 t slope, slope = T/2 <R, s>,
-    with one action_values call per halving round over the rows still
-    searching.  A row stops once its decrement -slope is at most
-    4 eps (1 + |f|), when 30 step lengths fail, or after 60 steps.  No
-    step reaches a row from another, so a row ends as it would alone.
+    Each step makes one min_norm_residuals and one residual_jacobians
+    call over the live rows, takes their _descent_steps in one stacked
+    solve, and backtracks from step length 1 under the Armijo test
+    f(q + t s) <= f(q) + 1e-4 t slope, slope = T/2 <R, s>, with one
+    action_values call per halving round over the rows still searching.
+    A row stops once its decrement -slope is at most 4 eps (1 + |f|),
+    when 30 step lengths fail, or after 60 steps.  No step reaches a row
+    from another, so a row ends as it would alone.
     Returns each row's last accepted f, its smallest (an accepted step
     lowers f).  newton.newton_steps is not used: it accepts on ||R||,
     which may climb to a saddle of f on the subspace.
     """
     q = np.array(starts, dtype=float)
-    K = (q.shape[1] - 1) // 2
+    K, n = (q.shape[1] - 1) // 2, q.shape[2]
     omegas = 2.0 * np.pi * np.arange(1, K + 1) / T
     precond = np.tile(1.0 / (1.0 + omegas ** 2), 2)[:, None]
     f = action_values(q, T, model)
@@ -336,7 +340,7 @@ def _descend_lockstep(model: PotentialModel, T: float, starts: np.ndarray) -> np
         if not live.size:
             break
         R = min_norm_residuals(q[live], T, model)[:, 1:]
-        d = np.array([_descent_step(q[i], r, T, model, precond) for i, r in zip(live, R)])
+        d = _descent_steps(residual_jacobians(q[live], T, model)[:, n:, n:], R, precond)
         slope = 0.5 * T * np.sum(R * d, axis=(1, 2))
         going = -slope > 4.0 * np.finfo(float).eps * (1.0 + np.abs(f[live]))
         live, d, slope = live[going], d[going], slope[going]

@@ -8,7 +8,8 @@ by phase-anchored damped Newton on the inclusion residual until one
 passes every gate.  In superquadratic mode the seeds are the point of
 one probe of the piecewise-linear interpolation of the surface along
 its grid columns (ridge_probe; node values miss the critical ridge
-where it runs between nodes), then symmetry-breaking variants of it.
+where it runs between nodes; every column is screened in one pass, with
+no column skipped), then symmetry-breaking variants of it.
 In saddle mode the one seed is the argmax node, the max of f over the
 X1 ball.  A run reports the polished loop with the lowest inclusion
 aggregate among those that pass the measure, level and shape gates,
@@ -258,42 +259,56 @@ class SolverResult:
 
 SCREEN_TOL = 1e-9   # screens are within 1e-14 (1 + |f|) of f on the benchmark's surfaces
 
+# Columns per _screened_values call: 16 raised the kink-sweep peak RSS by
+# 1.1 MB, 8 left it where the one-column screen had it.
+SCREEN_COLUMNS = 8
 
-def _screened_values(chain, T: float, model: PotentialModel, n_probe: int) -> np.ndarray:
-    """f at the probe points of the polyline through chain, (m-1, n_probe), up to rounding:
-    V at the interpolated samples of the node loops, the kinetic term as a quadratic in theta."""
-    K = (chain.shape[1] - 1) // 2
+
+def _screened_values(chains, T: float, model: PotentialModel, n_probe: int) -> np.ndarray:
+    """f at the probe points of the polylines through chains (C, m, 2K+1, n), up to rounding:
+    V at the interpolated samples of the node loops, the kinetic term as a quadratic in
+    theta.  Shape (C, (m-1) n_probe), segment-major."""
+    C, m, rows, n = chains.shape
+    K = (rows - 1) // 2
     thetas = np.arange(1, n_probe + 1) / (n_probe + 1)
-    qs, _ = _synthesize(chain, T, default_grid_size(K), accel=False)
-    pts = qs[:-1, None] + thetas[:, None, None] * (qs[1:] - qs[:-1])[:, None]
-    potential = T * np.mean(model.value(pts.reshape(-1, model.dim)).reshape(pts.shape[:3]), axis=2)
+    qs, _ = _synthesize(chains.reshape(C * m, rows, n), T, default_grid_size(K), accel=False)
+    qs = qs.reshape(C, m, *qs.shape[1:])
+    pts = qs[:, :-1, None] + thetas[:, None, None] * (qs[:, 1:] - qs[:, :-1])[:, :, None]
+    potential = T * np.mean(model.value(pts.reshape(-1, n)).reshape(pts.shape[:4]), axis=3)
     w2 = np.tile((2.0 * np.pi * np.arange(1, K + 1) / T) ** 2, 2)[:, None]
-    c, d = chain[:-1, 1:], chain[1:, 1:] - chain[:-1, 1:]
-    cc, cd, dd = (np.sum(w2 * x * y, axis=(1, 2))[:, None] for x, y in ((c, c), (c, d), (d, d)))
-    return 0.25 * T * (cc + thetas * (2.0 * cd + thetas * dd)) - potential
+    c, d = chains[:, :-1, 1:], chains[:, 1:, 1:] - chains[:, :-1, 1:]
+    cc, cd, dd = (np.sum(w2 * x * y, axis=(2, 3))[..., None] for x, y in ((c, c), (c, d), (d, d)))
+    return (0.25 * T * (cc + thetas * (2.0 * cd + thetas * dd)) - potential).reshape(C, -1)
 
 
-def _polyline_max(chain: np.ndarray, T: float, model: PotentialModel, n_probe: int = 7,
-                  floor: float = -np.inf) -> tuple[float, int, float] | None:
-    """Coarse max of f over the piecewise-linear curve through the chain.
+def _polyline_maxima(chains: np.ndarray, T: float, model: PotentialModel,
+                     floor: float = -np.inf, n_probe: int = 7):
+    """Coarse max of f over the piecewise-linear curve through each chain.
 
-    chain holds the coefficient rows (m, 2K+1, n) of the curve's nodes.
-    Returns (value, segment index, theta); the chain endpoints are
-    assumed cached elsewhere so only interior points are probed.  Points
-    within SCREEN_TOL (1 + |top|) of the screened max top are evaluated by
-    action_values, as if all were; ties go to the first segment and the
-    smallest theta.  None, with no exact work, if top is that far below floor.
+    chains holds the coefficient rows (C, m, 2K+1, n) of the curves'
+    nodes.  Returns per curve (value, segment index, theta), arrays of
+    shape (C,); the chain endpoints are assumed cached elsewhere so only
+    interior points are probed.  Every chain is screened, SCREEN_COLUMNS
+    at a time, and the points within SCREEN_TOL (1 + |top|) of their
+    chain's screened max top go through one action_values call, as if
+    all were evaluated; ties go to the first segment and the smallest
+    theta.  A chain whose top is that far below floor costs no exact
+    evaluation and gets (-inf, 0, 1 / (n_probe + 1)).
     """
-    screened = _screened_values(chain, T, model, n_probe).ravel()
-    top = float(np.max(screened))
-    tol = SCREEN_TOL * (1.0 + abs(top))
-    if top < floor - tol:
-        return None
-    seg, k = np.divmod(np.flatnonzero(screened >= top - tol), n_probe)
+    screened = np.concatenate([_screened_values(chains[i:i + SCREEN_COLUMNS], T, model, n_probe)
+                               for i in range(0, len(chains), SCREEN_COLUMNS)])
+    top = np.max(screened, axis=1, keepdims=True)
+    tol = SCREEN_TOL * (1.0 + np.abs(top))
+    near = (screened >= top - tol) & (top >= floor - tol)
+    col, k = np.nonzero(near)
+    seg, k = np.divmod(k, n_probe)
     th = (k + 1) / (n_probe + 1)
-    vals = action_values(chain[seg] + th[:, None, None] * (chain[seg + 1] - chain[seg]), T, model)
-    best = int(np.argmax(vals))
-    return float(vals[best]), int(seg[best]), float(th[best])
+    exact = np.full(screened.shape, -np.inf)
+    exact[near] = action_values(chains[col, seg] + th[:, None, None]
+                                * (chains[col, seg + 1] - chains[col, seg]), T, model)
+    best = np.argmax(exact, axis=1)
+    seg, k = np.divmod(best, n_probe)
+    return exact[np.arange(len(chains)), best], seg, (k + 1) / (n_probe + 1)
 
 
 def ridge_probe(surface: Surface, model: PotentialModel,
@@ -304,31 +319,32 @@ def ridge_probe(surface: Surface, model: PotentialModel,
     when it runs between grid points; the piecewise-linear curves through
     each grid column (the s axis) are paths whose maxima estimate the
     ridge crossing level, and the smallest column max realizes the
-    discrete inf-sup.  Columns whose max falls below floor have slipped around
-    the sphere through the mean directions (the quadratic barrier only
-    binds zero-mean loops) and are discarded.  Returns None when every
-    column leaked, else the best point of the winning column and its f.
-    A column screened below floor costs no exact evaluation, and a
-    column whose node max already reaches the best column max so far is
-    not screened.
+    discrete inf-sup.  A column's max is its node max when that is at
+    least its polyline max.  Columns whose max falls below floor have
+    slipped around the sphere through the mean directions (the quadratic
+    barrier only binds zero-mean loops) and are discarded.  Returns None
+    when every column leaked, else the best point of the first column
+    with the smallest max, and that max.  All columns go through one
+    screened pass (_polyline_maxima); a column screened below floor costs
+    no exact evaluation.
     """
     m = surface.shape[-1]
-    columns = surface.coeffs.reshape(-1, m, *surface.coeffs.shape[1:])
-    best_inf = np.inf
-    best = None
-    for chain, f_nodes in zip(columns, surface.f_values.reshape(-1, m)):
-        if np.max(f_nodes) >= best_inf:             # its max is at least that
-            continue
-        col_val, seg, th = _polyline_max(chain, surface.T, model, floor=floor) or (-np.inf, 0, 0.0)
-        point = chain[seg] + th * (chain[seg + 1] - chain[seg])
-        if np.max(f_nodes) >= col_val:
-            col_val, point = float(np.max(f_nodes)), chain[int(np.argmax(f_nodes))]
-        if col_val < floor or col_val >= best_inf:
-            continue
-        best_inf, best = col_val, point
-    if best is None:
+    chains = surface.coeffs.reshape(-1, m, *surface.coeffs.shape[1:])
+    f_nodes = surface.f_values.reshape(-1, m)
+    poly, seg, th = _polyline_maxima(chains, surface.T, model, floor=floor)
+    node = np.max(f_nodes, axis=1)
+    on_node = node >= poly
+    col_vals = np.where(on_node, node, poly)
+    kept = np.flatnonzero(col_vals >= floor)
+    if not kept.size:
         return None
-    return PeriodicTrajectory.from_coefficients(surface.T, best), float(best_inf)
+    c = kept[np.argmin(col_vals[kept])]
+    chain = chains[c]
+    if on_node[c]:
+        point = chain[np.argmax(f_nodes[c])]
+    else:
+        point = chain[seg[c]] + th[c] * (chain[seg[c] + 1] - chain[seg[c]])
+    return PeriodicTrajectory.from_coefficients(surface.T, point), float(col_vals[c])
 
 
 def _polish_step(x: np.ndarray, R: np.ndarray, shape: tuple[int, int], T: float,
@@ -371,19 +387,21 @@ def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
     tolerance.  Emits one record per loop it reaches, at most
     max_steps + 1 records, the last one that of the returned loop; stops
     once the measure is below tol_conv / 10 or no step lowers ||R||.
+    Only the loops reached are built as trajectories, not the rejected
+    line-search trials.
     """
     shape = (2 * q0.K + 1, q0.n)
 
     def residual(x: np.ndarray):
-        rows = x.reshape(shape)
-        return (min_norm_residuals(rows[None], q0.T, model)[0].ravel(),
-                PeriodicTrajectory.from_coefficients(q0.T, rows))
+        return min_norm_residuals(x.reshape(shape)[None], q0.T, model)[0].ravel(), None
 
     x = q0.coefficients().ravel()
     R, _ = residual(x)
     steps = newton_steps(x, R, residual,
                          lambda x, R: _polish_step(x, R, shape, q0.T, model), max_steps)
-    for index, (_, R, q) in enumerate(itertools.chain([(x, R, q0)], steps), start_index):
+    for index, (x, R, q) in enumerate(itertools.chain([(x, R, q0)], steps), start_index):
+        if q is None:
+            q = PeriodicTrajectory.from_coefficients(q0.T, x.reshape(shape))
         rec = CeramiRecord.at(q, action_value(q, model),
                               l2_norm_row(R.reshape(shape), q0.T), index)
         records.append(rec)

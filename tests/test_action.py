@@ -14,6 +14,7 @@ from liporbit.action import (
     project_hull,
     project_segment,
     residual_jacobian,
+    residual_jacobians,
 )
 from liporbit.potentials import (
     PotentialModel,
@@ -241,6 +242,24 @@ def test_residual_jacobian_matches_forward_differences(case):
         J_fd = forward_difference_jacobian(q, V, h_ref)
         np.testing.assert_allclose(J, J_fd, rtol=1e-6,
                                    atol=1e-6 * np.max(np.abs(J_fd)))
+
+
+@pytest.mark.parametrize("K", [16, 64])
+def test_residual_jacobians_rows_equal_one_row_calls(K):
+    # The selection is per node and each block a matrix product per row,
+    # so a row of the stack is its one-row Jacobian bit for bit: quartic
+    # n = 1, and maxpair n = 2 with rows whose nodes all sit on |x| = 1.
+    rng = np.random.default_rng(22)
+    quartic = [random_trajectory(rng, 2.0, 1, K, zero_mean=False) for _ in range(3)]
+    circle = kink_circle(K)
+    maxpair = [circle, circle.time_shift(0.3),
+               random_trajectory(rng, circle.T, 2, K, zero_mean=False) * 0.8]
+    for V, loops in ((make_quartic(1), quartic), (make_maxpair(2), maxpair)):
+        stack = np.stack([q.coefficients() for q in loops])
+        got = residual_jacobians(stack, loops[0].T, V)
+        assert got.shape == (len(loops), stack[0].size, stack[0].size)
+        for J, q in zip(got, loops):
+            assert np.array_equal(J, residual_jacobian(q.coefficients(), q.T, V))
 
 
 # -- nearest point in hull -------------------------------------------------

@@ -163,6 +163,23 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     assert f"config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", ["x", None, 1.5, True])
+def test_bad_potential_dim_exits_2_before_any_write(tmp_path, capsys, dim):
+    # "x" and null used to crash with a traceback and exit 1; 1.5 and true
+    # were truncated to 1 and solved with exit 0.
+    raw = {"potential": {"type": "quartic", "dim": dim}, "T": 6.0, "n": 1, "K": 32,
+           "mode": "superquadratic"}
+    with pytest.raises(cli.ConfigError) as err:
+        cli.RunConfig.from_dict(raw).build_model()
+    assert err.value.key == "potential.dim"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["solve", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert "config key 'potential.dim'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, key, value, named", [
     ("hypotheses", "mu1", "4", "hypotheses.mu1"),
     ("hypotheses", "A", "x", "hypotheses.A"),

@@ -435,6 +435,36 @@ def test_lockstep_rows_equal_their_one_row_calls(name):
         assert np.all(got[[0, 1, 3, 4, 5]] < got[2])
 
 
+def test_lockstep_singular_block_falls_back_row_by_row(monkeypatch):
+    # One row's zero-mean Jacobian block is forced singular, so the
+    # stacked solve raises; that step is then taken row by row, the
+    # singular row on its gradient step, and every row still ends as it
+    # does alone.
+    import liporbit.linking as linking
+
+    model = SADDLE_CASES["well_eps2_0.01"][0]()
+    T, n, K = 1.0, 2, 16
+    starts = _saddle_starts(T, n, K)
+    free = [_descend_lockstep(model, T, row[None])[0] for row in starts]
+    marked = np.array([0.05, -0.05])            # the descents never move the mean
+    starts[3, 0] = marked
+    free[3] = _descend_lockstep(model, T, starts[3][None])[0]
+    jacobians = linking.residual_jacobians
+
+    def singular_for_marked(coeffs, T, model):
+        J = jacobians(coeffs, T, model)
+        J[np.all(coeffs[:, 0] == marked, axis=1), n:, n:] = 0.0
+        return J
+
+    monkeypatch.setattr(linking, "residual_jacobians", singular_for_marked)
+    got = _descend_lockstep(model, T, starts)
+    alone = [_descend_lockstep(model, T, row[None])[0] for row in starts]
+    assert got.tolist() == alone
+    assert alone[:3] + alone[4:] == free[:3] + free[4:]
+    assert alone[3] != free[3]
+    assert np.all(got <= action_values(starts, T, model))
+
+
 def test_newton_descent_reaches_inf_on_the_subspace(monkeypatch):
     # On p = (0.3, -0.15), eps2 = 0.01 the zero loop is the minimiser of f
     # on X2 (grad V(0) is constant); the Newton descents reach its f within

@@ -26,7 +26,7 @@ from liporbit.solver import (
     StallError,
     _polish_candidate,
     _polish_step,
-    _polyline_max,
+    _polyline_maxima,
     _screened_values,
     _seed_variants,
     deform_step,
@@ -223,19 +223,20 @@ def serial_polyline_max(chain, model, n_probe=7):
 def test_polyline_max_matches_serial_loop(quartic_setup):
     V, geom = quartic_setup
     surf = init_surface(geom, V, SolverConfig(K=32, grid=9))
-    for x1 in range(surf.shape[0]):
-        chain = [surf.node(int(np.ravel_multi_index((x1, j), surf.shape)))
-                 for j in range(surf.shape[1])]
-        assert _polyline_max(rows(chain), TWO_PI, V) == serial_polyline_max(chain, V)
+    chains = [[surf.node(int(np.ravel_multi_index((x1, j), surf.shape)))
+               for j in range(surf.shape[1])] for x1 in range(surf.shape[0])]
+    got = _polyline_maxima(np.stack([rows(chain) for chain in chains]), TWO_PI, V)
+    assert list(zip(*got)) == [serial_polyline_max(chain, V) for chain in chains]
     M = make_maxpair(2)
     rng = np.random.default_rng(4)
     chain = [random_trajectory(rng, 2.0, 2, 16) for _ in range(6)]
-    assert (_polyline_max(rows(chain), 2.0, M, n_probe=5)
-            == serial_polyline_max(chain, M, n_probe=5))
+    got = _polyline_maxima(rows(chain)[None], 2.0, M, n_probe=5)
+    assert list(zip(*got)) == [serial_polyline_max(chain, M, n_probe=5)]
     # segment 2 repeats segment 0 bit for bit; ties go to the earlier one
     tied = chain[:2] * 2
-    assert _polyline_max(rows(tied), 2.0, M) == serial_polyline_max(tied, M)
-    assert _polyline_max(rows(tied), 2.0, M)[1] != 2
+    got = _polyline_maxima(rows(tied)[None], 2.0, M)
+    assert list(zip(*got)) == [serial_polyline_max(tied, M)]
+    assert got[1][0] != 2
 
 
 # -- full runs ---------------------------------------------------------------
@@ -668,27 +669,29 @@ def test_ridge_probe_matches_serial_column_loop(surfaces, case):
 
 
 @pytest.mark.parametrize("case", ["quartic", "maxpair", "saddle"])
-def test_ridge_probe_screens_only_columns_that_can_win(surfaces, case, monkeypatch):
-    # A column whose node max already reaches the best column max so far
-    # cannot win, and ridge_probe skips it before screening.
+def test_ridge_probe_evaluates_only_near_top_points(surfaces, case, monkeypatch):
+    # Every column is screened, and the one exact evaluation covers just
+    # the points within SCREEN_TOL of their column's screened top.
     import liporbit.solver as solver
 
     model, geom, cfg = surfaces[case]
     surf = init_surface(geom, model, cfg)
-    nodes = trajectory_nodes(geom, model, cfg)
-    want, best_inf = 0, np.inf
-    for flats in column_flats(surf.shape):
-        node_max = float(np.max(surf.f_values[flats]))
-        if node_max < best_inf:
-            want += 1
-            best_inf = min(best_inf, max(node_max, serial_polyline_max(
-                [nodes[k] for k in flats], model)[0]))
-    screened = []
-    polyline_max = solver._polyline_max
-    monkeypatch.setattr(solver, "_polyline_max",
-                        lambda *a, **kw: screened.append(1) or polyline_max(*a, **kw))
+    m = surf.shape[-1]
+    chains = surf.coeffs.reshape(-1, m, *surf.coeffs.shape[1:])
+    thetas = np.arange(1, 8) / 8
+    want = []
+    for chain in chains:
+        screened = _screened_values(chain[None], geom.T, model, 7)[0]
+        top = np.max(screened)
+        seg, k = np.divmod(np.flatnonzero(screened >= top - SCREEN_TOL * (1.0 + abs(top))), 7)
+        want += [chain[s] + thetas[j] * (chain[s + 1] - chain[s]) for s, j in zip(seg, k)]
+    evaluated = []
+    monkeypatch.setattr(solver, "action_values",
+                        lambda c, T, mdl: evaluated.append(c) or action_values(c, T, mdl))
     ridge_probe(surf, model, floor=-np.inf)
-    assert len(screened) == want < len(list(column_flats(surf.shape)))
+    assert len(evaluated) == 1
+    assert np.array_equal(evaluated[0], np.stack(want))
+    assert len(chains) <= len(want) < 7 * (m - 1) * len(chains)
 
 
 @pytest.mark.parametrize("case", ["quartic", "maxpair", "saddle"])
@@ -698,12 +701,15 @@ def test_screened_probe_values_track_action_values(surfaces, case):
     model, geom, cfg = surfaces[case]
     surf = init_surface(geom, model, cfg)
     m = surf.shape[-1]
+    chains = surf.coeffs.reshape(-1, m, *surf.coeffs.shape[1:])
     thetas = np.arange(1, 8) / 8
-    for chain in surf.coeffs.reshape(-1, m, *surf.coeffs.shape[1:]):
+    screened = _screened_values(chains, geom.T, model, 7)
+    assert screened.shape == (len(chains), 7 * (m - 1))
+    for chain, row in zip(chains, screened):
         points = chain[:-1, None] + thetas[None, :, None, None] * (chain[1:] - chain[:-1])[:, None]
         exact = action_values(points.reshape(-1, *chain.shape[1:]), geom.T, model)
-        screened = _screened_values(chain, geom.T, model, 7).ravel()
-        assert np.all(np.abs(screened - exact) <= 1e-12 * (1.0 + np.abs(exact)))
+        assert np.all(np.abs(row - exact) <= 1e-12 * (1.0 + np.abs(exact)))
+        assert np.array_equal(_screened_values(chain[None], geom.T, model, 7)[0], row)
 
 
 def test_polyline_max_drops_only_columns_screened_below_floor(surfaces, monkeypatch):
@@ -720,16 +726,19 @@ def test_polyline_max_drops_only_columns_screened_below_floor(surfaces, monkeypa
 
     monkeypatch.setattr(solver, "action_values", counted_values)
     for chain in surf.coeffs.reshape(-1, m, *surf.coeffs.shape[1:]):
-        hit = _polyline_max(chain, geom.T, model)
+        def maximum(floor):
+            return [a[0] for a in _polyline_maxima(chain[None], geom.T, model, floor=floor)]
+
+        hit = maximum(-np.inf)
         val = hit[0]
         # a column whose exact maximum equals the floor is kept, as is one
         # within the screen's tolerance below it
-        assert _polyline_max(chain, geom.T, model, floor=val) == hit
-        assert _polyline_max(chain, geom.T, model, floor=val + 1e-12) == hit
+        assert maximum(val) == hit
+        assert maximum(val + 1e-12) == hit
         exact_rows.clear()
         above = val + 2.0 * SCREEN_TOL * (1.0 + abs(val))
-        assert _polyline_max(chain, geom.T, model, floor=above) is None
-        assert exact_rows == []                 # dropped without exact work
+        assert maximum(above)[0] == -np.inf
+        assert sum(exact_rows) == 0             # dropped without exact work
 
 
 # -- the Newton polish ---------------------------------------------------
