@@ -11,9 +11,12 @@ model the generalized gradient is sampled per quadrature node:
     df(q)  ~  { -qdd(t) - v(t) : v(t) in conv(active gradients at q(t)) },
 
 and the product structure makes the minimum-norm element computable node
-by node as a nearest-point-in-convex-hull projection.  The min-norm value
-feeds the Cerami-type diagnostics: a sequence behaves like a generalized
-Palais-Smale sequence when f settles and (1 + ||q_n||) min||df(q_n)|| -> 0.
+by node as a nearest-point-in-convex-hull projection.  _select is that
+one nodal oracle: the residuals, their Jacobians and the inclusion gate
+verification.inclusion_residual all select through it.  The min-norm
+value feeds the Cerami-type diagnostics: a sequence behaves like a
+generalized Palais-Smale sequence when f settles and
+(1 + ||q_n||) min||df(q_n)|| -> 0.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .trajectory import (
 
 # Activity tolerance is widened by this factor when assembling gradients,
 # which keeps the per-node selection from chattering across a kink during
-# line searches.
+# line searches.  The inclusion gate excludes nodes it changes.
 GRADIENT_TOL_WIDEN = 10.0
 
 # Forward-difference step of the nodal blocks in residual_jacobian.
@@ -95,56 +98,46 @@ def _synthesize(coeffs: np.ndarray, T: float, N: int, accel: bool):
 
 
 def _select(model: PotentialModel, qs: np.ndarray, target: np.ndarray,
-            tol_active: float | None,
             active: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-node min-norm selection v = proj(target | dV(q)) over nodes (M, n).
 
-    Returns v (M, n) and its convex weights over the pieces (M, n_pieces).
-    The piece gradients are evaluated once for all nodes.  A node with
-    one active piece takes that gradient, a node with two is projected
-    onto the segment in closed form, and project_hull serves the rest.
-    A given mask active (n_pieces, M) replaces the activity rule.
+    The one nodal subdifferential oracle.  Returns v (M, n) and its
+    convex weights over the pieces (M, n_pieces).  The piece gradients
+    are evaluated once for all nodes.  A node with one active piece takes
+    that gradient; every node with more goes through project_hull.  The
+    activity rule is active_set widened by GRADIENT_TOL_WIDEN; a given
+    mask active (n_pieces, M) replaces it.
     """
     M = qs.shape[0]
     if model.kind == "smooth":
         return np.asarray(model.gradients[0](qs), dtype=float), np.ones((M, 1))
     if active is None:
-        active = active_set(model.piece_values(qs), tol_active, GRADIENT_TOL_WIDEN)
+        active = active_set(model.piece_values(qs), None, GRADIENT_TOL_WIDEN)
     grads = np.stack([np.asarray(g(qs), dtype=float)
                       for g in model.gradients])           # (P, M, n)
     n_active = active.sum(axis=0)
     if not np.all(n_active):
-        raise ValueError("a node has no active piece: q must be finite "
-                         "and tol_active >= 0")
+        raise ValueError("a node has no active piece: q must be finite")
     sel = np.empty_like(target)
     weights = np.zeros((M, model.n_pieces))
     cols = np.flatnonzero(n_active == 1)
     piece_of = np.argmax(active[:, cols], axis=0)
     sel[cols] = grads[piece_of, cols]
     weights[cols, piece_of] = 1.0
-    cols = np.flatnonzero(n_active == 2)
-    if cols.size:
-        first = np.argmax(active[:, cols], axis=0)
-        last = model.n_pieces - 1 - np.argmax(active[::-1, cols], axis=0)
-        sel[cols], theta = project_segment(target[cols], grads[first, cols],
-                                           grads[last, cols])
-        weights[cols, first] = 1.0 - theta
-        weights[cols, last] = theta
-    for j in np.flatnonzero(n_active > 2):
+    for j in np.flatnonzero(n_active > 1):
         pieces = np.flatnonzero(active[:, j])
         sel[j], weights[j, pieces] = project_hull(target[j], grads[pieces, j])
     return sel, weights
 
 
-def _residual_block(coeffs: np.ndarray, T: float, model: PotentialModel,
-                    tol_active: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _residual_block(coeffs: np.ndarray, T: float,
+                    model: PotentialModel) -> tuple[np.ndarray, np.ndarray]:
     """Residual rows -qdd - v (B, 2K+1, n) and node weights (B, N, n_pieces)."""
     B, rows, n = coeffs.shape
     K = (rows - 1) // 2
     N = default_grid_size(K)
     qs, target = _synthesize(coeffs, T, N, accel=True)
-    sel, weights = _select(model, qs.reshape(-1, n), target.reshape(-1, n),
-                           tol_active)
+    sel, weights = _select(model, qs.reshape(-1, n), target.reshape(-1, n))
     spec = np.fft.rfft(target - sel.reshape(B, N, n), axis=1)
     out = np.empty_like(coeffs)
     out[:, 0] = spec[:, 0].real / N
@@ -170,10 +163,9 @@ def action_values(coeffs: np.ndarray, T: float, model: PotentialModel) -> np.nda
     return np.concatenate(out) if out else np.zeros(0)
 
 
-def min_norm_residuals(coeffs: np.ndarray, T: float, model: PotentialModel,
-                       tol_active: float | None = None) -> np.ndarray:
+def min_norm_residuals(coeffs: np.ndarray, T: float, model: PotentialModel) -> np.ndarray:
     """Coefficient rows of the min-norm residual -qdd - v, shape (B, 2K+1, n)."""
-    parts = [_residual_block(c, T, model, tol_active)[0] for c in _blocks(coeffs)]
+    parts = [_residual_block(c, T, model)[0] for c in _blocks(coeffs)]
     return np.concatenate(parts)
 
 
@@ -249,7 +241,7 @@ def residual_jacobians(coeffs: np.ndarray, T: float,
         active = np.tile(active_set(model.piece_values(qs.reshape(-1, n)), None,
                                     GRADIENT_TOL_WIDEN), (1, 2 * n + 1))
     v = _select(model, np.concatenate(q_copies).reshape(-1, n),
-                np.concatenate(a_copies).reshape(-1, n), None, active)[0]
+                np.concatenate(a_copies).reshape(-1, n), active)[0]
     v = v.reshape(-1, B, N, n)
     dv = ((v[1:] - v[0]) / h).transpose(1, 2, 3, 0)       # [row, j, out, copy - 1]
     SD = S * d2 if model.kind != "smooth" else None
@@ -267,21 +259,6 @@ def residual_jacobians(coeffs: np.ndarray, T: float,
 
 
 # -- nearest point in a convex hull -----------------------------------
-
-
-def project_segment(points, g1, g2) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest point of each segment [g1, g2] to points, rows (M, n).
-
-    Returns the projections and theta in [0, 1], the weight of g2:
-    theta = clip(<a - g1, g2 - g1> / |g2 - g1|^2, 0, 1), and 0 when the
-    segment is a point.
-    """
-    points, g1, g2 = (np.asarray(v, dtype=float) for v in (points, g1, g2))
-    d = g2 - g1
-    dd = np.sum(d * d, axis=-1)
-    num = np.sum((points - g1) * d, axis=-1)
-    theta = np.clip(np.divide(num, dd, out=np.zeros_like(dd), where=dd > 0), 0.0, 1.0)
-    return g1 + theta[..., None] * d, theta
 
 
 def project_hull(point, vertices, tol: float = 1e-14,
@@ -390,8 +367,7 @@ def h1_preconditioned(traj: PeriodicTrajectory) -> PeriodicTrajectory:
 
 
 def min_norm_subgradient(traj: PeriodicTrajectory, model: PotentialModel,
-                         metric: str = "h1precond",
-                         tol_active: float | None = None) -> ActionGradient:
+                         metric: str = "h1precond") -> ActionGradient:
     """Per-node min-norm selection v(t) = proj(-qdd(t) | dV(q(t))).
 
     The residual -qdd - v is assembled back into Fourier modes 0..K.
@@ -402,8 +378,7 @@ def min_norm_subgradient(traj: PeriodicTrajectory, model: PotentialModel,
     """
     if metric not in ("l2", "h1precond"):
         raise ValueError(f"unknown metric {metric!r}")
-    rows, weights = _residual_block(traj.coefficients()[None], traj.T, model,
-                                    tol_active)
+    rows, weights = _residual_block(traj.coefficients()[None], traj.T, model)
     residual = PeriodicTrajectory.from_coefficients(traj.T, rows[0])
     direction = h1_preconditioned(residual) if metric == "h1precond" else residual
     return ActionGradient(residual=residual, direction=direction,

@@ -102,12 +102,6 @@ class LinkingGeometry:
         if self.passed and not (self.alpha_sampled > self.beta_sampled):
             raise ValueError("a passing certificate requires alpha_sampled > beta_sampled")
 
-    @property
-    def gap(self) -> float | None:
-        if self.alpha_sampled is None or self.beta_sampled is None:
-            return None
-        return self.alpha_sampled - self.beta_sampled
-
     def to_dict(self) -> dict:
         def opt(v):
             return None if v is None else float(v)

@@ -161,6 +161,9 @@ class SamplerSpec:
     def __post_init__(self):
         if not (isinstance(self.count, numbers.Integral) and self.count >= 1):
             raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (np.isfinite(self.r_max) and 0.0 <= self.r_min < self.r_max):
             raise ValueError(f"bad radius range [{self.r_min}, {self.r_max}]")
 
@@ -463,7 +466,10 @@ def from_spec(spec: dict) -> PotentialModel:
     """Build a model from a config mapping {type: ..., params...}."""
     spec = dict(spec)
     kind = spec.pop("type", None)
-    dim = int(spec.pop("dim", 1))
+    dim = spec.pop("dim", 1)
+    if not (isinstance(dim, numbers.Integral) and not isinstance(dim, bool) and dim >= 1):
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    dim = int(dim)
     if kind in ZOO:
         if kind == "subq32cos" and "amp" in spec:
             return make_subq32cos(dim, amp=float(spec["amp"]))

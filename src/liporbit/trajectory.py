@@ -195,10 +195,6 @@ class PeriodicTrajectory:
         s, o = _aligned(self, other)
         return PeriodicTrajectory(s.T, s.a0 + o.a0, s.a + o.a, s.b + o.b)
 
-    def __sub__(self, other: "PeriodicTrajectory") -> "PeriodicTrajectory":
-        s, o = _aligned(self, other)
-        return PeriodicTrajectory(s.T, s.a0 - o.a0, s.a - o.a, s.b - o.b)
-
     def __mul__(self, c: float) -> "PeriodicTrajectory":
         c = float(c)
         return PeriodicTrajectory(self.T, c * self.a0, c * self.a, c * self.b)

@@ -6,6 +6,8 @@ L2.  Nodes whose active piece set changes within a widened tolerance sit
 on a switching surface, where a truncated Fourier qdd cannot track a
 discontinuous selection pointwise; they are tallied separately and kept
 out of the headline aggregate, which is the honest discrete criterion.
+The nearest hull points come from action._select, the nodal oracle the
+min-norm residuals use, applied to the narrow activity mask.
 
 For smooth potentials an independent shooting oracle integrates
 qdd = -grad V(q) with scipy's adaptive DOP853 (rtol = atol = FLOW_TOL)
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .action import project_hull
+from .action import GRADIENT_TOL_WIDEN, _select, _synthesize
+from .action import project_hull  # unused here; perfbench's tracer test patches it
 from .newton import newton_steps
 from .potentials import PotentialModel, active_set
 from .trajectory import PeriodicTrajectory, default_grid_size, split, l2_norm
@@ -60,32 +63,24 @@ class VerificationReport:
         }
 
 
-def inclusion_residual(traj: PeriodicTrajectory, model: PotentialModel,
-                       tol_active: float | None = None) -> VerificationReport:
-    """Distance from -qdd(t) to the subdifferential hull at each node."""
-    N = default_grid_size(traj.K)
-    qs = traj.sample(N)
-    target = -traj.derivative().derivative().sample(N)
+def inclusion_residual(traj: PeriodicTrajectory, model: PotentialModel) -> VerificationReport:
+    """Distance from -qdd(t) to the subdifferential hull at each node.
 
-    if model.kind == "smooth":
-        grads = np.asarray(model.gradients[0](qs), dtype=float)
-        dists = np.linalg.norm(target - grads, axis=1)
-        excluded = np.zeros(N, dtype=bool)
-    else:
+    Selects through action._select on the narrow activity mask; a node
+    whose mask widened by GRADIENT_TOL_WIDEN differs is excluded.
+    """
+    N = default_grid_size(traj.K)
+    qs, target = _synthesize(traj.coefficients()[None], traj.T, N, accel=True)
+    qs, target = qs[0], target[0]
+    active = None
+    excluded = np.zeros(N, dtype=bool)
+    if model.kind != "smooth":
         piece_vals = model.piece_values(qs)             # (P, N)
-        active = active_set(piece_vals, tol_active)
-        active_wide = active_set(piece_vals, tol_active, widen=10.0)
-        excluded = np.any(active != active_wide, axis=0)
-        grads = np.stack([np.asarray(g(qs), dtype=float)
-                          for g in model.gradients])     # (P, N, n)
-        dists = np.empty(N)
-        for j in range(N):
-            verts = grads[active[:, j], j]
-            if verts.shape[0] == 1:
-                dists[j] = float(np.linalg.norm(target[j] - verts[0]))
-            else:
-                proj, _ = project_hull(target[j], verts)
-                dists[j] = float(np.linalg.norm(target[j] - proj))
+        active = active_set(piece_vals)
+        excluded = np.any(active != active_set(piece_vals, None, GRADIENT_TOL_WIDEN),
+                          axis=0)
+    sel, _ = _select(model, qs, target, active)
+    dists = np.linalg.norm(target - sel, axis=1)
 
     h = traj.T / N
     included = ~excluded

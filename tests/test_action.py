@@ -12,13 +12,13 @@ from liporbit.action import (
     min_norm_residuals,
     min_norm_subgradient,
     project_hull,
-    project_segment,
     residual_jacobian,
     residual_jacobians,
 )
 from liporbit.potentials import (
     PotentialModel,
     make_maxpair,
+    make_maxpoly,
     make_quartic,
     subdiff,
 )
@@ -31,7 +31,7 @@ from liporbit.trajectory import (
     l2_norm_row,
     random_trajectory,
 )
-from liporbit.verification import shooting_oracle
+from liporbit.verification import inclusion_residual, shooting_oracle
 
 TWO_PI = 2.0 * np.pi
 
@@ -127,6 +127,15 @@ def test_action_dimension_mismatch():
 # -- batched nodal core ----------------------------------------------------
 
 
+def make_maxpoly3(dim):
+    """max(s, s^2, 2 s^2 - 1) in s = |x|^2: all three pieces meet on |x| = 1."""
+    return make_maxpoly([[0.0, 1.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 2.0]], dim)
+
+
+MODELS = {"quartic": (make_quartic, 1), "maxpair": (make_maxpair, 2),
+          "maxpoly3": (make_maxpoly3, 2)}
+
+
 def serial_residual(q, V):
     """The residual -qdd - v of one loop, built node by node from the
     PeriodicTrajectory API: the loop form of the batched core."""
@@ -164,18 +173,36 @@ def batch_loops(n, T=2.0, K=16):
     return loops + [circle]
 
 
-@pytest.mark.parametrize("make", [make_quartic, make_maxpair], ids=["quartic", "maxpair"])
-def test_batched_residual_rows_equal_serial(make):
-    V = make(2 if make is make_maxpair else 1)
+@pytest.mark.parametrize("case", list(MODELS))
+def test_batched_residual_rows_equal_serial(case):
+    make, dim = MODELS[case]
+    V = make(dim)
     loops = batch_loops(V.dim)
     rows = min_norm_residuals(np.stack([q.coefficients() for q in loops]), 2.0, V)
     for q, row in zip(loops, rows):
         assert np.array_equal(row, min_norm_subgradient(q, V, metric="l2").residual.coefficients())
         assert np.array_equal(row, serial_residual(q, V))
     if V.kind == "max":
-        # every node of the unit circle has both pieces active and is projected
+        # every node of the unit circle has all pieces active and is projected
         vals = V.piece_values(loops[-1].sample(default_grid_size(16)))
-        assert np.all(np.abs(vals[0] - vals[1]) < 1e-12)
+        assert np.all(np.ptp(vals, axis=0) < 1e-12)
+
+
+@pytest.mark.parametrize("case", list(MODELS))
+def test_inclusion_distances_equal_serial_hull_projection(case):
+    # The gate's distances, node by node from subdiff and project_hull.
+    make, dim = MODELS[case]
+    V = make(dim)
+    for q in batch_loops(V.dim):
+        N = default_grid_size(q.K)
+        qs = q.sample(N)
+        target = -q.derivative().derivative().sample(N)
+        sel = np.empty_like(target)
+        for j in range(N):
+            verts = subdiff(V, qs[j]).vertices
+            sel[j] = verts[0] if len(verts) == 1 else project_hull(target[j], verts)[0]
+        ref = np.linalg.norm(target - sel, axis=1)
+        assert np.array_equal(inclusion_residual(q, V).distances, ref)
 
 
 @pytest.mark.parametrize("make", [make_quartic, make_maxpair], ids=["quartic", "maxpair"])
@@ -188,17 +215,13 @@ def test_batched_action_values_equal_serial(make):
         assert val == action_value(q, V) == serial_action(q, V)
 
 
-@pytest.mark.parametrize("bad", ["nan", "negative_tol"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_min_norm_rejects_nodes_without_active_piece(bad):
     V = make_maxpair(2)
     c = PeriodicTrajectory.harmonic(2.0, 2, 1, sin_amp=1.3, K=8).coefficients()
-    tol = None
-    if bad == "nan":
-        c[0, 0] = np.nan
-    else:
-        tol = -1.0
-    with pytest.raises(ValueError, match="no active piece"):
-        min_norm_residuals(c[None], 2.0, V, tol_active=tol)
+    c[0, 0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="no active piece"):
+        min_norm_residuals(c[None], 2.0, V)
 
 
 def forward_difference_jacobian(q, V, h):
@@ -211,14 +234,14 @@ def forward_difference_jacobian(q, V, h):
 
 
 def kink_circle(K):
-    """The unit circle at T = 2.6 (4 < w^2 < 8): every node has both pieces
+    """The unit circle at T = 2.6 (4 < w^2 < 8): every node has all pieces
     active and -qdd strictly inside the segment, so dv/da is not zero."""
     T = 2.6
     return (PeriodicTrajectory.harmonic(T, 2, 1, cos_amp=1.0, sin_amp=0.0, K=K)
             + PeriodicTrajectory.harmonic(T, 2, 1, axis=1, K=K))
 
 
-@pytest.mark.parametrize("case", ["quartic", "maxpair", "maxpair-kink"])
+@pytest.mark.parametrize("case", ["quartic", "maxpair", "maxpair-kink", "maxpoly3-kink"])
 def test_residual_jacobian_matches_forward_differences(case):
     rng = np.random.default_rng(21)
     h_ref = 1e-7
@@ -232,11 +255,14 @@ def test_residual_jacobian_matches_forward_differences(case):
         loops.append(PeriodicTrajectory.harmonic(2.0, 2, 1, sin_amp=1.3, K=8))
     else:
         # The reference step stays well inside the activity band, so the
-        # reference keeps every node on the kink.
-        V, h_ref = make_maxpair(2), 1e-8
+        # reference keeps every node on the kink.  maxpoly3's hull is the
+        # segment [2x, 8x] with 4x inside, so -qdd = 5.84x sits between
+        # two of its three active pieces.
+        V = make_maxpair(2) if case == "maxpair-kink" else make_maxpoly3(2)
+        h_ref = 1e-8
         loops = [kink_circle(8)]
         weights = min_norm_subgradient(loops[0], V, metric="l2").weights
-        assert np.all(np.min(weights, axis=1) > 0.1)
+        assert np.all(np.sort(weights, axis=1)[:, -2] > 0.1)
     for q in loops:
         J = residual_jacobian(q.coefficients(), q.T, V)
         J_fd = forward_difference_jacobian(q, V, h_ref)
@@ -248,13 +274,15 @@ def test_residual_jacobian_matches_forward_differences(case):
 def test_residual_jacobians_rows_equal_one_row_calls(K):
     # The selection is per node and each block a matrix product per row,
     # so a row of the stack is its one-row Jacobian bit for bit: quartic
-    # n = 1, and maxpair n = 2 with rows whose nodes all sit on |x| = 1.
+    # n = 1, and maxpair and maxpoly3 n = 2 with rows whose nodes all sit
+    # on |x| = 1.
     rng = np.random.default_rng(22)
     quartic = [random_trajectory(rng, 2.0, 1, K, zero_mean=False) for _ in range(3)]
     circle = kink_circle(K)
-    maxpair = [circle, circle.time_shift(0.3),
-               random_trajectory(rng, circle.T, 2, K, zero_mean=False) * 0.8]
-    for V, loops in ((make_quartic(1), quartic), (make_maxpair(2), maxpair)):
+    kinked = [circle, circle.time_shift(0.3),
+              random_trajectory(rng, circle.T, 2, K, zero_mean=False) * 0.8]
+    for V, loops in ((make_quartic(1), quartic), (make_maxpair(2), kinked),
+                     (make_maxpoly3(2), kinked)):
         stack = np.stack([q.coefficients() for q in loops])
         got = residual_jacobians(stack, loops[0].T, V)
         assert got.shape == (len(loops), stack[0].size, stack[0].size)
@@ -263,21 +291,6 @@ def test_residual_jacobians_rows_equal_one_row_calls(K):
 
 
 # -- nearest point in hull -------------------------------------------------
-
-
-def test_project_segment_matches_project_hull():
-    rng = np.random.default_rng(17)
-    g1 = rng.normal(size=(200, 3))
-    g2 = rng.normal(size=(200, 3))
-    g2[::10] = g1[::10]                      # degenerate segments
-    points = rng.normal(size=(200, 3)) * 2.0
-    proj, theta = project_segment(points, g1, g2)
-    assert np.all((theta >= 0.0) & (theta <= 1.0))
-    assert np.all(theta[::10] == 0.0)
-    for j in range(points.shape[0]):
-        ref, w = project_hull(points[j], np.stack([g1[j], g2[j]]))
-        np.testing.assert_allclose(proj[j], ref, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose([1.0 - theta[j], theta[j]], w, rtol=0.0, atol=1e-12)
 
 
 def test_project_hull_point_inside():

@@ -192,10 +192,14 @@ def test_bad_potential_dim_exits_2_before_any_write(tmp_path, capsys, dim):
     ("sampler", "count", 0, "sampler"),
     ("sampler", "r_max", -1, "sampler"),
     ("sampler", "r_min", float("inf"), "sampler"),
+    ("sampler", "seed", -1, "sampler"),
+    ("sampler", "seed", 1.5, "sampler"),
+    ("sampler", "seed", True, "sampler"),
 ])
 def test_bad_hypothesis_or_sampler_value_exits_2(tmp_path, capsys, section, key, value,
                                                  named):
-    # These used to crash with a traceback and exit 1, the certified-negative code.
+    # These used to crash with a traceback and exit 1, the certified-negative
+    # code; a sampler seed of true used to run silently as seed 1.
     raw = {"potential": {"type": "quartic"}, "T": 6.0, "n": 1, "K": 32,
            "mode": "superquadratic", section: {key: value}}
     path = tmp_path / "run.json"

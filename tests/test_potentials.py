@@ -366,6 +366,13 @@ def test_from_spec_builds_zoo_and_custom():
         from_spec({"type": "nope"})
 
 
+@pytest.mark.parametrize("dim", [0, -1, 1.5, True, "2", None])
+def test_from_spec_rejects_bad_dim(dim):
+    # 1.5 and true used to build a 1-D model and 0 a 0-D one.
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        from_spec({"type": "quartic", "dim": dim})
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
 def test_sq_norm_equals_numpy_reduce_bitwise(n):
     rng = np.random.default_rng(n)

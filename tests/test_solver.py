@@ -212,7 +212,7 @@ def serial_polyline_max(chain, model, n_probe=7):
     thetas = np.arange(1, n_probe + 1) / (n_probe + 1)
     best = (-np.inf, 0, 0.0)
     for seg in range(len(chain) - 1):
-        diff = chain[seg + 1] - chain[seg]
+        diff = chain[seg + 1] + -1.0 * chain[seg]
         for th in thetas:
             val = action_value(chain[seg] + float(th) * diff, model)
             if val > best[0]:

@@ -6,6 +6,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liporbit import cli
@@ -35,6 +36,29 @@ def test_names_perfbench_patches_are_the_action_functions():
 
     assert solver.action_value is action.action_value
     assert verification.project_hull is action.project_hull
+
+
+def test_inclusion_gate_projects_each_kink_node_through_action(monkeypatch):
+    # perfbench/test_perfbench.py counts one traced action.project_hull
+    # call per node of the unit circle, where every node sits on the kink.
+    from liporbit import action, verification
+    from liporbit.potentials import make_maxpair
+    from liporbit.trajectory import PeriodicTrajectory, default_grid_size
+
+    calls = []
+    project_hull = action.project_hull
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return project_hull(*args, **kwargs)
+
+    monkeypatch.setattr(action, "project_hull", counted)
+    K = 64
+    a, b = np.zeros((K, 2)), np.zeros((K, 2))
+    a[0, 0] = b[0, 1] = 1.0
+    verification.inclusion_residual(PeriodicTrajectory(2.5, np.zeros(2), a, b),
+                                    make_maxpair(2))
+    assert len(calls) == default_grid_size(K) == 260
 
 
 def test_every_name_perfbench_imports_resolves():

@@ -68,7 +68,7 @@ def test_kink_crossing_nodes_are_excluded_not_counted():
     # The peak node sits just outside the switching sphere, close enough
     # that the widened activity tolerance disagrees with the base one.
     q = PeriodicTrajectory.harmonic(2.0, 1, 1, sin_amp=1.0 + 2.0e-8, K=16)
-    rep = inclusion_residual(q, V, tol_active=1e-8)
+    rep = inclusion_residual(q, V)
     assert 0.0 < rep.excluded_fraction < 0.1
     assert rep.distances.size == default_grid_size(q.K)
 
@@ -78,7 +78,7 @@ def test_node_exactly_on_kink_uses_full_hull():
     # Both pieces active at base tolerance: the hull distance is the
     # honest inclusion distance there, so the node is not excluded.
     q = PeriodicTrajectory.harmonic(2.0, 1, 1, sin_amp=1.0, K=16)
-    rep = inclusion_residual(q, V, tol_active=1e-8)
+    rep = inclusion_residual(q, V)
     assert rep.excluded_fraction == 0.0
 
 
