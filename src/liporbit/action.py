@@ -38,7 +38,7 @@ from .trajectory import (
 # line searches.  The inclusion gate excludes nodes it changes.
 GRADIENT_TOL_WIDEN = 10.0
 
-# Forward-difference step of the nodal blocks in residual_jacobian.
+# Forward-difference step of the nodal blocks in residual_jacobians.
 JACOBIAN_STEP = 1e-7
 
 
@@ -186,15 +186,6 @@ def _synthesis_basis(K: int, N: int) -> np.ndarray:
         S.flags.writeable = False
         _SYNTHESIS[(K, N)] = S
     return _SYNTHESIS[(K, N)]
-
-
-def residual_jacobian(coeffs: np.ndarray, T: float,
-                      model: PotentialModel) -> np.ndarray:
-    """Jacobian of the min-norm residual rows at one coefficient row.
-
-    A one-row call of :func:`residual_jacobians`.
-    """
-    return residual_jacobians(np.asarray(coeffs, dtype=float)[None], T, model)[0]
 
 
 def residual_jacobians(coeffs: np.ndarray, T: float,
@@ -412,7 +403,12 @@ class CeramiRecord:
         """The record of q, whose action and min-norm gradient norm the caller holds."""
         norm = h1_norm(q)
         return cls(index=index, f_value=float(f_value), h1norm=norm,
-                   min_norm=min_norm, measure=(1.0 + norm) * min_norm, trajectory=q)
+                   min_norm=min_norm, measure=cls.cerami_measure(norm, min_norm), trajectory=q)
+
+    @staticmethod
+    def cerami_measure(h1norm: float, min_norm: float) -> float:
+        """The measure of a record with these norms."""
+        return (1.0 + h1norm) * min_norm
 
     def csv_row(self) -> str:
         return ",".join([str(self.index)] + [repr(float(v)) for v in

@@ -1,4 +1,12 @@
-"""The damped Newton iteration that the polish and the shooting oracle share."""
+"""The damped Newton iteration that the polish and the shooting oracle share.
+
+The iteration advances a stack of rows, each an independent problem
+x (m,) with its residual R(x) (m,), in lockstep: a round makes one
+newton_step call over the rows still iterating and one residual call
+per step length over the rows still searching.  No value reaches a row
+from another, so a row takes the iterates it would take alone.  The
+shooting oracle passes one row, the polish one row per seed.
+"""
 
 from __future__ import annotations
 
@@ -7,41 +15,73 @@ import numpy as np
 MAX_HALVINGS = 11          # step lengths 1, 1/2, ..., 2^-MAX_HALVINGS
 
 
-def newton_steps(x, R, residual, newton_step, max_steps: int, xtol: float = 0.0):
-    """Yield (x, R, extra) after each accepted damped Newton step from x.
+def _row_steps(newton_step, x: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """newton_step on the stack; if it raises LinAlgError, row by row, a
+    row whose own system is singular getting a NaN step."""
+    try:
+        return newton_step(x, R)
+    except np.linalg.LinAlgError:
+        if len(x) == 1:
+            return np.full_like(x, np.nan)
+        return np.concatenate([_row_steps(newton_step, x[i:i + 1], R[i:i + 1])
+                               for i in range(len(x))])
 
-    residual(x) returns the residual vector at x and what the caller keeps
-    of that evaluation; R is the residual at the start.  newton_step(x, R)
-    returns the full step.  The step length is the first that halves ||R||
-    or, if none does, the one of least ||R|| before ||R|| rises again: on
-    a square-root force, such as that of the cusp V ~ |x - p|^(3/2), the
-    full step flips x - p and any decrease would accept that flip-flop.
-    The iteration ends after max_steps steps, when no step longer than
-    xtol lowers ||R||, or when the Newton system is singular.
+
+def newton_steps(x, R, residual, newton_step, max_steps: int, xtol: float = 0.0,
+                 live=None):
+    """Yield (rows, x, R, extra) after each round of damped Newton steps.
+
+    x and R are stacked rows (B, m), R the residual at x.  residual(x)
+    takes stacked rows and returns their residual rows and what the
+    caller keeps of that evaluation, one entry per row (or None);
+    newton_step(x, R) returns the rows' full steps.  A round yields the
+    indices of the rows that accepted a step, their new x and R and the
+    extra of that evaluation.  A row's step length is the first that
+    halves ||R|| or, if none does, the one of least ||R|| before ||R||
+    rises again: on a square-root force, such as that of the cusp
+    V ~ |x - p|^(3/2), the full step flips x - p and any decrease would
+    accept that flip-flop.  A row ends when no step longer than xtol
+    lowers its ||R||, or when its step is not finite or its Newton system
+    singular; all end after max_steps rounds.  live (B,) bool marks the
+    rows still iterating: the iteration clears a row that ends, and a
+    caller ends a row by clearing its entry before a round.
     """
-    norm = float(np.linalg.norm(R))
+    x = np.array(x, dtype=float)
+    R = np.array(R, dtype=float)
+    norms = [float(np.linalg.norm(r)) for r in R]
+    live = np.ones(len(x), dtype=bool) if live is None else live
     for _ in range(max_steps):
-        try:
-            step = newton_step(x, R)
-        except np.linalg.LinAlgError:
+        rows = np.flatnonzero(live)
+        if not rows.size:
             return
-        if not np.all(np.isfinite(step)):
-            return
-        step_norm = float(np.linalg.norm(step))
-        best = None
+        steps = _row_steps(newton_step, x[rows], R[rows])
+        finite = np.all(np.isfinite(steps), axis=1)
+        live[rows[~finite]] = False
+        rows, steps, start = rows[finite], steps[finite], x[rows[finite]]
+        step_norms = [float(np.linalg.norm(s)) for s in steps]
+        best = [None] * len(rows)       # per row: (||R||, x, R, extra) of the best trial
+        searching = list(range(len(rows)))
         for t in 0.5 ** np.arange(MAX_HALVINGS + 1):
-            if t * step_norm <= xtol:
+            searching = [i for i in searching if t * step_norms[i] > xtol]
+            if not searching:
                 break
-            trial = x + t * step
+            trial = start[searching] + t * steps[searching]
             R_try, extra = residual(trial)
-            norm_try = float(np.linalg.norm(R_try))
-            if best is not None and not norm_try < best[0]:
-                break                           # ||R|| rises again, or is NaN
-            if norm_try < norm:
-                best = (norm_try, trial, R_try, extra)
-                if norm_try <= 0.5 * norm:
-                    break
-        if best is None:
-            return
-        norm, x, R, extra = best
-        yield x, R, extra
+            still = []
+            for j, i in enumerate(searching):
+                norm_try = float(np.linalg.norm(R_try[j]))
+                if best[i] is not None and not norm_try < best[i][0]:
+                    continue                    # ||R|| rises again, or is NaN
+                if norm_try < norms[rows[i]]:
+                    best[i] = (norm_try, trial[j], R_try[j], None if extra is None else extra[j])
+                    if norm_try <= 0.5 * norms[rows[i]]:
+                        continue
+                still.append(i)
+            searching = still
+        live[rows] = [b is not None for b in best]
+        accepted = [i for i, b in enumerate(best) if b is not None]
+        for i in accepted:
+            norms[rows[i]], x[rows[i]], R[rows[i]], _ = best[i]
+        if accepted:
+            rows = rows[accepted]
+            yield rows, x[rows], R[rows], [best[i][3] for i in accepted]

@@ -159,10 +159,12 @@ class SamplerSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("count", "seed", "r_min", "r_max"):
+            if isinstance(getattr(self, key), bool):
+                raise ValueError(f"{key} must be a number, got {getattr(self, key)!r}")
         if not (isinstance(self.count, numbers.Integral) and self.count >= 1):
             raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
-        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
-                and self.seed >= 0):
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (np.isfinite(self.r_max) and 0.0 <= self.r_min < self.r_max):
             raise ValueError(f"bad radius range [{self.r_min}, {self.r_max}]")

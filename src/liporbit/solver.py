@@ -24,6 +24,18 @@ polished and judged there.  The coarse level only rejects: a seed that
 ends above tol_conv at K0 is rejected on "measure", and every pass is
 decided by the gates at K.  For K <= 16 the two levels coincide.
 
+The seeds' coarse polishes run one at a time until one ends above
+tol_conv (a stalled seed).  The remaining variants are then drawn, in
+the same rng order, and polished at K0 together, as the rows of one
+lockstep Newton iteration (newton.newton_steps): a round makes one
+Jacobian call and one stacked solve for all rows, and each row takes
+the iterates it would take alone.  They are finalized in seed order
+(the polish at K, the gates, the rejection list) as each row ends, and
+the run stops at the first pass, leaving later rows unfinished.  The
+history is the one of polishing each seed alone: records are appended
+in seed order and re-indexed, and each keeps the prefix the record
+budget leaves room for at its turn.
+
 deform_step, a peak-shaving descent step at the argmax node, is not part
 of a run: on the benchmark inputs it never decided an answer, and the
 deformed node set stops linking within a few steps.
@@ -33,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,7 +57,7 @@ from .action import (
     action_values,
     min_norm_residuals,
     min_norm_subgradient,
-    residual_jacobian,
+    residual_jacobians,
 )
 from .linking import LinkingGeometry
 from .newton import newton_steps
@@ -52,11 +65,13 @@ from .potentials import PotentialModel
 from .trajectory import (
     PeriodicTrajectory,
     default_grid_size,
+    derivative_rows,
+    h1_norm_row,
     l2_norm,
     l2_norm_row,
     random_trajectory,
 )
-from .verification import VerificationReport, inclusion_residual, is_nonconstant
+from .verification import VerificationReport, inclusion_residual, nonconstant_row
 
 
 class StallError(RuntimeError):
@@ -347,9 +362,9 @@ def ridge_probe(surface: Surface, model: PotentialModel,
     return PeriodicTrajectory.from_coefficients(surface.T, point), float(col_vals[c])
 
 
-def _polish_step(x: np.ndarray, R: np.ndarray, shape: tuple[int, int], T: float,
-                 model: PotentialModel) -> np.ndarray:
-    """The Newton step of the residual rows R at x, anchored in phase.
+def _polish_steps(x: np.ndarray, R: np.ndarray, shape: tuple[int, int], T: float,
+                  model: PotentialModel) -> np.ndarray:
+    """The Newton steps of the residual rows R at the rows x (B, m), anchored in phase.
 
     Every time shift of a critical loop is critical, so on a nonconstant
     loop J is near-singular along the tangent q' (benchmark Jacobians have
@@ -360,54 +375,89 @@ def _polish_step(x: np.ndarray, R: np.ndarray, shape: tuple[int, int], T: float,
     block J[:n, :n] s0 = -R[:n] and leaves every other coefficient as it
     is: solving all of J s = -R there lets rounding grow an oscillation
     (1e-14, then 3.6e-13 at |a0 - p| ~ 1e-12 on the eps2 = 0 cusp wells)
-    that stalls the polish just above tol_conv.
+    that stalls the polish just above tol_conv.  One residual_jacobians
+    call serves the stack, the bordered systems are solved in one
+    stacked solve and the mean blocks in another; a row's step has the
+    bits of its one-row call.
     """
-    J = residual_jacobian(x.reshape(shape), T, model)
-    q = PeriodicTrajectory.from_coefficients(T, x.reshape(shape))
-    if not is_nonconstant(q):
-        n = shape[1]
-        step = np.zeros_like(R)
-        step[:n] = np.linalg.solve(J[:n, :n], -R[:n])
-        return step
-    p = q.derivative().coefficients().ravel()
-    p /= np.linalg.norm(p)
-    bordered = np.block([[J, p[:, None]], [p[None, :], np.zeros((1, 1))]])
-    return np.linalg.solve(bordered, np.append(-R, 0.0))[:-1]
+    B, m = R.shape
+    n = shape[1]
+    coeffs = x.reshape(B, *shape)
+    J = residual_jacobians(coeffs, T, model)
+    moving = np.array([nonconstant_row(c, T) for c in coeffs])
+    steps = np.zeros_like(R)
+    rows = np.flatnonzero(~moving)
+    if rows.size:
+        steps[rows, :n] = np.linalg.solve(J[rows, :n, :n], -R[rows, :n, None])[..., 0]
+    rows = np.flatnonzero(moving)
+    if rows.size:
+        p = derivative_rows(coeffs[rows], T).reshape(rows.size, m)
+        p /= np.array([np.linalg.norm(row) for row in p])[:, None]
+        bordered = np.zeros((rows.size, m + 1, m + 1))
+        bordered[:, :m, :m] = J[rows]
+        bordered[:, :m, m] = p
+        bordered[:, m, :m] = p
+        rhs = np.zeros((rows.size, m + 1, 1))
+        rhs[:, :m, 0] = -R[rows]
+        steps[rows] = np.linalg.solve(bordered, rhs)[:, :m, 0]
+    return steps
 
 
-def _polish_candidate(q0: PeriodicTrajectory, model: PotentialModel,
-                      config: SolverConfig, records: list[CeramiRecord],
-                      start_index: int, max_steps: int = 60) -> PeriodicTrajectory:
+def _polish_candidates(q0s: list[PeriodicTrajectory], model: PotentialModel,
+                       config: SolverConfig, start_index: int = 0,
+                       max_steps: int = 60) -> Iterator[list[CeramiRecord]]:
     """Damped Newton zero-finding on the discrete inclusion residual.
 
     R maps Fourier coefficients to those of the min-norm residual
-    -qdd - v (its Jacobian is residual_jacobian's).  newton_steps with
-    _polish_step's phase-anchored step turns a ridge point located by the
-    probe into a candidate whose Cerami measure meets the stopping
-    tolerance.  Emits one record per loop it reaches, at most
-    max_steps + 1 records, the last one that of the returned loop; stops
-    once the measure is below tol_conv / 10 or no step lowers ||R||.
-    Only the loops reached are built as trajectories, not the rejected
-    line-search trials.
+    -qdd - v (its Jacobian is residual_jacobians').  newton_steps with
+    _polish_steps' phase-anchored steps turns a ridge point located by
+    the probe into a candidate whose Cerami measure meets the stopping
+    tolerance.  The seeds q0s share T and K and are the rows of one
+    lockstep iteration; each gets the records it would get alone.
+    Yields one list of records per seed, in seed order, as soon as the
+    polishes of that seed and of every seed before it have ended, so a
+    caller that stops early leaves the later rows unfinished.  A list
+    holds one record per loop reached, indexed from start_index, at most
+    max_steps + 1, the last one that of the polished loop; a seed's
+    polish stops once the measure is below tol_conv / 10 or no step
+    lowers ||R||.  Until a seed is yielded its loops are kept as
+    coefficient rows; then one action_values call gives their f, and
+    only the loops reached, not the rejected line-search trials, are
+    built as trajectories.
     """
-    shape = (2 * q0.K + 1, q0.n)
+    T, shape = q0s[0].T, (2 * q0s[0].K + 1, q0s[0].n)
+    reached = [[] for _ in q0s]     # per seed: (coefficients, h1norm, min_norm, measure)
+    live = np.ones(len(q0s), dtype=bool)
 
     def residual(x: np.ndarray):
-        return min_norm_residuals(x.reshape(shape)[None], q0.T, model)[0].ravel(), None
+        return min_norm_residuals(x.reshape(-1, *shape), T, model).reshape(len(x), -1), None
 
-    x = q0.coefficients().ravel()
+    def reach(rows, x: np.ndarray, R: np.ndarray):
+        for i, xi, Ri in zip(rows, x, R):
+            c = xi.reshape(shape)
+            h1, min_norm = h1_norm_row(c, T), l2_norm_row(Ri.reshape(shape), T)
+            measure = CeramiRecord.cerami_measure(h1, min_norm)
+            reached[i].append((c, h1, min_norm, measure))
+            live[i] = not measure <= config.tol_conv * 0.1
+
+    def records(i: int) -> list[CeramiRecord]:
+        f = action_values(np.stack([c for c, *_ in reached[i]]), T, model)
+        return [CeramiRecord(start_index + k, float(fk), h1, min_norm, measure,
+                             q0s[i] if k == 0 else PeriodicTrajectory.from_coefficients(T, c))
+                for k, ((c, h1, min_norm, measure), fk) in enumerate(zip(reached[i], f))]
+
+    x = np.stack([q.coefficients().ravel() for q in q0s])
     R, _ = residual(x)
-    steps = newton_steps(x, R, residual,
-                         lambda x, R: _polish_step(x, R, shape, q0.T, model), max_steps)
-    for index, (x, R, q) in enumerate(itertools.chain([(x, R, q0)], steps), start_index):
-        if q is None:
-            q = PeriodicTrajectory.from_coefficients(q0.T, x.reshape(shape))
-        rec = CeramiRecord.at(q, action_value(q, model),
-                              l2_norm_row(R.reshape(shape), q0.T), index)
-        records.append(rec)
-        if rec.measure <= config.tol_conv * 0.1:
-            break
-    return q
+    rounds = newton_steps(x, R, residual,
+                          lambda x, R: _polish_steps(x, R, shape, T, model), max_steps, live=live)
+    ended = 0                   # seeds yielded so far
+    for rows, x, R, _ in itertools.chain([(range(len(q0s)), x, R, None)], rounds):
+        reach(rows, x, R)
+        while ended < len(q0s) and not live[ended]:
+            yield records(ended)
+            ended += 1
+    for i in range(ended, len(q0s)):
+        yield records(i)
 
 
 def _seed_variants(seed: PeriodicTrajectory, dim: int,
@@ -459,6 +509,14 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
     against max_iters.  A seed that is already critical is its polish's
     only record.  With no polished loop to report, the report is the
     probe point or, without one, the argmax node, padded to K.
+
+    Seeds are polished one at a time until one stalls at K0; then the
+    remaining variants are polished at K0 together in lockstep
+    (_polish_candidates) and finalized in seed order as their rows end,
+    each truncated to the records the budget leaves it then, so the
+    history, the rejections and the answer are those of the
+    one-at-a-time schedule.  Saddle mode has one seed and never gets
+    there.
     """
     if config.mode != geom.mode:
         raise ValueError(f"solver config mode {config.mode!r} does not match "
@@ -492,29 +550,55 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
             return "constant", None
         return (None if report.aggregate < config.verify_tol else "aggregate"), report
 
-    # The polish of q0 at q0's K, or None when the record budget is spent.
-    def polish(q0: PeriodicTrajectory) -> PeriodicTrajectory | None:
-        room = config.max_iters - len(records)
-        if room < 1:
+    # Newton steps the record budget leaves a polish that starts now (< 0: none).
+    def steps_left() -> int:
+        return min(60, config.max_iters - len(records) - 1)
+
+    # The polishes of the seeds q0s, all at the seeds' K, in seed order
+    # (_polish_candidates); with the budget spent, their seeds' records.
+    def polish(q0s: list[PeriodicTrajectory]) -> Iterator[list[CeramiRecord]]:
+        return _polish_candidates(q0s, model, config, start_index=len(records),
+                                  max_steps=steps_left())
+
+    # Append a polish's records, the prefix the budget leaves room for now
+    # (the polish it would have made alone), re-indexed; returns its loop,
+    # or None when the budget is spent.
+    def commit(polished: list[CeramiRecord]) -> PeriodicTrajectory | None:
+        if steps_left() < 0:
             return None
-        return _polish_candidate(q0, model, config, records, start_index=len(records),
-                                 max_steps=min(60, room - 1))
+        kept = polished[:steps_left() + 1]
+        if kept[0].index != len(records):
+            kept = [replace(rec, index=i) for i, rec in enumerate(kept, len(records))]
+        records.extend(kept)
+        return kept[-1].trajectory
 
     probe_seed = ridge_slack = None
-    seeds = []
+    seeds = iter(())
     if not superquadratic:
-        seeds = [surface.node(surface.argmax_node())]
+        seeds = iter([surface.node(surface.argmax_node())])
     elif (hit := ridge_probe(surface, model, floor=geom.alpha_bound - 1e-6)) is not None:
         probe_seed, probe_val = hit
         ridge_slack = float(probe_val - geom.alpha_bound)
         seeds = _seed_variants(probe_seed, model.dim, rng, MAX_POLISHES)
-    for seed_try in seeds:
-        candidate = polish(seed_try)
+
+    # Each seed's polish at K0, in seed order: one at a time until one ends
+    # above tol_conv, then every remaining seed in one lockstep polish.
+    def coarse_polishes():
+        for seed_try in seeds:
+            polished = next(polish([seed_try]))
+            yield polished
+            if polished[-1].measure > config.tol_conv:
+                if rest := list(seeds):
+                    yield from polish(rest)
+                return
+
+    for polished in coarse_polishes():
+        candidate = commit(polished)
         if candidate is not None and coarse_K < config.K:
             if records[-1].measure > config.tol_conv:
                 rejections.append("measure")
                 continue
-            candidate = polish(candidate.pad_modes(config.K))
+            candidate = commit(next(polish([candidate.pad_modes(config.K)])))
         if candidate is None:
             break
         reason, report = judge(candidate, records[-1])

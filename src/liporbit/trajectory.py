@@ -14,8 +14,6 @@ core works in.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -161,13 +159,9 @@ class PeriodicTrajectory:
     # -- calculus ----------------------------------------------------
 
     def derivative(self) -> "PeriodicTrajectory":
-        """Coefficient-wise d/dt: a_k -> w_k b_k, b_k -> -w_k a_k, a0 -> 0."""
-        w = self.omegas[:, None]
-        return PeriodicTrajectory(self.T, np.zeros(self.n), w * self.b, -w * self.a)
-
-    def initial_value(self) -> np.ndarray:
-        """q(0) = a0 + sum_k a_k (used by the equivalent-norm convention)."""
-        return self.a0 + self.a.sum(axis=0)
+        """Coefficient-wise d/dt (derivative_rows)."""
+        return PeriodicTrajectory.from_coefficients(
+            self.T, derivative_rows(self.coefficients(), self.T))
 
     def mean(self) -> np.ndarray:
         """Time average (1/T) int_0^T q dt = a0."""
@@ -231,20 +225,15 @@ class PeriodicTrajectory:
         return cls.from_dict(json.loads(text))
 
     def to_csv(self, N: int | None = None) -> str:
-        """Sampled CSV with columns t, q_1..q_n, qdot_1..qdot_n."""
+        """Sampled CSV with columns t, q_1..q_n, qdot_1..qdot_n.
+
+        Each value is written as repr of its float.
+        """
         N = default_grid_size(self.K) if N is None else N
-        t = self.grid(N)
-        q = self.sample(N)
-        qd = self.derivative().sample(N)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t"] + [f"q_{i+1}" for i in range(self.n)]
-                        + [f"qdot_{i+1}" for i in range(self.n)])
-        for j in range(N):
-            writer.writerow([repr(float(t[j]))]
-                            + [repr(float(x)) for x in q[j]]
-                            + [repr(float(x)) for x in qd[j]])
-        return buf.getvalue()
+        header = ",".join(["t"] + [f"q_{i+1}" for i in range(self.n)]
+                          + [f"qdot_{i+1}" for i in range(self.n)])
+        rows = np.column_stack([self.grid(N), self.sample(N), self.derivative().sample(N)])
+        return "\n".join([header] + [",".join(map(repr, row)) for row in rows.tolist()]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -292,9 +281,27 @@ def l2_norm(q: PeriodicTrajectory) -> float:
     return l2_norm_row(q.coefficients(), q.T)
 
 
+def derivative_rows(c: np.ndarray, T: float) -> np.ndarray:
+    """Coefficient rows (..., 2K+1, n) of d/dt of the loops of period T
+    with rows c: a_k -> w_k b_k, b_k -> -w_k a_k, a0 -> 0."""
+    K = (c.shape[-2] - 1) // 2
+    w = (2.0 * np.pi * np.arange(1, K + 1) / T)[:, None]
+    out = np.zeros_like(c)
+    out[..., 1:K + 1, :] = w * c[..., K + 1:, :]
+    out[..., K + 1:, :] = -w * c[..., 1:K + 1, :]
+    return out
+
+
+def h1_norm_row(c: np.ndarray, T: float) -> float:
+    """h1_norm of the loop of period T with coefficient row c (2K+1, n)."""
+    K = (c.shape[0] - 1) // 2
+    q0 = c[0] + c[1:K + 1].sum(axis=0)
+    return l2_norm_row(derivative_rows(c, T), T) + float(np.linalg.norm(q0))
+
+
 def h1_norm(q: PeriodicTrajectory) -> float:
     """Equivalent W^{1,2} norm (int |qdot|^2)^{1/2} + |q(0)|."""
-    return l2_norm(q.derivative()) + float(np.linalg.norm(q.initial_value()))
+    return h1_norm_row(q.coefficients(), q.T)
 
 
 def split(q: PeriodicTrajectory) -> SpaceSplit:

@@ -29,7 +29,7 @@ from .action import GRADIENT_TOL_WIDEN, _select, _synthesize
 from .action import project_hull  # unused here; perfbench's tracer test patches it
 from .newton import newton_steps
 from .potentials import PotentialModel, active_set
-from .trajectory import PeriodicTrajectory, default_grid_size, split, l2_norm
+from .trajectory import PeriodicTrajectory, default_grid_size, l2_norm_row
 
 ENERGY_GRID_REFINE = 32
 FLOW_TOL = 1e-13           # rtol = atol of every shooting-oracle flow
@@ -91,14 +91,16 @@ def inclusion_residual(traj: PeriodicTrajectory, model: PotentialModel) -> Verif
         max_distance=float(np.max(dists)),
         excluded_fraction=float(np.mean(excluded)),
         energy_drift=energy_drift(traj, model),
-        nonconstant=is_nonconstant(traj),
+        nonconstant=nonconstant_row(traj.coefficients(), traj.T),
     )
 
 
-def is_nonconstant(traj: PeriodicTrajectory) -> bool:
-    """Whether the loop's oscillation exceeds 1e-6 (1 + |mean|) in L2."""
-    parts = split(traj)
-    return l2_norm(parts.oscillation) > 1e-6 * (1.0 + float(np.linalg.norm(parts.mean)))
+def nonconstant_row(c: np.ndarray, T: float) -> bool:
+    """Whether the oscillation of the loop of period T with coefficient
+    row c (2K+1, n) exceeds 1e-6 (1 + |mean|) in L2."""
+    oscillation = np.array(c)
+    oscillation[0] = 0.0
+    return l2_norm_row(oscillation, T) > 1e-6 * (1.0 + float(np.linalg.norm(c[0])))
 
 
 def energy_drift(traj: PeriodicTrajectory, model: PotentialModel) -> float:
@@ -162,13 +164,14 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
                     tol: float = 1e-9, stall_accept: float = 1e-6) -> ShootingResult:
     """Close the period-T orbit of qdd = -grad V(q) through Newton on (q0, v0).
 
-    Smooth models only.  newton_steps takes its steps from a
-    forward-difference Jacobian of the period map, whose 2n + 1 flows run
-    as one stacked batch: columns differenced across separately adapted
-    meshes would carry the flow's tolerance FLOW_TOL divided by the
-    difference step, about 1e-6, as noise.  That ratio is also the cutoff
-    of the least-squares step, since the monodromy of a conservative
-    orbit is singular along the flow and misses the energy direction.
+    Smooth models only.  newton_steps, with (q0, v0) as its one row,
+    takes its steps from a forward-difference Jacobian of the period map,
+    whose 2n + 1 flows run as one stacked batch: columns differenced
+    across separately adapted meshes would carry the flow's tolerance
+    FLOW_TOL divided by the difference step, about 1e-6, as noise.  That
+    ratio is also the cutoff of the least-squares step, since the
+    monodromy of a conservative orbit is singular along the flow and
+    misses the energy direction.
 
     The adaptive flow only admits fixed points up to its own truncation
     error: the iteration ends once no step longer than FLOW_TOL * scale,
@@ -196,28 +199,31 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
         path = _flow(model, T, state, t_eval=times)
         return path[-1] - state, path[:-1, :model.dim]
 
-    def trial_closure(state):
+    def trial_closure(states):      # newton_steps' one row
         try:
-            return closure(state)
+            res, samples = closure(states[0])
         except OracleFailure:
-            return np.full(state.size, np.inf), None
+            return np.full(states.shape, np.inf), [None]
+        return res[None], [samples]
 
     fd_h = 1e-7
 
-    def newton_step(state, _res):
+    def newton_step(states, _res):
+        state = states[0]
         batch = np.vstack([state, state[None, :] + fd_h * np.eye(state.size)])
         yT = _flow(model, T, batch)[-1]
         F0 = yT[0] - state
         J = (((yT[1:] - batch[1:]) - F0) / fd_h).T   # J[i, j] = dF_i / dx_j
-        return np.linalg.lstsq(J, -F0, rcond=FLOW_TOL / fd_h)[0]
+        return np.linalg.lstsq(J, -F0, rcond=FLOW_TOL / fd_h)[0][None]
 
     res, samples = closure(x)
     scale = 1.0 + float(np.linalg.norm(x))
     iters = 0
     if np.linalg.norm(res) > tol * scale:
-        for iters, (x, res, samples) in enumerate(newton_steps(
-                x, res, trial_closure, newton_step, max_newton,
+        for iters, (_, xs, rs, extra) in enumerate(newton_steps(
+                x[None], res[None], trial_closure, newton_step, max_newton,
                 xtol=FLOW_TOL * scale), 1):
+            x, res, samples = xs[0], rs[0], extra[0]
             if np.linalg.norm(res) <= tol * scale:
                 break
     res_norm = float(np.linalg.norm(res))

@@ -12,7 +12,6 @@ from liporbit.action import (
     min_norm_residuals,
     min_norm_subgradient,
     project_hull,
-    residual_jacobian,
     residual_jacobians,
 )
 from liporbit.potentials import (
@@ -264,7 +263,7 @@ def test_residual_jacobian_matches_forward_differences(case):
         weights = min_norm_subgradient(loops[0], V, metric="l2").weights
         assert np.all(np.sort(weights, axis=1)[:, -2] > 0.1)
     for q in loops:
-        J = residual_jacobian(q.coefficients(), q.T, V)
+        J = residual_jacobians(q.coefficients()[None], q.T, V)[0]
         J_fd = forward_difference_jacobian(q, V, h_ref)
         np.testing.assert_allclose(J, J_fd, rtol=1e-6,
                                    atol=1e-6 * np.max(np.abs(J_fd)))
@@ -287,7 +286,7 @@ def test_residual_jacobians_rows_equal_one_row_calls(K):
         got = residual_jacobians(stack, loops[0].T, V)
         assert got.shape == (len(loops), stack[0].size, stack[0].size)
         for J, q in zip(got, loops):
-            assert np.array_equal(J, residual_jacobian(q.coefficients(), q.T, V))
+            assert np.array_equal(J, residual_jacobians(q.coefficients()[None], q.T, V)[0])
 
 
 # -- nearest point in hull -------------------------------------------------

@@ -117,7 +117,7 @@ def test_a_singular_newton_system_exits_1_after_writing_the_result(tmp_path, mon
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(cli.solver, "_polish_step", singular)
+    monkeypatch.setattr(cli.solver, "_polish_steps", singular)
     assert cli.cmd_solve(quartic_config(2 * math.pi, 32, tmp_path)) == cli.EXIT_NEGATIVE
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["converged"] is False
@@ -195,11 +195,15 @@ def test_bad_potential_dim_exits_2_before_any_write(tmp_path, capsys, dim):
     ("sampler", "seed", -1, "sampler"),
     ("sampler", "seed", 1.5, "sampler"),
     ("sampler", "seed", True, "sampler"),
+    ("sampler", "count", True, "sampler"),
+    ("sampler", "r_min", True, "sampler"),
+    ("sampler", "r_max", True, "sampler"),
 ])
 def test_bad_hypothesis_or_sampler_value_exits_2(tmp_path, capsys, section, key, value,
                                                  named):
     # These used to crash with a traceback and exit 1, the certified-negative
-    # code; a sampler seed of true used to run silently as seed 1.
+    # code; a sampler seed of true used to run silently as seed 1, a count
+    # of true certified from one sample and an r_max of true sampled [0, 1].
     raw = {"potential": {"type": "quartic"}, "T": 6.0, "n": 1, "K": 32,
            "mode": "superquadratic", section: {key: value}}
     path = tmp_path / "run.json"

@@ -9,7 +9,7 @@ from liporbit.action import (
     action_values,
     min_norm_residuals,
     min_norm_subgradient,
-    residual_jacobian,
+    residual_jacobians,
 )
 from liporbit.linking import (
     LinkingGeometry,
@@ -24,8 +24,8 @@ from liporbit.solver import (
     GeometryNotCertified,
     SolverConfig,
     StallError,
-    _polish_candidate,
-    _polish_step,
+    _polish_candidates,
+    _polish_steps,
     _polyline_maxima,
     _screened_values,
     _seed_variants,
@@ -35,6 +35,7 @@ from liporbit.solver import (
     run_minimax,
     run_saddle,
 )
+from liporbit.newton import newton_steps
 from liporbit.trajectory import PeriodicTrajectory, h1_norm, l2_norm, random_trajectory
 from liporbit.verification import inclusion_residual
 
@@ -317,9 +318,10 @@ def test_coarse_level_polishes_at_a_quarter_of_K(quartic_setup, monkeypatch):
     import liporbit.solver as solver
 
     seed_modes = []
-    polish = solver._polish_candidate
-    monkeypatch.setattr(solver, "_polish_candidate",
-                        lambda q0, *a, **kw: seed_modes.append(q0.K) or polish(q0, *a, **kw))
+    polish = solver._polish_candidates
+    monkeypatch.setattr(solver, "_polish_candidates",
+                        lambda q0s, *a, **kw: seed_modes.extend(q.K for q in q0s)
+                        or polish(q0s, *a, **kw))
     V, geom = quartic_setup
     cfg = SolverConfig(K=64, grid=9, max_iters=3000, seed=0)
     res = run_minimax(V, geom, cfg)
@@ -361,10 +363,11 @@ def test_coarse_level_only_rejects(quartic_setup, monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     seed_modes = []
-    polish = solver._polish_candidate
-    monkeypatch.setattr(solver, "_polish_candidate",
-                        lambda q0, *a, **kw: seed_modes.append(q0.K) or polish(q0, *a, **kw))
-    monkeypatch.setattr(solver, "_polish_step", singular)
+    polish = solver._polish_candidates
+    monkeypatch.setattr(solver, "_polish_candidates",
+                        lambda q0s, *a, **kw: seed_modes.extend(q.K for q in q0s)
+                        or polish(q0s, *a, **kw))
+    monkeypatch.setattr(solver, "_polish_steps", singular)
     V, geom = quartic_setup
     res = run_minimax(V, geom, SolverConfig(K=64, grid=9, max_iters=3000, seed=0))
     assert not res.converged
@@ -461,8 +464,8 @@ def test_constant_polish_step_moves_the_mean_only():
     x = np.zeros((2 * 16 + 1, 2))
     x[0] = [0.5, 0.5]
     R = min_norm_residuals(x[None], 1.0, V)[0].ravel()
-    step = _polish_step(x.ravel(), R, x.shape, 1.0, V)
-    J = residual_jacobian(x, 1.0, V)
+    step = _polish_steps(x.ravel()[None], R[None], x.shape, 1.0, V)[0]
+    J = residual_jacobians(x[None], 1.0, V)[0]
     assert np.all(step[2:] == 0.0)
     assert np.array_equal(step[:2], np.linalg.solve(J[:2, :2], -R[:2]))
 
@@ -571,8 +574,7 @@ def test_polish_records_match_min_norm_subgradient():
     q0 = PeriodicTrajectory.harmonic(2.0, 2, 1, cos_amp=1.0, sin_amp=0.0, K=16)
     q0 = q0 + PeriodicTrajectory.harmonic(2.0, 2, 1, axis=1, K=16)
     q0 = q0 + 0.05 * random_trajectory(rng, 2.0, 2, 16)
-    records = []
-    _polish_candidate(q0, M, SolverConfig(K=16), records, start_index=7)
+    records = next(_polish_candidates([q0], M, SolverConfig(K=16), start_index=7))
     assert len(records) >= 3
     assert [r.index for r in records] == list(range(7, 7 + len(records)))
     for rec in records:
@@ -757,20 +759,89 @@ def values(record):
 @pytest.mark.parametrize("case", ["maxpair-2.4", "quartic-2pi"])
 def test_polish_records_each_loop_once(quartic_setup, case):
     # maxpair T = 2.4 (its line brake orbit) and quartic T = 2 pi: no loop
-    # is recorded twice, and the last record is the returned loop's.
+    # is recorded twice.
     model, geom = quartic_setup if case == "quartic-2pi" else maxpair_geometry(2.4)
     K = 32 if case == "quartic-2pi" else 64
     cfg = SolverConfig(K=K)
     q0 = probe_seeds(model, geom, K, 1)[0]
     for max_steps in (60, 2):
-        records = []
-        q = _polish_candidate(q0, model, cfg, records, start_index=0,
-                              max_steps=max_steps)
+        records = next(_polish_candidates([q0], model, cfg, start_index=0,
+                                     max_steps=max_steps))
         assert len(records) <= max_steps + 1
         assert [r.index for r in records] == list(range(len(records)))
         assert all(values(a) != values(b) for a, b in zip(records, records[1:]))
-        assert records[-1].trajectory is q
     assert len(records) == 3          # two steps, then the loop they reached
+
+
+def test_lockstep_rows_take_the_iterates_they_take_alone():
+    # maxpair T = 2.4: the six K0 = 16 seeds of a run, a constant loop and
+    # a row whose step solve is singular go through newton_steps as one
+    # stack.  Each row yields the bits it yields alone; the singular row
+    # ends at once, and its failure sends the stacked solve row by row
+    # without ending any other row.
+    model, geom = maxpair_geometry(2.4)
+    seeds = probe_seeds(model, geom, 16, 6)
+    T, shape = geom.T, (33, 2)
+    constant = PeriodicTrajectory.constant(T, [0.7, -0.4], K=16)
+    singular = seeds[0] + 0.01 * seeds[1]
+    rows = np.stack([q.coefficients().ravel() for q in seeds + [constant, singular]])
+
+    def residual(x):
+        return min_norm_residuals(x.reshape(-1, *shape), T, model).reshape(len(x), -1), None
+
+    def step(x, R):
+        if any(np.array_equal(row, rows[-1]) for row in x):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return _polish_steps(x, R, shape, T, model)
+
+    def iterates(x):
+        out = [[] for _ in x]
+        for idx, xs, Rs, _ in newton_steps(x, residual(x)[0], residual, step, 6):
+            for i, xi, Ri in zip(idx, xs, Rs):
+                out[i].append((xi, Ri))
+        return out
+
+    stacked = iterates(rows)
+    assert len(stacked[-1]) == 0 and len(stacked[-2]) > 0
+    assert sum(len(seq) > 1 for seq in stacked) >= 6
+    for row, seq in zip(rows, stacked):
+        alone = iterates(row[None])[0]
+        assert len(seq) == len(alone)
+        for (x, R), (x1, R1) in zip(seq, alone):
+            assert np.array_equal(x, x1) and np.array_equal(R, R1)
+
+
+@pytest.mark.parametrize("max_iters", [12, 25, 41, 4000])
+def test_lockstep_keeps_the_one_at_a_time_history_under_the_budget(monkeypatch, max_iters):
+    # maxpair T = 2.4, K = 64: every seed stalls at K0 = 16, so the run
+    # polishes the first seed alone and the other five in lockstep.  With
+    # the record budget binding or not, the history and rejections are
+    # those of polishing each seed alone, in order, with the budget left.
+    import liporbit.solver as solver
+
+    model, geom = maxpair_geometry(2.4)
+    cfg = SolverConfig(K=64, grid=9, max_iters=max_iters, seed=0)
+    records, rejections = [], []
+    for seed in probe_seeds(model, geom, 16, 6):
+        room = cfg.max_iters - len(records)
+        if room < 1:
+            break
+        records += next(_polish_candidates([seed], model, cfg, start_index=len(records),
+                                           max_steps=min(60, room - 1)))
+        assert records[-1].measure > cfg.tol_conv
+        rejections.append("measure")
+
+    stacks = []
+    polish = solver._polish_candidates
+    monkeypatch.setattr(solver, "_polish_candidates",
+                        lambda q0s, *a, **kw: stacks.append(len(q0s)) or polish(q0s, *a, **kw))
+    res = run_minimax(model, geom, cfg)
+    assert stacks == [1, 5]
+    assert res.diagnostics["rejections"] == rejections
+    assert len(res.history) == len(records) <= max_iters
+    for got, want in zip(res.history, records):
+        assert (got.index, values(got)) == (want.index, values(want))
+        assert np.array_equal(got.trajectory.coefficients(), want.trajectory.coefficients())
 
 
 @pytest.mark.parametrize("case", ["maxpair-1.875", "quartic-2pi"])
@@ -783,12 +854,12 @@ def test_polish_step_is_orthogonal_to_the_tangent(quartic_setup, case):
     shape = (2 * K + 1, q.n)
     x = q.coefficients().ravel()
     R = min_norm_residuals(x.reshape(1, *shape), q.T, model)[0].ravel()
-    s = _polish_step(x, R, shape, q.T, model)
+    s = _polish_steps(x[None], R[None], shape, q.T, model)[0]
     p = q.derivative().coefficients().ravel()
     p /= np.linalg.norm(p)
     assert np.linalg.norm(s) > 1e-6
     assert abs(s @ p) <= 1e-12 * np.linalg.norm(s)
-    r = residual_jacobian(x.reshape(shape), q.T, model) @ s + R
+    r = residual_jacobians(x.reshape(1, *shape), q.T, model)[0] @ s + R
     assert np.linalg.norm(r - (r @ p) * p) <= 1e-9 * np.linalg.norm(R)
 
 
@@ -797,8 +868,8 @@ def test_constant_seed_polishes_to_a_constant_loop():
     # the polish is Newton on grad V(x) = 0 and ends at the well centre.
     V, geom, cfg = offcenter_well()
     q0 = PeriodicTrajectory.constant(1.0, [0.8, 0.4], K=16)
-    records = []
-    q = _polish_candidate(q0, V, cfg, records, start_index=0)
+    records = next(_polish_candidates([q0], V, cfg, start_index=0))
+    q = records[-1].trajectory
     assert records[-1].measure <= 0.1 * cfg.tol_conv
     assert len(records) > 3
     assert np.max(np.abs(np.concatenate([q.a, q.b]))) <= 1e-15
@@ -816,10 +887,10 @@ def test_saddle_mode_runs_one_polish(monkeypatch):
 
     V, geom, cfg = offcenter_well()
     polishes = []
-    polish = solver._polish_candidate
-    monkeypatch.setattr(solver, "_polish_candidate",
+    polish = solver._polish_candidates
+    monkeypatch.setattr(solver, "_polish_candidates",
                         lambda *a, **kw: polishes.append(1) or polish(*a, **kw))
-    monkeypatch.setattr(solver, "_polish_step", singular)
+    monkeypatch.setattr(solver, "_polish_steps", singular)
     res = run_saddle(V, geom, cfg)
     assert len(polishes) == 1
     assert res.diagnostics["rejections"] == ["measure"]
@@ -833,7 +904,7 @@ def test_a_singular_newton_system_ends_the_polish(quartic_setup, monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(solver, "_polish_step", singular)
+    monkeypatch.setattr(solver, "_polish_steps", singular)
     V, geom = quartic_setup
     res = run_minimax(V, geom, SolverConfig(K=32, grid=9, max_iters=4000, seed=0))
     assert not res.converged

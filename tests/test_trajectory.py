@@ -431,6 +431,23 @@ def test_csv_sampling_header_and_values():
     assert np.isclose(row[3], q.derivative().evaluate(0.0)[0])
 
 
+@pytest.mark.parametrize("n, K", [(1, 128), (2, 64)])
+def test_csv_bytes_match_per_element_repr(n, K):
+    # The CSV holds repr(float(x)) of every sampled value, comma-joined,
+    # one row per grid node, after the header.
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        q = random_trajectory(rng, float(rng.uniform(0.5, 10.0)), n, K)
+        N = default_grid_size(K)
+        t, qs, qd = q.grid(N), q.sample(N), q.derivative().sample(N)
+        lines = ["t," + ",".join([f"q_{i+1}" for i in range(n)]
+                                 + [f"qdot_{i+1}" for i in range(n)])]
+        for j in range(N):
+            lines.append(",".join([repr(float(t[j]))] + [repr(float(x)) for x in qs[j]]
+                                  + [repr(float(x)) for x in qd[j]]))
+        assert q.to_csv() == "\n".join(lines) + "\n"
+
+
 def test_invalid_construction():
     with pytest.raises(ValueError):
         PeriodicTrajectory(-1.0, np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))
