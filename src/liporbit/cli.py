@@ -7,9 +7,12 @@ potentials.HYPOTHESIS_PARAMS names for the mode's hypotheses, and any
 other key is an input error.  Exit code contract:
 0 success, 1 certified-negative (a checker ran and said no), 2 input
 error, 3 hypothesis/threshold infeasible.  Result artifacts are
-deterministic for a fixed config, seed and BLAS thread count; wall-clock
-metadata is quarantined in run_meta.json so the other files are
-byte-reproducible.
+byte-reproducible only for a fixed config, seed and BLAS thread count:
+another thread count moves trailing digits of result.json,
+trajectory.json, cerami.csv and geometry.json.  run_meta.json records
+that count (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS) next
+to the wall-clock metadata it quarantines, so the other files compare
+byte for byte.
 """
 
 from __future__ import annotations
@@ -88,6 +91,11 @@ class RunConfig:
             value = getattr(cfg, key)
             if not _is_positive_int(value):
                 raise ConfigError(key, f"must be a positive integer, got {value!r}")
+        if not (isinstance(cfg.verbosity, numbers.Integral)
+                and not isinstance(cfg.verbosity, bool) and cfg.verbosity >= 0):
+            raise ConfigError("verbosity", f"must be an integer >= 0, got {cfg.verbosity!r}")
+        if not (isinstance(cfg.output_dir, str) and cfg.output_dir):
+            raise ConfigError("output_dir", f"must be a non-empty string, got {cfg.output_dir!r}")
         if cfg.mode not in ("superquadratic", "saddle"):
             raise ConfigError("mode", f"unknown mode {cfg.mode!r}")
         # Unknown keys fail; the table's defaults, then the zoo's constants,
@@ -145,6 +153,9 @@ class RunConfig:
             raise ConfigError("potential.dim", f"must be a positive integer, got {dim!r}")
         if dim != self.n:
             raise ConfigError("potential.dim", f"disagrees with n = {self.n}")
+        if dim > potentials.MAX_SAMPLER_DIM:
+            raise ConfigError("potential.dim", f"must be <= {potentials.MAX_SAMPLER_DIM} "
+                                               f"(the certificate sampler's limit), got {dim}")
         try:
             return potentials.from_spec(spec)
         except (KeyError, ValueError) as err:

@@ -27,13 +27,13 @@ and the worst observed margin rather than claiming a proof.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 Value = Callable[[np.ndarray], np.ndarray]
 Gradient = Callable[[np.ndarray], np.ndarray]
@@ -142,6 +142,64 @@ def subdiff(model: PotentialModel, x, tol_active: float | None = None) -> Subgra
 # -- hypothesis certification ----------------------------------------
 
 
+# Sobol direction numbers: rows 1-21 of Joe & Kuo's new-joe-kuo-6.21201
+# table (SIAM J. Sci. Comput. 30, 2008), as (primitive polynomial with
+# its leading and trailing bits, initial m_1..m_s).  Row 1 is van der
+# Corput's sequence, every m_i = 1.
+_JOE_KUO = (
+    (1, (1,)), (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)),
+)
+SOBOL_BITS = 30
+# The sampler draws dim + 1 Sobol coordinates (direction and radius).
+MAX_SAMPLER_DIM = len(_JOE_KUO) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _sobol_directions(d: int) -> np.ndarray:
+    """Direction integers v[k, j] = m_k 2^(BITS - 1 - k) of the first d
+    coordinates, shape (BITS, d).  Past its initial m_1..m_s, coordinate
+    j follows the Bratley-Fox recurrence m_k = m_(k-s) ^ 2^s m_(k-s) ^
+    XOR_(0<i<s) 2^i a_i m_(k-i), a_i the polynomial's inner bits."""
+    cols = [[1] * SOBOL_BITS]
+    for poly, m_init in _JOE_KUO[1:d]:
+        s = poly.bit_length() - 1
+        m = list(m_init)
+        for k in range(s, SOBOL_BITS):
+            new = m[k - s] ^ (m[k - s] << s)
+            for i in range(1, s):
+                if (poly >> (s - i)) & 1:
+                    new ^= m[k - i] << i
+            m.append(new)
+        cols.append(m)
+    v = np.array(cols, dtype=np.int64).T << np.arange(SOBOL_BITS - 1, -1, -1)[:, None]
+    v.flags.writeable = False
+    return v
+
+
+@functools.lru_cache(maxsize=16)
+def _sobol_block(d: int, m: int) -> np.ndarray:
+    """The first 2^m points of the unscrambled d-dimensional Sobol
+    sequence, origin first, in Gray-code order: point i is the XOR of
+    the direction integers at the set bits of gray(i) = i ^ (i >> 1),
+    times 2^-BITS.  Cached, so read-only."""
+    v = _sobol_directions(d)
+    i = np.arange(1 << m, dtype=np.int64)
+    gray = i ^ (i >> 1)
+    x = np.zeros((1 << m, d), dtype=np.int64)
+    for k in range(m):
+        x[(gray >> k) & 1 == 1] ^= v[k]
+    block = x * 2.0 ** -SOBOL_BITS
+    block.flags.writeable = False
+    return block
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
     """Where and how much to sample: radii in [r_min, r_max], count, seed.
@@ -151,6 +209,13 @@ class SamplerSpec:
     the stated range.  r_min > 0 restricts a hypothesis to an outer
     region (the classical superquadratic condition is only needed for
     |x| >= r0, so both readings are testable).
+
+    The Sobol half is the unscrambled sequence in dim + 1 coordinates,
+    origin included, in Gray-code order (Antonov & Saleev 1979) with 30
+    bits and the direction numbers of Joe & Kuo's first 21 rows, so dim
+    is at most 20 (MAX_SAMPLER_DIM).  It takes the first count // 2
+    points of the smallest power-of-two block, of at least 2 points,
+    that holds them.
     """
 
     r_min: float = 0.0
@@ -170,14 +235,17 @@ class SamplerSpec:
             raise ValueError(f"bad radius range [{self.r_min}, {self.r_max}]")
 
     def points(self, dim: int) -> np.ndarray:
+        if dim > MAX_SAMPLER_DIM:
+            raise ValueError(f"dim must be <= {MAX_SAMPLER_DIM} for the Sobol "
+                             f"sampler, got {dim}")
         n_sobol = self.count // 2
         n_rand = self.count - n_sobol
         rng = np.random.default_rng(self.seed)
         blocks = []
         if n_sobol > 0:
-            eng = qmc.Sobol(d=dim + 1, scramble=False)
             # Draw a power-of-two block (Sobol balance), keep what we need.
-            u = eng.random_base2(int(np.ceil(np.log2(n_sobol))) if n_sobol > 1 else 1)[:n_sobol]
+            m = int(np.ceil(np.log2(n_sobol))) if n_sobol > 1 else 1
+            u = _sobol_block(dim + 1, m)[:n_sobol]
             z = _ball_directions_from_unit(u[:, :dim], dim)
             r = self.r_min + (self.r_max - self.r_min) * u[:, dim]
             blocks.append(z * r[:, None])

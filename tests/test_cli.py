@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +218,43 @@ def test_bad_hypothesis_or_sampler_value_exits_2(tmp_path, capsys, section, key,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("verbosity", "loud"), ("verbosity", True), ("verbosity", -1), ("verbosity", 1.5),
+    ("verbosity", None), ("output_dir", 5), ("output_dir", ""), ("output_dir", None),
+    ("output_dir", ["out"]),
+])
+def test_bad_verbosity_or_output_dir_exits_2_before_any_write(tmp_path, capsys,
+                                                             monkeypatch, key, value):
+    # A verbosity of "loud" used to exit 1 with a traceback after writing
+    # certificates.json, an output_dir of 5 exited 1 with a traceback, and a
+    # verbosity of true or -1 was accepted.
+    monkeypatch.chdir(tmp_path)
+    raw = dict(MAXPAIR_K32, **{key: value})
+    with pytest.raises(cli.ConfigError) as err:
+        cli.RunConfig.from_dict(raw)
+    assert err.value.key == key
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["solve", str(path)]) == cli.EXIT_INPUT
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+def test_potential_dim_above_the_sampler_table_exits_2(tmp_path, capsys):
+    raw = {"potential": {"type": "quartic"}, "T": 6.0, "n": 21, "K": 16,
+           "mode": "superquadratic"}
+    with pytest.raises(cli.ConfigError) as err:
+        cli.RunConfig.from_dict(raw).build_model()
+    assert err.value.key == "potential.dim"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["solve", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert "config key 'potential.dim'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode, potential, key", [
     ("superquadratic", "quartic", "a_1"), ("superquadratic", "quartic", "Radius"),
     ("saddle", "subq32", "radius"),
@@ -241,3 +282,35 @@ def test_missing_required_hypothesis_exits_2(tmp_path, capsys, command):
     assert cli.main([command, str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
     assert "config key 'hypotheses.A'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+IMPORT_AND_FAULTS = """
+import json, resource, sys
+import liporbit.cli as cli
+raw = {"potential": {"type": "maxpair"}, "T": 1.5, "n": 2, "K": 64, "verbosity": 0,
+       "solver": {"grid": 9, "tol_conv": 1e-5, "max_iters": 4000, "seed": 0},
+       "output_dir": sys.argv[1]}
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    code = cli.cmd_solve(cli.RunConfig.from_dict(dict(raw)))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"scipy_stats": "scipy.stats" in sys.modules, "code": code,
+                  "faults": faults}))
+"""
+
+
+def test_import_skips_scipy_stats_and_solves_without_page_faults(tmp_path):
+    # A fresh process: scipy.stats must not load, and once the allocator
+    # holds its temporaries a repeated kink solve faults in almost no pages
+    # (about 0; about 4500 without the package's allocator warm-up).
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_AND_FAULTS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["scipy_stats"] is False
+    assert out["code"] == cli.EXIT_OK
+    if platform.libc_ver()[0] == "glibc":
+        assert out["faults"][1] < 1000, out["faults"]

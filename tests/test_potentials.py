@@ -3,10 +3,13 @@ import pytest
 
 from liporbit.potentials import (
     HYPOTHESIS_PARAMS,
+    MAX_SAMPLER_DIM,
     ZOO_PARAMS,
     PotentialModel,
     SamplerSpec,
+    _ball_directions_from_unit,
     _pairing_extremes,
+    _sobol_block,
     _sq_norm,
     active_set,
     certify,
@@ -339,6 +342,68 @@ def test_sampler_is_deterministic():
     a = SamplerSpec(count=64, seed=9).points(2)
     b = SamplerSpec(count=64, seed=9).points(2)
     assert np.array_equal(a, b)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", range(1, 22))
+def test_sobol_block_equals_scipy_bit_for_bit(d):
+    from scipy.stats import qmc
+
+    for m in range(12):
+        ref = qmc.Sobol(d, scramble=False).random_base2(m)
+        block = _sobol_block(d, m)
+        assert block.shape == ref.shape == (1 << m, d)
+        assert np.array_equal(_bits(block), _bits(ref))
+
+
+def _qmc_points(spec, dim):
+    """SamplerSpec.points as written on scipy.stats.qmc.Sobol."""
+    from scipy.stats import qmc
+
+    n_sobol = spec.count // 2
+    n_rand = spec.count - n_sobol
+    rng = np.random.default_rng(spec.seed)
+    blocks = []
+    if n_sobol > 0:
+        eng = qmc.Sobol(d=dim + 1, scramble=False)
+        u = eng.random_base2(int(np.ceil(np.log2(n_sobol))) if n_sobol > 1 else 1)[:n_sobol]
+        z = _ball_directions_from_unit(u[:, :dim], dim)
+        r = spec.r_min + (spec.r_max - spec.r_min) * u[:, dim]
+        blocks.append(z * r[:, None])
+    if n_rand > 0:
+        z = rng.standard_normal((n_rand, dim))
+        z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
+        r = rng.uniform(spec.r_min, spec.r_max, size=n_rand)
+        blocks.append(z * r[:, None])
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("r_min, r_max", [(0.0, 10.0), (0.0, 1.0), (2.5, 7.0)])
+def test_sampler_points_equal_the_qmc_formula(dim, r_min, r_max):
+    for count, seed in [(1, 0), (2, 3), (3, 11), (64, 9), (400, 5), (2000, 12345)]:
+        spec = SamplerSpec(r_min=r_min, r_max=r_max, count=count, seed=seed)
+        assert np.array_equal(_bits(spec.points(dim)), _bits(_qmc_points(spec, dim)))
+
+
+def test_sobol_block_is_cached_read_only():
+    block = _sobol_block(3, 5)
+    assert _sobol_block(3, 5) is block
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 0.5
+    SamplerSpec(count=64, seed=1).points(2)     # points does not write into it
+    assert np.array_equal(block, _sobol_block.__wrapped__(3, 5))
+
+
+def test_sampler_dim_above_the_table_raises_by_name():
+    assert MAX_SAMPLER_DIM == 20
+    assert SamplerSpec(count=8).points(MAX_SAMPLER_DIM).shape == (8, MAX_SAMPLER_DIM)
+    with pytest.raises(ValueError, match="dim"):
+        SamplerSpec(count=8).points(MAX_SAMPLER_DIM + 1)
 
 
 # -- zoo and config construction -----------------------------------------
