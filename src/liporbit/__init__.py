@@ -72,7 +72,6 @@ from .verification import (
     OracleFailure,
     ShootingResult,
     VerificationReport,
-    energy_drift,
     inclusion_residual,
     shooting_oracle,
 )

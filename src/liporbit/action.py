@@ -13,7 +13,8 @@ model the generalized gradient is sampled per quadrature node:
 and the product structure makes the minimum-norm element computable node
 by node as a nearest-point-in-convex-hull projection.  _select is that
 one nodal oracle: the residuals, their Jacobians and the inclusion gate
-verification.inclusion_residual all select through it.  The min-norm
+verification.inclusion_residual all select through it, and it decides
+activity by the one rule potentials.active_set.  The min-norm
 value feeds the Cerami-type diagnostics: a sequence behaves like a
 generalized Palais-Smale sequence when f settles and
 (1 + ||q_n||) min||df(q_n)|| -> 0.
@@ -32,11 +33,6 @@ from .trajectory import (
     h1_norm,
     l2_norm,
 )
-
-# Activity tolerance is widened by this factor when assembling gradients,
-# which keeps the per-node selection from chattering across a kink during
-# line searches.  The inclusion gate excludes nodes it changes.
-GRADIENT_TOL_WIDEN = 10.0
 
 # Forward-difference step of the nodal blocks in residual_jacobians.
 JACOBIAN_STEP = 1e-7
@@ -105,14 +101,14 @@ def _select(model: PotentialModel, qs: np.ndarray, target: np.ndarray,
     convex weights over the pieces (M, n_pieces).  The piece gradients
     are evaluated once for all nodes.  A node with one active piece takes
     that gradient; every node with more goes through project_hull.  The
-    activity rule is active_set widened by GRADIENT_TOL_WIDEN; a given
-    mask active (n_pieces, M) replaces it.
+    activity rule is active_set; a given mask active (n_pieces, M)
+    replaces it.
     """
     M = qs.shape[0]
     if model.kind == "smooth":
         return np.asarray(model.gradients[0](qs), dtype=float), np.ones((M, 1))
     if active is None:
-        active = active_set(model.piece_values(qs), None, GRADIENT_TOL_WIDEN)
+        active = active_set(model.piece_values(qs))
     grads = np.stack([np.asarray(g(qs), dtype=float)
                       for g in model.gradients])           # (P, M, n)
     n_active = active.sum(axis=0)
@@ -229,8 +225,8 @@ def residual_jacobians(coeffs: np.ndarray, T: float,
     if model.kind != "smooth":
         q_copies += [qs] * n
         a_copies += [target + e for e in steps]
-        active = np.tile(active_set(model.piece_values(qs.reshape(-1, n)), None,
-                                    GRADIENT_TOL_WIDEN), (1, 2 * n + 1))
+        active = np.tile(active_set(model.piece_values(qs.reshape(-1, n))),
+                         (1, 2 * n + 1))
     v = _select(model, np.concatenate(q_copies).reshape(-1, n),
                 np.concatenate(a_copies).reshape(-1, n), active)[0]
     v = v.reshape(-1, B, N, n)

@@ -299,9 +299,7 @@ def cmd_verify(cfg: RunConfig, trajectory_path: str) -> int:
     _write(Path(cfg.output_dir), "verification.json",
            json.dumps(report.to_dict(), sort_keys=True, indent=1), cfg.verbosity)
     if cfg.verbosity:
-        print(f"aggregate={report.aggregate:.3e} max={report.max_distance:.3e} "
-              f"excluded={report.excluded_fraction:.3f} "
-              f"drift={report.energy_drift:.3e}")
+        print(f"aggregate={report.aggregate:.3e} max={report.max_distance:.3e}")
     return EXIT_OK if report.aggregate < cfg.verify_tol else EXIT_NEGATIVE
 
 

@@ -108,33 +108,31 @@ class SubgradientSet:
             raise RuntimeError("internal error: empty active set")
 
 
-def active_set(piece_vals: np.ndarray, tol_active: float | None = None,
-               widen: float = 1.0) -> np.ndarray:
-    """The one activity rule: V_i(x) >= V(x) - widen * tol.
+def active_set(piece_vals: np.ndarray) -> np.ndarray:
+    """The one activity rule: V_i(x) >= V(x) - 1e-7 (1 + |V(x)|).
 
     piece_vals has shape (n_pieces, ...) (as PotentialModel.piece_values
-    returns); the mask has the same shape.  tol defaults to the relative
-    1e-8 (1 + |V(x)|) per point, since an absolute one fails under
-    scaling; a given tol_active (scalar or per point) replaces it.
-    widen > 1 admits near-active pieces as well.
+    returns); the mask has the same shape.  The band is relative, since
+    an absolute one fails under scaling, and wide enough that a node's
+    selection does not chatter across a kink during line searches.  The
+    polish, its Jacobians, the inclusion gate, the V2 pairing and subdiff
+    all decide activity here, so "critical" means one thing to each.
     """
     top = np.max(piece_vals, axis=0)
-    tol = 1e-8 * (1.0 + np.abs(top)) if tol_active is None else tol_active
-    return piece_vals >= top - tol * widen
+    # Not 1e-7 * (...): the two round apart at the band's edge, and this
+    # form keeps the masks, and so the artifacts, bit for bit.
+    return piece_vals >= top - 1e-8 * (1.0 + np.abs(top)) * 10.0
 
 
-def subdiff(model: PotentialModel, x, tol_active: float | None = None) -> SubgradientSet:
-    """Active-piece gradients at x: {grad V_i(x) : V_i(x) >= V(x) - tol}."""
+def subdiff(model: PotentialModel, x) -> SubgradientSet:
+    """Active-piece gradients at x, the pieces active_set admits."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x must be finite, got {x}")
-    if tol_active is not None and tol_active < 0:
-        raise ValueError(f"tol_active must be >= 0, got {tol_active}")
     if model.kind == "smooth":
         g = np.asarray(model.gradients[0](x), dtype=float)
         return SubgradientSet(x=x, vertices=g[None, :], active=(0,))
-    active = tuple(int(i) for i in np.flatnonzero(
-        active_set(model.piece_values(x), tol_active)))
+    active = tuple(int(i) for i in np.flatnonzero(active_set(model.piece_values(x))))
     verts = np.stack([np.asarray(model.gradients[i](x), dtype=float) for i in active])
     return SubgradientSet(x=x, vertices=verts, active=active)
 
@@ -382,8 +380,8 @@ def certify(model: PotentialModel, hypothesis: str, params: dict,
 def _pairing_extremes(model: PotentialModel, pts: np.ndarray, minimum: bool) -> np.ndarray:
     """min or max of <y, x> over subdifferential vertices, per point.
 
-    The active pieces at each point are those subdiff would pick with its
-    default tolerance; all points are paired at once.
+    The active pieces at each point are those active_set (and so subdiff)
+    admits; all points are paired at once.
     """
     active = active_set(model.piece_values(pts))          # (P, M)
     # Row-by-row matmul, the product subdiff's vertices @ x computes.
@@ -542,8 +540,20 @@ def from_spec(spec: dict) -> PotentialModel:
     dim = int(dim)
     if kind in ZOO:
         if kind == "subq32cos" and "amp" in spec:
+            if not _is_finite_real(spec["amp"]):
+                raise ValueError(f"amp must be a finite number, got {spec['amp']!r}")
             return make_subq32cos(dim, amp=float(spec["amp"]))
         return ZOO[kind](dim)
     if kind == "maxpoly":
-        return make_maxpoly(spec["pieces"], dim)
+        pieces = spec["pieces"]
+        if not (isinstance(pieces, list) and pieces and all(
+                isinstance(c, list) and c and all(map(_is_finite_real, c)) for c in pieces)):
+            raise ValueError("pieces must be a non-empty list of non-empty lists of "
+                             f"finite numbers, got {pieces!r}")
+        return make_maxpoly(pieces, dim)
     raise ValueError(f"unknown potential type {kind!r}")
+
+
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))

@@ -38,8 +38,8 @@ class PeriodicTrajectory:
     b: np.ndarray           # (K, n) sine coefficients, k = 1..K
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"period must be positive, got {self.T}")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"period must be finite and positive, got {self.T}")
         a0 = np.atleast_1d(np.asarray(self.a0, dtype=float))
         n = a0.shape[0]
         a = np.atleast_2d(_as_coeff(self.a, n, "a"))

@@ -2,12 +2,11 @@
 
 The headline quantity is the pointwise inclusion distance
 dist(-qdd(t), dV(q(t))) sampled on the quadrature grid and aggregated in
-L2.  Nodes whose active piece set changes within a widened tolerance sit
-on a switching surface, where a truncated Fourier qdd cannot track a
-discontinuous selection pointwise; they are tallied separately and kept
-out of the headline aggregate, which is the honest discrete criterion.
-The nearest hull points come from action._select, the nodal oracle the
-min-norm residuals use, applied to the narrow activity mask.
+L2 over every node.  dV(q) is the hull of the gradients of the pieces
+that potentials.active_set admits, the one activity rule the polish and
+its stopping rule use too, and the nearest hull points come from
+action._select, the nodal oracle of the min-norm residuals.  So a loop
+the polish calls critical is judged by the same subdifferential here.
 
 For smooth potentials an independent shooting oracle integrates
 qdd = -grad V(q) with scipy's adaptive DOP853 (rtol = atol = FLOW_TOL)
@@ -25,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .action import GRADIENT_TOL_WIDEN, _select, _synthesize
+from .action import _select, _synthesize
 from .action import project_hull  # unused here; perfbench's tracer test patches it
 from .newton import newton_steps
-from .potentials import PotentialModel, active_set
+from .potentials import PotentialModel
 from .trajectory import PeriodicTrajectory, default_grid_size, l2_norm_row
 
-ENERGY_GRID_REFINE = 32
 FLOW_TOL = 1e-13           # rtol = atol of every shooting-oracle flow
 FIT_SAMPLES = 4096         # path nodes handed to the oracle's Fourier fit
 MAX_RHS_CALLS = 4 * FIT_SAMPLES  # gradient calls one flow may spend
@@ -43,11 +41,12 @@ class OracleFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The inclusion gate's reading of one loop: every node counts, with
+    dV taken over the pieces the one activity rule admits."""
+
     distances: np.ndarray        # per-node inclusion distance, all nodes
-    aggregate: float             # L2 norm of distances over included nodes
+    aggregate: float             # L2 norm of the distances, sqrt(T/N sum d^2)
     max_distance: float          # pointwise max over all nodes
-    excluded_fraction: float     # share of nodes near switching surfaces
-    energy_drift: float          # max |E(t) - mean E|, E = |qdot|^2/2 + V(q)
     nonconstant: bool
     periodicity: str = "exact by representation (truncated Fourier loop)"
 
@@ -55,8 +54,6 @@ class VerificationReport:
         return {
             "aggregate": float(self.aggregate),
             "max_distance": float(self.max_distance),
-            "excluded_fraction": float(self.excluded_fraction),
-            "energy_drift": float(self.energy_drift),
             "nonconstant": bool(self.nonconstant),
             "periodicity": self.periodicity,
             "n_nodes": int(self.distances.size),
@@ -64,33 +61,17 @@ class VerificationReport:
 
 
 def inclusion_residual(traj: PeriodicTrajectory, model: PotentialModel) -> VerificationReport:
-    """Distance from -qdd(t) to the subdifferential hull at each node.
-
-    Selects through action._select on the narrow activity mask; a node
-    whose mask widened by GRADIENT_TOL_WIDEN differs is excluded.
-    """
+    """Distance from -qdd(t) to the subdifferential hull at each node,
+    selected through action._select under the one activity rule."""
     N = default_grid_size(traj.K)
     qs, target = _synthesize(traj.coefficients()[None], traj.T, N, accel=True)
     qs, target = qs[0], target[0]
-    active = None
-    excluded = np.zeros(N, dtype=bool)
-    if model.kind != "smooth":
-        piece_vals = model.piece_values(qs)             # (P, N)
-        active = active_set(piece_vals)
-        excluded = np.any(active != active_set(piece_vals, None, GRADIENT_TOL_WIDEN),
-                          axis=0)
-    sel, _ = _select(model, qs, target, active)
+    sel, _ = _select(model, qs, target)
     dists = np.linalg.norm(target - sel, axis=1)
-
-    h = traj.T / N
-    included = ~excluded
-    aggregate = float(np.sqrt(np.sum(dists[included] ** 2) * h))
     return VerificationReport(
         distances=dists,
-        aggregate=aggregate,
+        aggregate=float(np.sqrt(np.sum(dists ** 2) * (traj.T / N))),
         max_distance=float(np.max(dists)),
-        excluded_fraction=float(np.mean(excluded)),
-        energy_drift=energy_drift(traj, model),
         nonconstant=nonconstant_row(traj.coefficients(), traj.T),
     )
 
@@ -101,19 +82,6 @@ def nonconstant_row(c: np.ndarray, T: float) -> bool:
     oscillation = np.array(c)
     oscillation[0] = 0.0
     return l2_norm_row(oscillation, T) > 1e-6 * (1.0 + float(np.linalg.norm(c[0])))
-
-
-def energy_drift(traj: PeriodicTrajectory, model: PotentialModel) -> float:
-    """max_t |E(t) - mean E| with E = |qdot|^2/2 + V(q) on a dense grid.
-
-    The autonomous flow conserves E along true solutions, so drift is an
-    independent first-integral check (it is not part of the inclusion).
-    """
-    N = ENERGY_GRID_REFINE * default_grid_size(traj.K)
-    qs = traj.sample(N)
-    qd = traj.derivative().sample(N)
-    E = 0.5 * np.sum(qd ** 2, axis=1) + model.value(qs)
-    return float(np.max(np.abs(E - np.mean(E))))
 
 
 # -- shooting oracle ----------------------------------------------------

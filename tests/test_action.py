@@ -3,7 +3,6 @@ import pytest
 
 from liporbit.action import (
     BATCH_ROWS,
-    GRADIENT_TOL_WIDEN,
     CeramiRecord,
     action_value,
     action_values,
@@ -143,13 +142,11 @@ def serial_residual(q, V):
     target = -q.derivative().derivative().sample(N)
     sel = np.empty_like(target)
     for j in range(N):
-        vals = V.piece_values(qs[j])
-        tol = 1e-8 * (1.0 + abs(vals.max())) * GRADIENT_TOL_WIDEN
-        active = np.flatnonzero(vals >= vals.max() - tol)
-        if active.size == 1:
-            sel[j] = V.gradients[active[0]](qs[j])
+        vertices = subdiff(V, qs[j]).vertices
+        if len(vertices) == 1:
+            sel[j] = vertices[0]
         else:
-            sel[j] = project_hull(target[j], subdiff(V, qs[j], tol).vertices)[0]
+            sel[j] = project_hull(target[j], vertices)[0]
     return PeriodicTrajectory.from_samples(target - sel, q.T, K=q.K).coefficients()
 
 

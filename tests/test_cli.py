@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from liporbit import cli
+from liporbit.trajectory import PeriodicTrajectory
 
 MAXPAIR_K32 = {
     "potential": {"type": "maxpair"}, "T": 2.0, "n": 2, "K": 32,
@@ -239,6 +240,70 @@ def test_bad_verbosity_or_output_dir_exits_2_before_any_write(tmp_path, capsys,
     assert cli.main(["solve", str(path)]) == cli.EXIT_INPUT
     assert f"config key {key!r}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize("potential, named", [
+    ({"type": "subq32cos", "amp": True}, "amp"),
+    ({"type": "subq32cos", "amp": "0.3"}, "amp"),
+    ({"type": "subq32cos", "amp": float("nan")}, "amp"),
+    ({"type": "subq32cos", "amp": float("inf")}, "amp"),
+    ({"type": "subq32cos", "amp": None}, "amp"),
+    ({"type": "maxpoly", "pieces": [[0, 0, float("nan")]]}, "pieces"),
+    ({"type": "maxpoly", "pieces": [[0, 0, 1], []]}, "pieces"),
+    ({"type": "maxpoly", "pieces": []}, "pieces"),
+    ({"type": "maxpoly", "pieces": [[0, True, 1]]}, "pieces"),
+    ({"type": "maxpoly", "pieces": [[0, "1", 1]]}, "pieces"),
+    ({"type": "maxpoly", "pieces": [1.0]}, "pieces"),
+    ({"type": "maxpoly", "pieces": "[[0, 1]]"}, "pieces"),
+], ids=["amp-true", "amp-str", "amp-nan", "amp-inf", "amp-null", "pieces-nan",
+        "pieces-empty-piece", "pieces-empty", "pieces-bool", "pieces-str-coeff",
+        "pieces-flat", "pieces-str"])
+def test_bad_amp_or_pieces_exits_2_before_any_write(tmp_path, capsys, potential, named):
+    # An amp of true or "0.3" used to be read as a number, a non-finite amp
+    # or coefficient gave NaN certificates with exit 1, and an empty piece
+    # exited 1 with a traceback from np.stack.
+    raw = {"potential": potential, "T": 1.0, "n": 1, "K": 16, "mode": "saddle",
+           "hypotheses": {"mu1": 1.5, "A": 1.0}}
+    with pytest.raises(cli.ConfigError) as err:
+        cli.RunConfig.from_dict(raw).build_model()
+    assert err.value.key == "potential"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["certify", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    message = capsys.readouterr().err
+    assert "config key 'potential'" in message and named in message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0, -1.0])
+def test_verify_of_a_bad_period_exits_2_before_any_write(tmp_path, capsys, T):
+    # A period of NaN used to exit 1 with a traceback, and one of Infinity
+    # was verified to aggregate = inf and exit 1 as a certified negative.
+    traj = tmp_path / "trajectory.json"
+    traj.write_text(json.dumps(dict(PeriodicTrajectory.zero(1.0, 1, 4).to_dict(), T=T)))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"potential": {"type": "quartic"}, "T": 6.0, "n": 1,
+                                "K": 4, "mode": "superquadratic"}))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path), str(traj), "-o", str(tmp_path / "out")]) \
+        == cli.EXIT_INPUT
+    assert "cannot parse trajectory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verification_keys_of_solve_and_verify_are_fixed(tmp_path):
+    # perfbench reads aggregate and nonconstant; removing a key is a
+    # deliberate change to this set.
+    keys = {"aggregate", "max_distance", "nonconstant", "periodicity", "n_nodes"}
+    assert cli.cmd_solve(quartic_config(2 * math.pi, 16, tmp_path / "solve")) == cli.EXIT_OK
+    result = json.loads((tmp_path / "solve" / "result.json").read_text())
+    assert set(result["verification"]) == keys
+    cfg = quartic_config(2 * math.pi, 16, tmp_path / "verify")
+    assert cli.cmd_verify(cfg, str(tmp_path / "solve" / "trajectory.json")) == cli.EXIT_OK
+    assert set(json.loads((tmp_path / "verify" / "verification.json").read_text())) == keys
+    assert json.loads((tmp_path / "verify" / "verification.json").read_text())["aggregate"] \
+        == result["verification"]["aggregate"]
 
 
 def test_potential_dim_above_the_sampler_table_exits_2(tmp_path, capsys):

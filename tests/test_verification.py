@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from liporbit.potentials import PotentialModel, make_maxpair, make_quartic
+from liporbit.action import project_hull
+from liporbit.potentials import PotentialModel, make_maxpair, make_quartic, subdiff
 from liporbit.trajectory import PeriodicTrajectory, default_grid_size, random_trajectory
 from liporbit import verification
 from liporbit.verification import (
     OracleFailure,
-    energy_drift,
     inclusion_residual,
     shooting_oracle,
 )
@@ -37,7 +37,6 @@ def test_zero_loop_is_equilibrium():
     assert rep.aggregate == 0.0
     assert rep.max_distance == 0.0
     assert not rep.nonconstant
-    assert rep.excluded_fraction == 0.0
 
 
 def test_harmonic_under_zero_potential_is_not_a_solution():
@@ -63,46 +62,44 @@ def test_smooth_aggregate_matches_direct_quadrature():
     assert np.isclose(rep.aggregate, direct, rtol=1e-12)
 
 
-def test_kink_crossing_nodes_are_excluded_not_counted():
+def test_kink_crossing_nodes_count_their_hull_distance():
     V = make_maxpair(1)
-    # The peak node sits just outside the switching sphere, close enough
-    # that the widened activity tolerance disagrees with the base one.
+    # The peak node sits just outside the switching sphere, inside the
+    # activity band: both pieces are active there, and the node counts
+    # its distance to their hull like every other node.
     q = PeriodicTrajectory.harmonic(2.0, 1, 1, sin_amp=1.0 + 2.0e-8, K=16)
     rep = inclusion_residual(q, V)
-    assert 0.0 < rep.excluded_fraction < 0.1
-    assert rep.distances.size == default_grid_size(q.K)
+    N = default_grid_size(q.K)
+    qs = q.sample(N)
+    target = -q.derivative().derivative().sample(N)
+    peak = int(np.argmax(np.abs(qs[:, 0])))
+    assert subdiff(V, qs[peak]).active == (0, 1)
+    serial = [np.linalg.norm(target[j] - project_hull(target[j], subdiff(V, qs[j]).vertices)[0])
+              for j in range(N)]
+    assert np.allclose(rep.distances, serial, rtol=1e-12, atol=1e-12)
+    assert rep.distances.size == N
+    assert rep.aggregate == float(np.sqrt(q.T / N * np.sum(rep.distances ** 2)))
 
 
 def test_node_exactly_on_kink_uses_full_hull():
     V = make_maxpair(1)
-    # Both pieces active at base tolerance: the hull distance is the
-    # honest inclusion distance there, so the node is not excluded.
+    # Both pieces active on the sphere: the hull distance is the honest
+    # inclusion distance there, so it stays below either gradient's.
     q = PeriodicTrajectory.harmonic(2.0, 1, 1, sin_amp=1.0, K=16)
     rep = inclusion_residual(q, V)
-    assert rep.excluded_fraction == 0.0
+    qs = q.sample(rep.distances.size)
+    peak = int(np.argmax(np.abs(qs[:, 0])))
+    target = -q.derivative().derivative().sample(rep.distances.size)[peak]
+    assert rep.distances[peak] <= min(np.linalg.norm(target - g(qs[peak]))
+                                      for g in V.gradients)
 
 
 def test_report_dict_and_csv():
     V = make_quartic(1)
     q = PeriodicTrajectory.harmonic(TWO_PI, 1, 1, K=4)
     rep = inclusion_residual(q, V)
-    d = rep.to_dict()
-    assert set(d) >= {"aggregate", "max_distance", "excluded_fraction",
-                      "energy_drift", "nonconstant", "periodicity"}
-
-
-# -- energy drift ----------------------------------------------------------
-
-
-def test_energy_drift_zero_at_equilibrium():
-    V = make_quartic(2)
-    assert energy_drift(PeriodicTrajectory.zero(1.0, 2, 4), V) == 0.0
-
-
-def test_energy_drift_large_for_non_solution():
-    V = make_quartic(1)
-    q = PeriodicTrajectory.harmonic(TWO_PI, 1, 1, K=8)
-    assert energy_drift(q, V) > 1e-2
+    assert set(rep.to_dict()) == {"aggregate", "max_distance", "nonconstant",
+                                  "periodicity", "n_nodes"}
 
 
 # -- shooting oracle ---------------------------------------------------------
@@ -137,8 +134,12 @@ def test_oracle_consistency_loop(quartic_orbit):
     V, res = quartic_orbit
     rep = inclusion_residual(res.trajectory, V)
     assert rep.aggregate < 1e-6
-    assert energy_drift(res.trajectory, V) < 1e-6
     assert rep.nonconstant
+    # The autonomous flow conserves E = |qdot|^2/2 + V(q) along true orbits.
+    N = 32 * default_grid_size(res.trajectory.K)
+    E = (0.5 * np.sum(res.trajectory.derivative().sample(N) ** 2, axis=1)
+         + V.value(res.trajectory.sample(N)))
+    assert np.max(np.abs(E - np.mean(E))) < 1e-6
 
 
 def test_amplitude_period_monotonicity():
