@@ -101,7 +101,10 @@ class RunConfig:
         # Unknown keys fail; the table's defaults, then the zoo's constants,
         # fill in what the config leaves out.
         table = [potentials.HYPOTHESIS_PARAMS[hyp] for hyp in cfg.hypothesis_names]
-        zoo = potentials.ZOO_PARAMS.get(cfg.potential.get("type"), {})
+        potential_type = cfg.potential.get("type")
+        if not isinstance(potential_type, str):
+            raise ConfigError("potential.type", f"must be a string, got {potential_type!r}")
+        zoo = potentials.ZOO_PARAMS.get(potential_type, {})
         for key in cfg.hypotheses:
             if not any(key in params for params in table):
                 raise ConfigError(f"hypotheses.{key}",

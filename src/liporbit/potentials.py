@@ -1,11 +1,11 @@
 """Locally Lipschitz potentials with an explicit subdifferential oracle.
 
-Two structural classes are supported: smooth potentials (a value map with
-its gradient) and finite maxima of smooth pieces V(x) = max_i V_i(x).
-For the latter the generalized gradient at x is the convex hull of the
-gradients of the pieces active at x, which is exact for max-type
-functions; fully general Lipschitz potentials admit no computable oracle
-and are out of scope.
+A model is a finite max of smooth pieces V(x) = max_i V_i(x), smooth
+when it has one piece; dV(x) is the convex hull of the active pieces'
+gradients, exact for max-type functions (Clarke 1983, 2.3).  Fully
+general Lipschitz potentials admit no computable oracle and are out of
+scope.  quartic, maxpair and maxpoly are maxima of radial polynomials
+p_i(|x|^2), coefficient tables read by one evaluator.
 
 The module also certifies, by sampling, the growth hypotheses used by
 the existence theory: a superquadratic set
@@ -55,22 +55,22 @@ HYPOTHESIS_PARAMS = {
 
 @dataclass(frozen=True)
 class PotentialModel:
-    """Potential V on R^n, either smooth or a finite max of smooth pieces.
+    """Potential V on R^n, the max of one or more smooth pieces.
 
     Value and gradient maps must be pure and vectorized: values accept
     points of shape (..., n) and return (...,), gradients return (..., n).
+    kind is "smooth" for one piece, whichever factory built it, else "max".
     """
 
     dim: int
     values: tuple[Value, ...]
     gradients: tuple[Gradient, ...]
-    kind: str  # "smooth" | "max"
     name: str = "custom"
 
     @classmethod
     def smooth(cls, value: Value, gradient: Gradient, dim: int,
                name: str = "custom") -> "PotentialModel":
-        return cls(dim, (value,), (gradient,), "smooth", name)
+        return cls(dim, (value,), (gradient,), name)
 
     @classmethod
     def piecewise_max(cls, pieces: Sequence[tuple[Value, Gradient]], dim: int,
@@ -78,7 +78,11 @@ class PotentialModel:
         if not pieces:
             raise ValueError("need at least one piece")
         vals, grads = zip(*pieces)
-        return cls(dim, tuple(vals), tuple(grads), "max", name)
+        return cls(dim, tuple(vals), tuple(grads), name)
+
+    @property
+    def kind(self) -> str:
+        return "smooth" if len(self.values) == 1 else "max"
 
     @property
     def n_pieces(self) -> int:
@@ -129,9 +133,6 @@ def subdiff(model: PotentialModel, x) -> SubgradientSet:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x must be finite, got {x}")
-    if model.kind == "smooth":
-        g = np.asarray(model.gradients[0](x), dtype=float)
-        return SubgradientSet(x=x, vertices=g[None, :], active=(0,))
     active = tuple(int(i) for i in np.flatnonzero(active_set(model.piece_values(x))))
     verts = np.stack([np.asarray(model.gradients[i](x), dtype=float) for i in active])
     return SubgradientSet(x=x, vertices=verts, active=active)
@@ -396,10 +397,11 @@ def _pairing_extremes(model: PotentialModel, pts: np.ndarray, minimum: bool) -> 
 # -- built-in zoo -----------------------------------------------------
 #
 # Each entry documents the constants its certificates are run with.
-# quartic:    V = |x|^4 / 4.   (V2) mu1=4, mu2=0 exactly (Euler identity);
+# quartic:    V = |x|^4 / 4, the radial table ((0, 0, 1/4),): one piece,
+#             so smooth.  (V2) mu1=4, mu2=0 exactly (Euler identity);
 #             (V3) a1=1/4, a2=0; (V4) A=1/4 on the unit ball.
-# maxpair:    V = max(|x|^4, 2|x|^4 - 1).  (V2) mu1=4, mu2=0;
-#             (V3) a1=1, a2=-1; (V4) A=1 on the unit ball.
+# maxpair:    V = max(|x|^4, 2|x|^4 - 1), the table ((0, 0, 1), (-1, 0, 2)).
+#             (V2) mu1=4, mu2=0; (V3) a1=1, a2=-1; (V4) A=1 on the unit ball.
 # subq32:     V = |x|^{3/2}.  (V2') mu1=3/2, mu2=0 exactly;
 #             (V3') coercive; (V4') A=1, a=27/256.
 # subq32cos:  V = |x|^{3/2} + 0.3 cos(x_1).  (V2') mu1=1.8, mu2=0.75;
@@ -418,30 +420,38 @@ def _sq_norm(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _power_sum(const: float, terms: list[tuple[int, float]], s):
+    """const + sum c s^j over terms, the nonzero (j >= 1, c) in ascending
+    j, summed from the constant, a scalar, with no s ** 1 or 1.0 * t
+    formed: the bits of the sum written out by hand."""
+    out = None if const == 0.0 else const
+    for j, c in terms:
+        t = s if j == 1 else s ** j
+        t = t if c == 1.0 else c * t
+        out = t if out is None else out + t
+    return out if terms else np.full_like(s, const)
+
+
+def _radial_max(table: Sequence[Sequence[float]], dim: int, name: str) -> PotentialModel:
+    """max_i p_i(|x|^2), p_i(s) = sum_j table[i][j] s^j.  Piece i's
+    gradient is 2 p_i'(s) x, its coefficients 2 j c_ij formed once."""
+    def piece(coeffs):
+        c = [float(cj) for cj in coeffs]
+        d = [2.0 * j * cj for j, cj in enumerate(c)][1:] or [0.0]   # 2 p'(s)
+        v_terms = [(j, cj) for j, cj in enumerate(c) if j and cj]
+        g_terms = [(j, dj) for j, dj in enumerate(d) if j and dj]
+        return (lambda x: _power_sum(c[0], v_terms, _sq_norm(x)),
+                lambda x: _power_sum(d[0], g_terms, _sq_norm(x))[..., None] * x)
+
+    return PotentialModel.piecewise_max([piece(coeffs) for coeffs in table], dim, name)
+
+
 def make_quartic(dim: int) -> PotentialModel:
-    def val(x):
-        return 0.25 * _sq_norm(x) ** 2
-
-    def grad(x):
-        return _sq_norm(x)[..., None] * x
-
-    return PotentialModel.smooth(val, grad, dim, name="quartic")
+    return _radial_max(((0, 0, 0.25),), dim, "quartic")
 
 
 def make_maxpair(dim: int) -> PotentialModel:
-    def v1(x):
-        return _sq_norm(x) ** 2
-
-    def g1(x):
-        return 4.0 * _sq_norm(x)[..., None] * x
-
-    def v2(x):
-        return 2.0 * _sq_norm(x) ** 2 - 1.0
-
-    def g2(x):
-        return 8.0 * _sq_norm(x)[..., None] * x
-
-    return PotentialModel.piecewise_max([(v1, g1), (v2, g2)], dim, name="maxpair")
+    return _radial_max(((0, 0, 1), (-1, 0, 2)), dim, "maxpair")
 
 
 def make_subq32(dim: int) -> PotentialModel:
@@ -478,32 +488,11 @@ def make_maxpoly(coeff_lists: Sequence[Sequence[float]], dim: int) -> PotentialM
 
     Coefficients are powers of |x|^2, so every piece is smooth.
     """
-    pieces = []
-    for coeffs in coeff_lists:
-        c = np.asarray(coeffs, dtype=float)
-
-        def val(x, c=c):
-            s = _sq_norm(x)
-            return sum(c[j] * s ** j for j in range(len(c)))
-
-        def grad(x, c=c):
-            x = np.asarray(x, dtype=float)
-            s = _sq_norm(x)
-            dvds = sum(j * c[j] * s ** (j - 1) for j in range(1, len(c)))
-            if len(c) <= 1:
-                return np.zeros_like(x)
-            return 2.0 * np.asarray(dvds)[..., None] * x
-
-        pieces.append((val, grad))
-    return PotentialModel.piecewise_max(pieces, dim, name="maxpoly")
+    return _radial_max(coeff_lists, dim, "maxpoly")
 
 
-ZOO = {
-    "quartic": make_quartic,
-    "maxpair": make_maxpair,
-    "subq32": make_subq32,
-    "subq32cos": make_subq32cos,
-}
+ZOO = {"quartic": make_quartic, "maxpair": make_maxpair, "subq32": make_subq32,
+       "subq32cos": make_subq32cos}
 
 # Documented hypothesis constants for the zoo, keyed by model name.
 ZOO_PARAMS = {
@@ -530,28 +519,35 @@ ZOO_PARAMS = {
 }
 
 
+# The keys each type's spec reads beyond type and dim; any other is an error.
+SPEC_KEYS = dict.fromkeys(ZOO, ()) | {"subq32cos": ("amp",), "maxpoly": ("pieces",)}
+
+
 def from_spec(spec: dict) -> PotentialModel:
-    """Build a model from a config mapping {type: ..., params...}."""
+    """Build a model from a config mapping {type, dim, the type's SPEC_KEYS}."""
     spec = dict(spec)
-    kind = spec.pop("type", None)
+    name = spec.pop("type", None)
     dim = spec.pop("dim", 1)
     if not (isinstance(dim, numbers.Integral) and not isinstance(dim, bool) and dim >= 1):
         raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
     dim = int(dim)
-    if kind in ZOO:
-        if kind == "subq32cos" and "amp" in spec:
-            if not _is_finite_real(spec["amp"]):
-                raise ValueError(f"amp must be a finite number, got {spec['amp']!r}")
-            return make_subq32cos(dim, amp=float(spec["amp"]))
-        return ZOO[kind](dim)
-    if kind == "maxpoly":
-        pieces = spec["pieces"]
+    if not (isinstance(name, str) and name in SPEC_KEYS):
+        raise ValueError(f"unknown potential type {name!r}")
+    for key in spec:
+        if key not in SPEC_KEYS[name]:
+            raise ValueError(f"{name} reads no key {key!r}")
+    if name == "maxpoly":
+        pieces = spec.get("pieces")
         if not (isinstance(pieces, list) and pieces and all(
                 isinstance(c, list) and c and all(map(_is_finite_real, c)) for c in pieces)):
             raise ValueError("pieces must be a non-empty list of non-empty lists of "
                              f"finite numbers, got {pieces!r}")
         return make_maxpoly(pieces, dim)
-    raise ValueError(f"unknown potential type {kind!r}")
+    if "amp" in spec:
+        if not _is_finite_real(spec["amp"]):
+            raise ValueError(f"amp must be a finite number, got {spec['amp']!r}")
+        return make_subq32cos(dim, amp=float(spec["amp"]))
+    return ZOO[name](dim)
 
 
 def _is_finite_real(value) -> bool:

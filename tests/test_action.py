@@ -286,6 +286,35 @@ def test_residual_jacobians_rows_equal_one_row_calls(K):
             assert np.array_equal(J, residual_jacobians(q.coefficients()[None], q.T, V)[0])
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_piece_model_is_smooth_and_matches_an_inactive_second_piece(n):
+    # kind follows from the piece count, so a one-piece model takes the
+    # smooth paths of _select and residual_jacobians, whichever factory
+    # built it; the constant piece -1e6 is never active.
+    rng = np.random.default_rng(40 + n)
+    one_piece = [make_maxpoly([[0, 0, 1]], n),
+                 PotentialModel.piecewise_max([(make_maxpair(n).values[0],
+                                                make_maxpair(n).gradients[0])], n)]
+    two = make_maxpoly([[0, 0, 1], [-1e6]], n)
+    assert two.kind == "max"
+    stack = np.stack([random_trajectory(rng, 2.0, n, 16).coefficients() for _ in range(3)])
+    for V in one_piece:
+        assert V.kind == "smooth"
+        assert np.array_equal(min_norm_residuals(stack, 2.0, V),
+                              min_norm_residuals(stack, 2.0, two))
+        assert np.array_equal(residual_jacobians(stack, 2.0, V),
+                              residual_jacobians(stack, 2.0, two))
+
+
+def test_shooting_oracle_takes_a_one_piece_table_as_the_quartic():
+    ref = shooting_oracle(make_quartic(1), TWO_PI, [1.18, 0.0], K=32)
+    got = shooting_oracle(make_maxpoly([[0, 0, 0.25]], 1), TWO_PI, [1.18, 0.0], K=32)
+    assert np.array_equal(got.initial_state, ref.initial_state)
+    assert np.array_equal(got.trajectory.coefficients(), ref.trajectory.coefficients())
+    assert (got.closure_residual, got.fit_residual, got.newton_iters) \
+        == (ref.closure_residual, ref.fit_residual, ref.newton_iters)
+
+
 # -- nearest point in hull -------------------------------------------------
 
 

@@ -255,13 +255,20 @@ def test_bad_verbosity_or_output_dir_exits_2_before_any_write(tmp_path, capsys,
     ({"type": "maxpoly", "pieces": [[0, "1", 1]]}, "pieces"),
     ({"type": "maxpoly", "pieces": [1.0]}, "pieces"),
     ({"type": "maxpoly", "pieces": "[[0, 1]]"}, "pieces"),
+    ({"type": "maxpoly"}, "pieces"),
+    ({"type": "quartic", "amp": 5, "pieces": 3}, "amp"),
+    ({"type": "maxpair", "ampl": 0.1}, "ampl"),
+    ({"type": "maxpoly", "pieces": [[0, 0, 1]], "amp": 0.3}, "amp"),
+    ({"type": "subq32", "amp": 0.3}, "amp"),
 ], ids=["amp-true", "amp-str", "amp-nan", "amp-inf", "amp-null", "pieces-nan",
         "pieces-empty-piece", "pieces-empty", "pieces-bool", "pieces-str-coeff",
-        "pieces-flat", "pieces-str"])
+        "pieces-flat", "pieces-str", "pieces-missing", "quartic-amp-pieces",
+        "maxpair-ampl", "maxpoly-amp", "subq32-amp"])
 def test_bad_amp_or_pieces_exits_2_before_any_write(tmp_path, capsys, potential, named):
     # An amp of true or "0.3" used to be read as a number, a non-finite amp
     # or coefficient gave NaN certificates with exit 1, and an empty piece
-    # exited 1 with a traceback from np.stack.
+    # exited 1 with a traceback from np.stack.  A key the type does not
+    # read (an amp on quartic, a misspelt ampl) used to be dropped.
     raw = {"potential": potential, "T": 1.0, "n": 1, "K": 16, "mode": "saddle",
            "hypotheses": {"mu1": 1.5, "A": 1.0}}
     with pytest.raises(cli.ConfigError) as err:
@@ -273,6 +280,23 @@ def test_bad_amp_or_pieces_exits_2_before_any_write(tmp_path, capsys, potential,
     assert cli.main(["certify", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
     message = capsys.readouterr().err
     assert "config key 'potential'" in message and named in message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("potential_type", [["quartic"], {"a": 1}, 3, None],
+                         ids=["list", "object", "number", "null"])
+def test_non_string_potential_type_exits_2_before_any_write(tmp_path, capsys, potential_type):
+    # A list or object type used to exit 1 with "unhashable type" from the
+    # zoo-constant lookup in from_dict.
+    raw = {"potential": {"type": potential_type}, "T": 6.0, "n": 1, "K": 16}
+    with pytest.raises(cli.ConfigError) as err:
+        cli.RunConfig.from_dict(raw)
+    assert err.value.key == "potential.type"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["certify", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert "config key 'potential.type'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

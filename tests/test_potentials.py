@@ -394,16 +394,62 @@ def test_sampler_dim_above_the_table_raises_by_name():
 # -- zoo and config construction -----------------------------------------
 
 
-def test_maxpoly_reproduces_maxpair():
-    ref = make_maxpair(2)
-    poly = make_maxpoly([[0.0, 0.0, 1.0], [-1.0, 0.0, 2.0]], 2)
-    rng = np.random.default_rng(10)
-    for _ in range(30):
-        x = rng.uniform(-2, 2, size=2)
-        assert np.isclose(poly.value(x), ref.value(x), rtol=1e-14)
-        gp = subdiff(poly, x).vertices
-        gr = subdiff(ref, x).vertices
-        assert np.allclose(np.sort(gp, axis=0), np.sort(gr, axis=0))
+def _power_sum_piece(coeffs):
+    """A maxpoly piece as the generic power sum the coefficient tables
+    replaced."""
+    c = np.asarray(coeffs, dtype=float)
+
+    def val(x):
+        s = _sq_norm(x)
+        return sum(c[j] * s ** j for j in range(len(c)))
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        if len(c) <= 1:
+            return np.zeros_like(x)
+        s = _sq_norm(x)
+        return 2.0 * np.asarray(sum(j * c[j] * s ** (j - 1)
+                                    for j in range(1, len(c))))[..., None] * x
+
+    return val, grad
+
+
+# The hand-written quartic and maxpair pieces the tables replaced.
+HAND_WRITTEN = {
+    "quartic": [(lambda x: 0.25 * _sq_norm(x) ** 2, lambda x: _sq_norm(x)[..., None] * x)],
+    "maxpair": [(lambda x: _sq_norm(x) ** 2, lambda x: 4.0 * _sq_norm(x)[..., None] * x),
+                (lambda x: 2.0 * _sq_norm(x) ** 2 - 1.0,
+                 lambda x: 8.0 * _sq_norm(x)[..., None] * x)],
+}
+TABLES = {"quartic": [[0, 0, 0.25]], "maxpair": [[0, 0, 1], [-1, 0, 2]],
+          "maxpoly3": [[0.0, 1.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 2.0]],
+          "dense": [[0.3, -1.2, 0.7, 0.1], [2.0], [0.0, 3.5]]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_radial_tables_reproduce_the_replaced_pieces_bit_for_bit(n):
+    # Values and gradients of every piece, on a batch and on single points
+    # with x = 0 and |x| = 1 among them.
+    rng = np.random.default_rng(n)
+    unit = rng.standard_normal((50, n))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    batch = np.concatenate([rng.uniform(-2, 2, (2000, n)), np.zeros((1, n)),
+                            np.eye(n), -np.eye(n), unit])
+    cases = [(make_quartic(n), HAND_WRITTEN["quartic"]),
+             (make_maxpair(n), HAND_WRITTEN["maxpair"]),
+             (make_maxpoly(TABLES["quartic"], n), HAND_WRITTEN["quartic"]),
+             (make_maxpoly(TABLES["maxpair"], n), HAND_WRITTEN["maxpair"])]
+    cases += [(make_maxpoly(table, n), [_power_sum_piece(c) for c in table])
+              for table in TABLES.values()]
+    for model, pieces in cases:
+        assert model.n_pieces == len(pieces)
+        assert model.kind == ("smooth" if len(pieces) == 1 else "max")
+        for x in [batch, batch[2000], batch[2001], batch[-1]]:
+            for (v, g), (v_ref, g_ref) in zip(zip(model.values, model.gradients), pieces):
+                assert np.array_equal(v(x), v_ref(x))
+                assert np.array_equal(g(x), g_ref(x))
+    assert [m.name for m in (make_quartic(n), make_maxpair(n), make_maxpoly([[1]], n))] \
+        == ["quartic", "maxpair", "maxpoly"]
 
 
 def test_from_spec_builds_zoo_and_custom():
