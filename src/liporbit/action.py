@@ -112,8 +112,8 @@ def _select(model: PotentialModel, qs: np.ndarray, target: np.ndarray,
     grads = np.stack([np.asarray(g(qs), dtype=float)
                       for g in model.gradients])           # (P, M, n)
     n_active = active.sum(axis=0)
-    if not np.all(n_active):
-        raise ValueError("a node has no active piece: q must be finite")
+    if not (np.all(n_active) and np.all(np.isfinite(qs))):
+        raise ValueError("a node is not finite or has no active piece: q must be finite")
     sel = np.empty_like(target)
     weights = np.zeros((M, model.n_pieces))
     cols = np.flatnonzero(n_active == 1)

@@ -298,6 +298,9 @@ def cmd_verify(cfg: RunConfig, trajectory_path: str) -> int:
         print(f"trajectory dimension {traj.n} != model dimension {model.dim}",
               file=sys.stderr)
         return EXIT_INPUT
+    for key, value in (("T", traj.T), ("K", traj.K)):
+        if value != getattr(cfg, key):
+            raise ConfigError(key, f"{getattr(cfg, key)!r} != the trajectory's {value!r}")
     report = inclusion_residual(traj, model)
     _write(Path(cfg.output_dir), "verification.json",
            json.dumps(report.to_dict(), sort_keys=True, indent=1), cfg.verbosity)
@@ -378,7 +381,7 @@ def main(argv=None) -> int:
         p.add_argument("-o", "--output", help="output directory override")
         p.add_argument("--seed", type=int, help="solver seed override")
         p.add_argument("--modes", type=int, help="Fourier mode count override (K)")
-        p.add_argument("--grid", type=int, help="surface grid resolution override")
+        p.add_argument("--grid", type=int, help="grid points per axis override")
         p.add_argument("--period", type=float, help="period T override")
 
     add_common(sub.add_parser("certify", help="sample the growth hypotheses"))

@@ -124,8 +124,9 @@ def active_set(piece_vals: np.ndarray) -> np.ndarray:
     """
     top = np.max(piece_vals, axis=0)
     # Not 1e-7 * (...): the two round apart at the band's edge, and this
-    # form keeps the masks, and so the artifacts, bit for bit.
-    return piece_vals >= top - 1e-8 * (1.0 + np.abs(top)) * 10.0
+    # form keeps the masks, and so the artifacts, bit for bit.  An infinite
+    # top makes the band NaN; the pieces equal to it are then the active ones.
+    return (piece_vals >= top - 1e-8 * (1.0 + np.abs(top)) * 10.0) | (piece_vals == top)
 
 
 def subdiff(model: PotentialModel, x) -> SubgradientSet:

@@ -1,28 +1,25 @@
-"""Minimax candidates from a grid surface: one seed list, then polish.
+"""Minimax candidates from the linking geometry: one seed list, then polish.
 
-A Surface holds one loop per node of a parameter grid, the identity
-embedding of the cylinder {x1-box} x [0, r2] (superquadratic mode) or of
-the X1 ball as a max-norm box (saddle mode), boundary nodes pinned, as
-one array of Fourier coefficient rows.  A run polishes a list of seeds
-by phase-anchored damped Newton on the inclusion residual until one
-passes every gate.  In superquadratic mode the seeds are the point of
-one probe of the piecewise-linear interpolation of the surface along
-its grid columns (ridge_probe; node values miss the critical ridge
-where it runs between nodes; every column is screened in one pass, with
-no column skipped), then symmetry-breaking variants of it.
-In saddle mode the one seed is the argmax node, the max of f over the
-X1 ball.  A run reports the polished loop with the lowest inclusion
-aggregate among those that pass the measure, level and shape gates,
-and why each other one failed; converged means that aggregate is below
-verify_tol, the test behind exit code 0.
+A run polishes a list of seeds by phase-anchored damped Newton on the
+inclusion residual until one passes every gate, and builds no grid
+surface.  In superquadratic mode the seeds are the point of one probe
+of the linking cylinder's grid columns x1 + s e (ridge_probe; node
+values miss the critical ridge where it runs between nodes, so each
+column is probed between its nodes too), then symmetry-breaking
+variants of it.  In saddle mode the one seed is the max of f over the
+constant loops of the X1 box's grid, the grid point of least V.  A run
+reports the polished loop with the lowest inclusion aggregate among
+those that pass the measure, level and shape gates, and why each other
+one failed; converged means that aggregate is below verify_tol, the
+test behind exit code 0.
 
 A run works on two levels of the Fourier space (nested iteration).  The
-surface, the probe, the seeds and a first polish of each seed live at
-the coarse K0 = min(K, max(16, K // 4)) modes; a seed whose coarse polish
-ends at a measure at or below tol_conv is padded to the caller's K and
-polished and judged there.  The coarse level only rejects: a seed that
-ends above tol_conv at K0 is rejected on "measure", and every pass is
-decided by the gates at K.  For K <= 16 the two levels coincide.
+probe, the seeds and a first polish of each seed live at the coarse
+K0 = min(K, max(16, K // 4)) modes; a seed whose coarse polish ends at a
+measure at or below tol_conv is padded to the caller's K and polished
+and judged there.  The coarse level only rejects: a seed that ends above
+tol_conv at K0 is rejected on "measure", and every pass is decided by
+the gates at K.  For K <= 16 the two levels coincide.
 
 The seeds' coarse polishes run one at a time until one ends above
 tol_conv (a stalled seed).  The remaining variants are then drawn, in
@@ -36,9 +33,10 @@ history is the one of polishing each seed alone: records are appended
 in seed order and re-indexed, and each keeps the prefix the record
 budget leaves room for at its turn.
 
-deform_step, a peak-shaving descent step at the argmax node, is not part
-of a run: on the benchmark inputs it never decided an answer, and the
-deformed node set stops linking within a few steps.
+Surface, init_surface (the grid of node loops, boundary pinned) and
+deform_step (a peak-shaving descent step at its argmax node) are not
+part of a run and are kept only for the benchmark's tracer, which names
+them: the deformed node set stops linking within a few steps.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ import numpy as np
 
 from .action import (
     CeramiRecord,
-    _synthesize,
     action_value,
     action_values,
     min_norm_residuals,
@@ -185,7 +182,7 @@ def init_surface(geom: LinkingGeometry, model: PotentialModel,
     shape = (m,) * (n + 1 if superquadratic else n)
     grid = np.indices(shape).reshape(len(shape), -1)
     coeffs = np.zeros((grid.shape[1], 2 * config.K + 1, n))
-    coeffs[:, 0] = np.linspace(-radius, radius, m)[grid[:n].T]
+    coeffs[:, 0] = np.repeat(_grid_points(radius, m, n), len(coeffs) // m ** n, axis=0)
     if superquadratic:
         s = np.linspace(0.0, geom.r2, m)[grid[n]]
         coeffs += s[:, None, None] * geom.e.pad_modes(config.K).coefficients()
@@ -272,94 +269,84 @@ class SolverResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-SCREEN_TOL = 1e-9   # screens are within 1e-14 (1 + |f|) of f on the benchmark's surfaces
-
-# Columns per _screened_values call: 16 raised the kink-sweep peak RSS by
-# 1.1 MB, 8 left it where the one-column screen had it.
-SCREEN_COLUMNS = 8
+SCREEN_TOL = 1e-9   # screens are within 2e-14 (1 + |f|) of f on the benchmark's cylinders
+N_PROBE = 7         # probe points inside each segment of a column, at theta = k / 8
+SCREEN_COLUMNS = 8  # columns per screened block, which bounds the screen's peak memory
 
 
-def _screened_values(chains, T: float, model: PotentialModel, n_probe: int) -> np.ndarray:
-    """f at the probe points of the polylines through chains (C, m, 2K+1, n), up to rounding:
-    V at the interpolated samples of the node loops, the kinetic term as a quadratic in
-    theta.  Shape (C, (m-1) n_probe), segment-major."""
-    C, m, rows, n = chains.shape
-    K = (rows - 1) // 2
-    thetas = np.arange(1, n_probe + 1) / (n_probe + 1)
-    qs, _ = _synthesize(chains.reshape(C * m, rows, n), T, default_grid_size(K), accel=False)
-    qs = qs.reshape(C, m, *qs.shape[1:])
-    pts = qs[:, :-1, None] + thetas[:, None, None] * (qs[:, 1:] - qs[:, :-1])[:, :, None]
-    potential = T * np.mean(model.value(pts.reshape(-1, n)).reshape(pts.shape[:4]), axis=3)
-    w2 = np.tile((2.0 * np.pi * np.arange(1, K + 1) / T) ** 2, 2)[:, None]
-    c, d = chains[:, :-1, 1:], chains[:, 1:, 1:] - chains[:, :-1, 1:]
-    cc, cd, dd = (np.sum(w2 * x * y, axis=(2, 3))[..., None] for x, y in ((c, c), (c, d), (d, d)))
-    return (0.25 * T * (cc + thetas * (2.0 * cd + thetas * dd)) - potential).reshape(C, -1)
+def _grid_points(radius: float, m: int, n: int) -> np.ndarray:
+    """The m^n points of the grid over [-radius, radius]^n, shape (m^n, n), last axis fastest."""
+    return np.linspace(-radius, radius, m)[np.indices((m,) * n).reshape(n, -1).T]
 
 
-def _polyline_maxima(chains: np.ndarray, T: float, model: PotentialModel,
-                     floor: float = -np.inf, n_probe: int = 7):
-    """Coarse max of f over the piecewise-linear curve through each chain.
+def _screen(geom: LinkingGeometry, model: PotentialModel, K: int, x1: np.ndarray,
+            s: np.ndarray) -> np.ndarray:
+    """f at the loops x1 + s e up to rounding, shape (len(x1), len(s)).
 
-    chains holds the coefficient rows (C, m, 2K+1, n) of the curves'
-    nodes.  Returns per curve (value, segment index, theta), arrays of
-    shape (C,); the chain endpoints are assumed cached elsewhere so only
-    interior points are probed.  Every chain is screened, SCREEN_COLUMNS
-    at a time, and the points within SCREEN_TOL (1 + |top|) of their
-    chain's screened max top go through one action_values call, as if
-    all were evaluated; ties go to the first segment and the smallest
-    theta.  A chain whose top is that far below floor costs no exact
-    evaluation and gets (-inf, 0, 1 / (n_probe + 1)).
+    s^2 |edot|^2 / 2 - T mean_j V(x1 + s e(t_j)) on the 4K+4 samples of e:
+    no coefficient rows, no FFT per point; SCREEN_COLUMNS x1 at a time.
     """
-    screened = np.concatenate([_screened_values(chains[i:i + SCREEN_COLUMNS], T, model, n_probe)
-                               for i in range(0, len(chains), SCREEN_COLUMNS)])
+    e = geom.e.pad_modes(K)
+    path = s[:, None, None] * e.sample(default_grid_size(K))       # (len(s), N, n)
+    return 0.5 * l2_norm(e.derivative()) ** 2 * s ** 2 - geom.T * np.concatenate([
+        np.mean(model.value((x[:, None, None] + path).reshape(-1, model.dim))
+                .reshape(len(x), *path.shape[:2]), axis=2)
+        for x in (x1[i:i + SCREEN_COLUMNS] for i in range(0, len(x1), SCREEN_COLUMNS))])
+
+
+def ridge_probe(geom: LinkingGeometry, model: PotentialModel, K: int, m: int,
+                floor: float) -> tuple[PeriodicTrajectory, float] | None:
+    """Inf-sup over the linking cylinder's grid columns: the discrete minimax point.
+
+    Superquadratic mode, loops of K modes.  A column is the segment
+    x1 + s e, s in [0, r2], for x1 on the m^n grid of the X1 box; its
+    points in s order are the m nodes s_j (init_surface's rows: zeros,
+    row 0 = x1, plus s_j e) and, between node rows a and b, N_PROBE rows
+    a + theta (b - a), theta = k / (N_PROBE + 1).  Node values alone miss
+    the ridge when it runs between nodes; a column's max estimates its
+    crossing level, and the smallest column max realizes the discrete
+    inf-sup.  Columns whose max falls below floor have slipped around the
+    sphere through the mean directions (the quadratic barrier only binds
+    zero-mean loops) and are discarded.  Returns None when every column
+    leaked, else the first exact maximum in s order of the first column
+    with the smallest max, and that max.
+
+    Every column is screened (_screen); the points within SCREEN_TOL
+    (1 + |top|) of their column's screened top go through one
+    action_values call, and a column screened below floor costs none.
+    action_values gives a row the same bits in any batch, so the answer
+    is the one every point's exact value gives, save that an exact tie
+    between a node and an earlier interior point goes to the interior
+    point (the grid surface's probe gave it to the node).
+    """
+    x1 = _grid_points(geom.r1, m, model.dim)
+    s_nodes = np.linspace(0.0, geom.r2, m)
+    E = geom.e.pad_modes(K).coefficients()
+    node = np.repeat(np.arange(m), N_PROBE + 1)[:-N_PROBE]
+    nxt = np.minimum(node + 1, m - 1)
+    theta = np.tile(np.arange(N_PROBE + 1) / (N_PROBE + 1), m)[:-N_PROBE]
+    screened = _screen(geom, model, K, x1, s_nodes[node] + theta * (s_nodes[nxt] - s_nodes[node]))
     top = np.max(screened, axis=1, keepdims=True)
     tol = SCREEN_TOL * (1.0 + np.abs(top))
     near = (screened >= top - tol) & (top >= floor - tol)
-    col, k = np.nonzero(near)
-    seg, k = np.divmod(k, n_probe)
-    th = (k + 1) / (n_probe + 1)
+
+    def rows(col: np.ndarray, point: np.ndarray) -> np.ndarray:
+        a, b = np.zeros((2, len(col), *E.shape))
+        for out, j in ((a, node[point]), (b, nxt[point])):
+            out[:, 0] = x1[col]
+            out += s_nodes[j][:, None, None] * E
+        return a + theta[point][:, None, None] * (b - a)
+
     exact = np.full(screened.shape, -np.inf)
-    exact[near] = action_values(chains[col, seg] + th[:, None, None]
-                                * (chains[col, seg + 1] - chains[col, seg]), T, model)
+    exact[near] = action_values(rows(*np.nonzero(near)), geom.T, model)
     best = np.argmax(exact, axis=1)
-    seg, k = np.divmod(best, n_probe)
-    return exact[np.arange(len(chains)), best], seg, (k + 1) / (n_probe + 1)
-
-
-def ridge_probe(surface: Surface, model: PotentialModel,
-                floor: float) -> tuple[PeriodicTrajectory, float] | None:
-    """Inf-sup over the interpolated cylinder surface: the discrete minimax point.
-
-    Superquadratic mode only.  Node values alone miss the critical ridge
-    when it runs between grid points; the piecewise-linear curves through
-    each grid column (the s axis) are paths whose maxima estimate the
-    ridge crossing level, and the smallest column max realizes the
-    discrete inf-sup.  A column's max is its node max when that is at
-    least its polyline max.  Columns whose max falls below floor have
-    slipped around the sphere through the mean directions (the quadratic
-    barrier only binds zero-mean loops) and are discarded.  Returns None
-    when every column leaked, else the best point of the first column
-    with the smallest max, and that max.  All columns go through one
-    screened pass (_polyline_maxima); a column screened below floor costs
-    no exact evaluation.
-    """
-    m = surface.shape[-1]
-    chains = surface.coeffs.reshape(-1, m, *surface.coeffs.shape[1:])
-    f_nodes = surface.f_values.reshape(-1, m)
-    poly, seg, th = _polyline_maxima(chains, surface.T, model, floor=floor)
-    node = np.max(f_nodes, axis=1)
-    on_node = node >= poly
-    col_vals = np.where(on_node, node, poly)
+    col_vals = exact[np.arange(len(x1)), best]
     kept = np.flatnonzero(col_vals >= floor)
     if not kept.size:
         return None
     c = kept[np.argmin(col_vals[kept])]
-    chain = chains[c]
-    if on_node[c]:
-        point = chain[np.argmax(f_nodes[c])]
-    else:
-        point = chain[seg[c]] + th[c] * (chain[seg[c] + 1] - chain[seg[c]])
-    return PeriodicTrajectory.from_coefficients(surface.T, point), float(col_vals[c])
+    point = rows(np.array([c]), best[c:c + 1])[0]
+    return PeriodicTrajectory.from_coefficients(geom.T, point), float(col_vals[c])
 
 
 def _polish_steps(x: np.ndarray, R: np.ndarray, shape: tuple[int, int], T: float,
@@ -499,16 +486,17 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
     """Polish the geometry's seeds in order until one passes every gate.
 
     Superquadratic: the ridge_probe point, then its _seed_variants, at
-    most MAX_POLISHES.  Saddle: the argmax node alone; a constant seed's
-    variants repeat it or polish to tiny nonconstant loops that are not
-    the equilibrium.  The surface, the seeds and their first polish are
-    at K0 = min(K, max(16, K // 4)) modes.  A seed whose coarse polish
-    ends above tol_conv is rejected on "measure"; else its loop, padded
-    to K, is polished again at K and judged there, so every pass is
-    decided at K.  Both levels' records go into the history and count
-    against max_iters.  A seed that is already critical is its polish's
-    only record.  With no polished loop to report, the report is the
-    probe point or, without one, the argmax node, padded to K.
+    most MAX_POLISHES.  Saddle: the grid point of least V alone; a
+    constant seed's variants repeat it or polish to tiny nonconstant
+    loops that are not the equilibrium.  The probe, the seeds and their
+    first polish are at K0 = min(K, max(16, K // 4)) modes.  A seed
+    whose coarse polish ends above tol_conv is rejected on "measure";
+    else its loop, padded to K, is polished again at K and judged there,
+    so every pass is decided at K.  Both levels' records go into the
+    history and count against max_iters.  A seed that is already
+    critical is its polish's only record.  With no polished loop to
+    report, the report is the first seed or, when every probe column
+    leaked, the zero loop, at K.
 
     Seeds are polished one at a time until one stalls at K0; then the
     remaining variants are polished at K0 together in lockstep
@@ -526,7 +514,6 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
             "geometry certificate absent or failed; calibrate and certify first")
     rng = np.random.default_rng(config.seed)
     coarse_K = int(min(config.K, max(16, config.K // 4)))
-    surface = init_surface(geom, model, replace(config, K=coarse_K))
     superquadratic = geom.mode == "superquadratic"
     records: list[CeramiRecord] = []
     rejections: list[str] = []          # why each rejected candidate failed
@@ -572,14 +559,21 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
         records.extend(kept)
         return kept[-1].trajectory
 
-    probe_seed = ridge_slack = None
+    # The saddle seed maximizes f = -T V(x1) over the X1 grid; ties to the first.
+    first_seed = ridge_slack = None
     seeds = iter(())
     if not superquadratic:
-        seeds = iter([surface.node(surface.argmax_node())])
-    elif (hit := ridge_probe(surface, model, floor=geom.alpha_bound - 1e-6)) is not None:
-        probe_seed, probe_val = hit
+        if geom.R is None:
+            raise ValueError("saddle mode needs the X1 radius R")
+        x1 = _grid_points(geom.R, config.grid, model.dim)
+        first_seed = PeriodicTrajectory.constant(geom.T, x1[np.argmin(model.value(x1))],
+                                                 K=coarse_K)
+        seeds = iter([first_seed])
+    elif (hit := ridge_probe(geom, model, coarse_K, config.grid,
+                             floor=geom.alpha_bound - 1e-6)) is not None:
+        first_seed, probe_val = hit
         ridge_slack = float(probe_val - geom.alpha_bound)
-        seeds = _seed_variants(probe_seed, model.dim, rng, MAX_POLISHES)
+        seeds = _seed_variants(first_seed, model.dim, rng, MAX_POLISHES)
 
     # Each seed's polish at K0, in seed order: one at a time until one ends
     # above tol_conv, then every remaining seed in one lockstep polish.
@@ -610,7 +604,8 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
 
     candidate, verification = best, best_report
     if candidate is None:
-        candidate = (probe_seed or surface.node(surface.argmax_node())).pad_modes(config.K)
+        candidate = (first_seed or PeriodicTrajectory.zero(geom.T, model.dim, coarse_K)
+                     ).pad_modes(config.K)
         verification = inclusion_residual(candidate, model)
     diagnostics = {
         "seed": config.seed,
@@ -632,7 +627,7 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
 
 def run_minimax(model: PotentialModel, geom: LinkingGeometry,
                 config: SolverConfig) -> SolverResult:
-    """Probe and polish the linked cylinder surface to a critical loop.
+    """Probe the linking cylinder and polish its minimax point to a critical loop.
 
     c_estimate is f at the reported candidate.  A candidate counts only
     at or above the certified sphere level alpha_bound (to 1e-8).

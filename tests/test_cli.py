@@ -316,6 +316,26 @@ def test_verify_of_a_bad_period_exits_2_before_any_write(tmp_path, capsys, T):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config_T, flags, key", [
+    (6.0, ["--period", "3.0"], "T"), (3.0, [], "T"),
+    (6.0, ["--modes", "8"], "K"), (6.0, ["--modes", "32"], "K"),
+], ids=["period-flag", "config-T", "fewer-modes", "more-modes"])
+def test_verify_of_another_period_or_mode_count_exits_2_before_any_write(
+        tmp_path, capsys, config_T, flags, key):
+    # verify used to check the loop at its own T and K, whatever the config
+    # and --period / --modes said, and exit 0 on a loop of another period.
+    traj = tmp_path / "trajectory.json"
+    traj.write_text(PeriodicTrajectory.zero(6.0, 1, 16).to_json())
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"potential": {"type": "quartic"}, "T": config_T, "n": 1,
+                                "K": 16, "mode": "superquadratic"}))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path), str(traj), "-o", str(tmp_path / "out"), *flags]) \
+        == cli.EXIT_INPUT
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verification_keys_of_solve_and_verify_are_fixed(tmp_path):
     # perfbench reads aggregate and nonconstant; removing a key is a
     # deliberate change to this set.

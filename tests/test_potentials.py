@@ -93,6 +93,22 @@ def test_subdiff_rejects_non_finite_point(bad):
         subdiff(make_maxpair(2), np.array([bad, 0.0]))
 
 
+@pytest.mark.parametrize("make", [make_quartic, make_maxpair])
+def test_an_overflowing_value_admits_the_pieces_equal_to_it(make):
+    # |x|^4 = 1e320 overflows; inf - inf made the band NaN, and no piece was
+    # active, so subdiff raised from np.stack and _select called q non-finite.
+    V = make(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sg = subdiff(V, [1e80])
+        mask = active_set(np.array([[np.inf, 1.0], [np.inf, np.inf]]))
+    assert np.all(np.isfinite(sg.vertices)) and len(sg.active) == V.n_pieces
+    assert np.array_equal(mask, [[True, False], [True, True]])
+    # a NaN top still admits nothing, and a NaN point still fails loudly
+    assert not active_set(np.array([[np.nan], [1.0]])).any()
+    with pytest.raises(ValueError, match="x must be finite"):
+        subdiff(V, [np.nan])
+
+
 @pytest.mark.parametrize("make", [make_quartic, make_maxpair, make_subq32])
 def test_pairing_extremes_match_subdiff_loop(make):
     V = make(2)

@@ -18,16 +18,17 @@ from liporbit.linking import (
     certify_linking,
     unit_direction,
 )
-from liporbit.potentials import make_maxpair, make_quartic, make_subq32
+from liporbit.potentials import make_maxpair, make_maxpoly, make_quartic, make_subq32
 from liporbit.solver import (
     SCREEN_TOL,
     GeometryNotCertified,
     SolverConfig,
     StallError,
+    Surface,
+    _grid_points,
     _polish_candidates,
     _polish_steps,
-    _polyline_maxima,
-    _screened_values,
+    _screen,
     _seed_variants,
     deform_step,
     init_surface,
@@ -196,7 +197,7 @@ def test_ridge_probe_sees_between_node_crossing(quartic_setup):
     V, geom = quartic_setup
     surf = init_surface(geom, V, SolverConfig(K=32, grid=9))
     node_max = float(np.max(surf.f_values))
-    hit = ridge_probe(surf, V, floor=geom.alpha_bound - 1e-6)
+    hit = ridge_probe(geom, V, 32, 9, floor=geom.alpha_bound - 1e-6)
     assert hit is not None
     seed, val = hit
     assert val >= node_max - 1e-12
@@ -219,25 +220,6 @@ def serial_polyline_max(chain, model, n_probe=7):
             if val > best[0]:
                 best = (val, seg, float(th))
     return best
-
-
-def test_polyline_max_matches_serial_loop(quartic_setup):
-    V, geom = quartic_setup
-    surf = init_surface(geom, V, SolverConfig(K=32, grid=9))
-    chains = [[surf.node(int(np.ravel_multi_index((x1, j), surf.shape)))
-               for j in range(surf.shape[1])] for x1 in range(surf.shape[0])]
-    got = _polyline_maxima(np.stack([rows(chain) for chain in chains]), TWO_PI, V)
-    assert list(zip(*got)) == [serial_polyline_max(chain, V) for chain in chains]
-    M = make_maxpair(2)
-    rng = np.random.default_rng(4)
-    chain = [random_trajectory(rng, 2.0, 2, 16) for _ in range(6)]
-    got = _polyline_maxima(rows(chain)[None], 2.0, M, n_probe=5)
-    assert list(zip(*got)) == [serial_polyline_max(chain, M, n_probe=5)]
-    # segment 2 repeats segment 0 bit for bit; ties go to the earlier one
-    tied = chain[:2] * 2
-    got = _polyline_maxima(rows(tied)[None], 2.0, M)
-    assert list(zip(*got)) == [serial_polyline_max(tied, M)]
-    assert got[1][0] != 2
 
 
 # -- full runs ---------------------------------------------------------------
@@ -285,6 +267,9 @@ def test_run_probes_once_and_never_deforms(quartic_setup, saddle_setup, monkeypa
     def no_deform(*args, **kwargs):
         raise AssertionError("the run called deform_step")
 
+    def no_surface(*args, **kwargs):
+        raise AssertionError("the run built or read a grid surface")
+
     probes = []
 
     def counted_probe(*args, **kwargs):
@@ -292,6 +277,9 @@ def test_run_probes_once_and_never_deforms(quartic_setup, saddle_setup, monkeypa
         return ridge_probe(*args, **kwargs)
 
     monkeypatch.setattr(solver, "deform_step", no_deform)
+    monkeypatch.setattr(solver, "init_surface", no_surface)
+    for name in ("node", "argmax_node", "with_updates"):
+        monkeypatch.setattr(Surface, name, no_surface)
     monkeypatch.setattr(solver, "ridge_probe", counted_probe)
     V, geom = quartic_setup
     res = run_minimax(V, geom, SolverConfig(K=32, grid=9, max_iters=3000, seed=0))
@@ -300,16 +288,14 @@ def test_run_probes_once_and_never_deforms(quartic_setup, saddle_setup, monkeypa
     assert set(res.diagnostics) == {"seed", "coarse_K", "ridge_barrier_slack", "max_h1norm",
                                     "mode", "ridge_polish", "rejected_candidates",
                                     "rejections"}
-    # Saddle mode seeds its one polish with the argmax node and never probes.
+    # Saddle mode seeds its one polish with the grid point of least V and
+    # never probes.
     probes.clear()
     for V, geom, cfg in (offcenter_well(), (*saddle_setup, SolverConfig(
             mode="saddle", K=16, grid=9, tol_conv=1e-5, max_iters=500, seed=0))):
         res = run_saddle(V, geom, cfg)
-        surf = init_surface(geom, V, cfg)
         assert res.converged and probes == []
         assert res.diagnostics["ridge_barrier_slack"] is None
-        assert np.array_equal(res.history[0].trajectory.coefficients(),
-                              surf.coeffs[surf.argmax_node()])
 
 
 def test_coarse_level_polishes_at_a_quarter_of_K(quartic_setup, monkeypatch):
@@ -651,9 +637,35 @@ def serial_ridge_probe(surface, nodes, model, floor):
     return best, float(best_inf)
 
 
+@pytest.fixture(scope="module")
+def cylinders(surfaces):
+    """(model, geometry, config) of linking cylinders: quartic n = 1 and
+    maxpair n = 2, and the saddle fixture's subq32 on a cylinder over its
+    X1 box, whose columns all peak at their top node."""
+    S, sgeom, _ = surfaces["saddle"]
+    cyl = LinkingGeometry(mode="superquadratic", T=sgeom.T, alpha_bound=0.0, rho=0.5,
+                          r1=sgeom.R, r2=2.0, e=unit_direction(sgeom.T, 2))
+    return {"quartic": surfaces["quartic"], "maxpair": surfaces["maxpair"],
+            "saddle": (S, cyl, SolverConfig(K=16, grid=7))}
+
+
+def column_rows(surface):
+    """Each grid column's probe rows in s order, from init_surface's nodes:
+    node j, then a + theta (b - a) towards node j + 1 for theta = k / 8,
+    k = 1..7; shape (columns, 8 (m - 1) + 1, 2K + 1, n)."""
+    m = surface.shape[-1]
+    chains = surface.coeffs.reshape(-1, m, *surface.coeffs.shape[1:])
+    th = np.arange(8) / 8
+    inner = chains[:, :-1, None] + th[:, None, None] * (chains[:, 1:] - chains[:, :-1])[:, :, None]
+    return np.concatenate([inner.reshape(len(chains), -1, *chains.shape[2:]), chains[:, -1:]],
+                          axis=1)
+
+
 @pytest.mark.parametrize("case", ["quartic", "maxpair", "saddle"])
-def test_ridge_probe_matches_serial_column_loop(surfaces, case):
-    model, geom, cfg = surfaces[case]
+def test_ridge_probe_matches_serial_column_loop(cylinders, case):
+    # The grid surface's probe, a loop over init_surface's columns, is the
+    # reference: the same point and value bit for bit.
+    model, geom, cfg = cylinders[case]
     surf = init_surface(geom, model, cfg)
     nodes = trajectory_nodes(geom, model, cfg)
     col_vals = sorted(max(serial_polyline_max([nodes[k] for k in flats], model)[0],
@@ -661,94 +673,119 @@ def test_ridge_probe_matches_serial_column_loop(surfaces, case):
                       for flats in column_flats(surf.shape))
     # no floor; a floor that discards the lower half of the columns
     for floor in (-np.inf, col_vals[len(col_vals) // 2]):
-        (q, val), (q_old, val_old) = (ridge_probe(surf, model, floor=floor),
+        (q, val), (q_old, val_old) = (ridge_probe(geom, model, cfg.K, cfg.grid, floor=floor),
                                       serial_ridge_probe(surf, nodes, model, floor))
         assert val == val_old >= floor
         assert np.array_equal(q.coefficients(), q_old.coefficients())
     above = col_vals[-1] + 1.0
-    assert ridge_probe(surf, model, floor=above) is None
+    assert ridge_probe(geom, model, cfg.K, cfg.grid, floor=above) is None
     assert serial_ridge_probe(surf, nodes, model, above) is None
 
 
 @pytest.mark.parametrize("case", ["quartic", "maxpair", "saddle"])
-def test_ridge_probe_evaluates_only_near_top_points(surfaces, case, monkeypatch):
+def test_ridge_probe_evaluates_only_near_top_points(cylinders, case, monkeypatch):
     # Every column is screened, and the one exact evaluation covers just
-    # the points within SCREEN_TOL of their column's screened top.
+    # the points within SCREEN_TOL of their column's top, nodes included;
+    # a column screened below floor costs no exact evaluation.
     import liporbit.solver as solver
 
-    model, geom, cfg = surfaces[case]
-    surf = init_surface(geom, model, cfg)
-    m = surf.shape[-1]
-    chains = surf.coeffs.reshape(-1, m, *surf.coeffs.shape[1:])
-    thetas = np.arange(1, 8) / 8
-    want = []
-    for chain in chains:
-        screened = _screened_values(chain[None], geom.T, model, 7)[0]
-        top = np.max(screened)
-        seg, k = np.divmod(np.flatnonzero(screened >= top - SCREEN_TOL * (1.0 + abs(top))), 7)
-        want += [chain[s] + thetas[j] * (chain[s + 1] - chain[s]) for s, j in zip(seg, k)]
+    model, geom, cfg = cylinders[case]
+    points = column_rows(init_surface(geom, model, cfg))
+    C, P = points.shape[:2]
+    exact = action_values(points.reshape(C * P, *points.shape[2:]), geom.T, model).reshape(C, P)
+    top = np.max(exact, axis=1, keepdims=True)
+    gap = (top - exact) / (SCREEN_TOL * (1.0 + np.abs(top)))
     evaluated = []
     monkeypatch.setattr(solver, "action_values",
                         lambda c, T, mdl: evaluated.append(c) or action_values(c, T, mdl))
-    ridge_probe(surf, model, floor=-np.inf)
+    ridge_probe(geom, model, cfg.K, cfg.grid, floor=-np.inf)
     assert len(evaluated) == 1
-    assert np.array_equal(evaluated[0], np.stack(want))
-    assert len(chains) <= len(want) < 7 * (m - 1) * len(chains)
+    where = {row.tobytes(): k for k, row in enumerate(points.reshape(C * P, -1))}
+    hit = np.zeros(C * P, dtype=int)
+    np.add.at(hit, [where[row.tobytes()] for row in evaluated[0].reshape(len(evaluated[0]), -1)],
+              1)
+    hit = hit.reshape(C, P)
+    assert hit.max() == 1
+    assert np.all(hit[gap <= 0.5]) and not np.any(hit[gap > 2.0])
+    assert C <= len(evaluated[0]) < C * P
+    evaluated.clear()
+    above = float(np.max(top)) + 2.0 * SCREEN_TOL * (1.0 + float(np.max(np.abs(top))))
+    assert ridge_probe(geom, model, cfg.K, cfg.grid, floor=above) is None
+    assert sum(len(c) for c in evaluated) == 0
+
+
+def test_ridge_probe_on_a_flat_cylinder_takes_the_first_exact_max_in_s_order(monkeypatch):
+    # V = (w^2 / 2) |x|^2 with w = 2 pi / T resonates with e: f(x1 + s e)
+    # = -T V(x1) for every s, so each column is flat up to rounding, every
+    # point lies within SCREEN_TOL of its column's top and is evaluated
+    # exactly, and rounding ties nodes with interior points.
+    import liporbit.solver as solver
+
+    T = 2.0
+    model = make_maxpoly([[0.0, 2.0 * np.pi ** 2 / T ** 2]], 2)
+    geom = LinkingGeometry(mode="superquadratic", T=T, alpha_bound=0.0, rho=0.5, r1=1.0,
+                           r2=2.0, e=unit_direction(T, 2))
+    points = column_rows(init_surface(geom, model, SolverConfig(K=16, grid=5)))
+    C, P = points.shape[:2]
+    exact = action_values(points.reshape(C * P, *points.shape[2:]), T, model).reshape(C, P)
+    evaluated = []
+    monkeypatch.setattr(solver, "action_values",
+                        lambda c, T, mdl: evaluated.append(len(c)) or action_values(c, T, mdl))
+    q, val = ridge_probe(geom, model, 16, 5, floor=-np.inf)
+    assert evaluated == [C * P]
+    col_vals = np.max(exact, axis=1)
+    c = int(np.argmin(col_vals))
+    assert val == col_vals[c]
+    assert np.array_equal(q.coefficients(), points[c, np.argmax(exact[c])])
 
 
 @pytest.mark.parametrize("case", ["quartic", "maxpair", "saddle"])
-def test_screened_probe_values_track_action_values(surfaces, case):
+def test_screened_probe_values_track_action_values(cylinders, case):
     # The screen sits far inside SCREEN_TOL, so the exact maximum of each
     # column is always among the points evaluated again.
-    model, geom, cfg = surfaces[case]
-    surf = init_surface(geom, model, cfg)
-    m = surf.shape[-1]
-    chains = surf.coeffs.reshape(-1, m, *surf.coeffs.shape[1:])
-    thetas = np.arange(1, 8) / 8
-    screened = _screened_values(chains, geom.T, model, 7)
-    assert screened.shape == (len(chains), 7 * (m - 1))
-    for chain, row in zip(chains, screened):
-        points = chain[:-1, None] + thetas[None, :, None, None] * (chain[1:] - chain[:-1])[:, None]
-        exact = action_values(points.reshape(-1, *chain.shape[1:]), geom.T, model)
+    model, geom, cfg = cylinders[case]
+    m = cfg.grid
+    points = column_rows(init_surface(geom, model, cfg))
+    s_nodes = np.linspace(0.0, geom.r2, m)
+    th = np.arange(8) / 8
+    s = np.append((s_nodes[:-1, None] + th * np.diff(s_nodes)[:, None]).ravel(), s_nodes[-1])
+    x1 = _grid_points(geom.r1, m, model.dim)
+    screened = _screen(geom, model, cfg.K, x1, s)
+    assert screened.shape == points.shape[:2] == (m ** model.dim, 8 * (m - 1) + 1)
+    for x, rows_, row in zip(x1, points, screened):
+        exact = action_values(rows_, geom.T, model)
         assert np.all(np.abs(row - exact) <= 1e-12 * (1.0 + np.abs(exact)))
-        assert np.array_equal(_screened_values(chain[None], geom.T, model, 7)[0], row)
+        assert np.array_equal(_screen(geom, model, cfg.K, x[None], s)[0], row)
 
 
-def test_polyline_max_drops_only_columns_screened_below_floor(surfaces, monkeypatch):
-    import liporbit.solver as solver
-
-    model, geom, cfg = surfaces["maxpair"]
-    surf = init_surface(geom, model, cfg)
-    m = surf.shape[-1]
-    exact_rows = []
-
-    def counted_values(coeffs, T, model):
-        exact_rows.append(len(coeffs))
-        return action_values(coeffs, T, model)
-
-    monkeypatch.setattr(solver, "action_values", counted_values)
-    for chain in surf.coeffs.reshape(-1, m, *surf.coeffs.shape[1:]):
-        def maximum(floor):
-            return [a[0] for a in _polyline_maxima(chain[None], geom.T, model, floor=floor)]
-
-        hit = maximum(-np.inf)
-        val = hit[0]
-        # a column whose exact maximum equals the floor is kept, as is one
-        # within the screen's tolerance below it
-        assert maximum(val) == hit
-        assert maximum(val + 1e-12) == hit
-        exact_rows.clear()
-        above = val + 2.0 * SCREEN_TOL * (1.0 + abs(val))
-        assert maximum(above)[0] == -np.inf
-        assert sum(exact_rows) == 0             # dropped without exact work
+@pytest.mark.parametrize("case", ["subq32", "subq32-1d", "offcenter", "offcenter-cusp",
+                                  "offcenter-K64"])
+def test_saddle_seed_is_the_argmax_node_of_init_surface(saddle_setup, case):
+    # The run seeds at the grid point of least V; the saddle grid surface's
+    # argmax node, at the coarse K, is the same loop bit for bit.
+    if case == "subq32":
+        V, geom = saddle_setup
+        cfg = SolverConfig(mode="saddle", K=16, grid=9, tol_conv=1e-5, max_iters=500)
+    elif case == "subq32-1d":
+        V = make_subq32(1)
+        geom = calibrate_saddle(V, {"A": 1.0, "a": 27.0 / 256.0}, 1.0, K=16, seed=0)
+        cfg = SolverConfig(mode="saddle", K=16, grid=5, tol_conv=1e-5, max_iters=500)
+    else:
+        p = {"offcenter": OFFCENTER_P, "offcenter-cusp": np.array([-0.18, 0.27]),
+             "offcenter-K64": np.array([0.12, 0.35])}[case]
+        V, geom, cfg = offcenter_well(p, eps2=0.0 if case == "offcenter-cusp" else 0.01)
+        cfg = replace(cfg, K=64 if case == "offcenter-K64" else 16)
+    surf = init_surface(geom, V, replace(cfg, K=16))
+    res = run_saddle(V, geom, cfg)
+    assert np.array_equal(res.history[0].trajectory.coefficients(),
+                          surf.coeffs[surf.argmax_node()])
 
 
 # -- the Newton polish ---------------------------------------------------
 
 
 def probe_seeds(model, geom, K, count):
-    surf = init_surface(geom, model, SolverConfig(K=K, grid=9))
-    seed, _ = ridge_probe(surf, model, floor=geom.alpha_bound - 1e-6)
+    seed, _ = ridge_probe(geom, model, K, 9, floor=geom.alpha_bound - 1e-6)
     return list(_seed_variants(seed, model.dim, np.random.default_rng(0), count))
 
 

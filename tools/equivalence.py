@@ -7,7 +7,9 @@ Runs from the root of a checkout against the liporbit sources under its
 src/, on the inputs perfbench/workloads.py generates for seeds 1-2,
 blocks 0-1:
 
-* every smooth-sweep and kink-sweep input (72) through `cli.cmd_solve`;
+* every smooth-sweep and kink-sweep input (72) through `cli.cmd_solve`,
+  then its trajectory.json through `cli.cmd_verify` with the same config
+  (written to verify/verification.json);
 * `cli.cmd_bench`;
 * every saddle-offcenter well (68) through calibrate_saddle, run_saddle
   and inclusion_residual, with the workload's settings, written as
@@ -55,6 +57,11 @@ def solve_inputs(name: str, raw_of, out: Path) -> list[str]:
                 raw = dict(raw_of(inp), output_dir=str(out_dir), verbosity=0)
                 code = cli.cmd_solve(cli.RunConfig.from_dict(raw))
                 lines.append(f"exit {code} {out_dir.relative_to(out)}")
+                traj = out_dir / "trajectory.json"
+                if traj.exists():
+                    cfg = cli.RunConfig.from_dict(dict(raw, output_dir=str(out_dir / "verify")))
+                    code = cli.cmd_verify(cfg, str(traj))
+                    lines.append(f"exit {code} {out_dir.relative_to(out)}/verify")
     return lines
 
 
