@@ -61,12 +61,10 @@ from .solver import (
 )
 from .trajectory import (
     PeriodicTrajectory,
-    SpaceSplit,
     h1_norm,
     l2_inner,
     l2_norm,
     random_trajectory,
-    split,
 )
 from .verification import (
     OracleFailure,

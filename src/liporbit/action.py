@@ -102,9 +102,12 @@ def _select(model: PotentialModel, qs: np.ndarray, target: np.ndarray,
     are evaluated once for all nodes.  A node with one active piece takes
     that gradient; every node with more goes through project_hull.  The
     activity rule is active_set; a given mask active (n_pieces, M)
-    replaces it.
+    replaces it.  A non-finite node raises ValueError on every model,
+    smooth ones included.
     """
     M = qs.shape[0]
+    if not np.all(np.isfinite(qs)):
+        raise ValueError("a node is not finite or has no active piece: q must be finite")
     if model.kind == "smooth":
         return np.asarray(model.gradients[0](qs), dtype=float), np.ones((M, 1))
     if active is None:
@@ -112,7 +115,7 @@ def _select(model: PotentialModel, qs: np.ndarray, target: np.ndarray,
     grads = np.stack([np.asarray(g(qs), dtype=float)
                       for g in model.gradients])           # (P, M, n)
     n_active = active.sum(axis=0)
-    if not (np.all(n_active) and np.all(np.isfinite(qs))):
+    if not np.all(n_active):
         raise ValueError("a node is not finite or has no active piece: q must be finite")
     sel = np.empty_like(target)
     weights = np.zeros((M, model.n_pieces))

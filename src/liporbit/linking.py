@@ -17,12 +17,12 @@ drops below the analytic lower bound of f on the zero-mean subspace X2,
 and estimates inf f on X2 by Newton descents on that subspace.
 
 Certificates are sampled evidence plus the analytic bound: a failing
-certificate is a valid negative result.  Samples are coefficient rows
-drawn in a fixed rng order and evaluated as stacked action_values
-batches, bit-identical per row to one action_value call each; the
-descents that estimate inf f on X2 run in lockstep as such a batch, with
-one residual_jacobians call and one stacked solve per step, and each row
-ends as it would alone.
+certificate is a valid negative result.  Samples are coefficient rows:
+each sampled set (the sphere, the three faces of the cylinder) is drawn
+as one block and evaluated in one action_values call, and the face rows
+all take the form x1 + s e at one width.  The descents that estimate
+inf f on X2 run in lockstep as one batch, with one residual_jacobians
+call and one stacked solve per step, and each row ends as it would alone.
 """
 
 from __future__ import annotations
@@ -35,6 +35,13 @@ import numpy as np
 from .action import action_value, action_values, min_norm_residuals, residual_jacobians
 from .potentials import PotentialModel
 from .trajectory import PeriodicTrajectory, l2_norm, random_trajectory
+
+
+# Share of the sphere rows drawn in the modes k <= LOW_MODE_MAX only.
+LOW_MODE_FRACTION = 0.7
+LOW_MODE_MAX = 4
+# Random points per radius on the boundary box of the saddle calibration.
+BOUNDARY_SAMPLES = 120
 
 
 class InfeasibleGeometryError(ValueError):
@@ -136,15 +143,14 @@ def outer_boundary_bound(s, x1_norm, certs: dict, T: float, e_l2sq: float):
 
 
 def calibrate_superquadratic(model: PotentialModel, certs: dict, T: float,
-                             e: PeriodicTrajectory | None = None,
-                             max_doublings: int = 60) -> LinkingGeometry:
+                             e: PeriodicTrajectory | None = None) -> LinkingGeometry:
     """Choose rho, r1, r2 and the direction e from certified constants.
 
     certs carries A and the ball radius of the quadratic bound, plus the
     growth constants a1, a2, mu1.  rho is capped so the sup-norm of every
     sphere sample stays inside the certified ball (||q||_inf <=
-    sqrt(T/12) rho); r2 (with r1 = r2/4) doubles until the Jensen bound
-    is strictly negative on the lateral and top faces.
+    sqrt(T/12) rho); r2 (with r1 = r2/4) doubles, at most 60 times, until
+    the Jensen bound is strictly negative on the lateral and top faces.
     """
     A = float(certs["A"])
     _require_below_threshold(A, T)
@@ -162,7 +168,7 @@ def calibrate_superquadratic(model: PotentialModel, certs: dict, T: float,
 
     s_grid = np.linspace(0.0, 1.0, 513)
     r2 = max(2.0 * rho, 1.0)
-    for _ in range(max_doublings):
+    for _ in range(60):
         r1 = r2 / 4.0
         lateral = float(np.max(outer_boundary_bound(s_grid * r2, r1, certs, T, e_l2sq)))
         top = float(outer_boundary_bound(r2, 0.0, certs, T, e_l2sq))
@@ -177,32 +183,22 @@ def calibrate_superquadratic(model: PotentialModel, certs: dict, T: float,
 
 
 def sphere_rows(rng: np.random.Generator, T: float, n: int, K: int, rho: float,
-                count: int, low_mode_fraction: float = 0.7,
-                low_mode_max: int = 4) -> np.ndarray:
+                count: int) -> np.ndarray:
     """count random zero-mean loops scaled to ||qdot||_L2 = rho, as rows (count, 2K+1, n).
 
-    Mixes mostly low-mode samples (which minimize f at fixed rho and so
-    dominate the true minimum) with full-spectrum ones.  The rows draw
-    from rng in turn and are built with the arithmetic of
-    random_trajectory, pad_modes and l2_norm(q.derivative()), so a row
-    equals the loop those would give from the same rng state.
+    Mixes mostly low-mode rows, amplitudes 1/k for k <= LOW_MODE_MAX and
+    zero above (they minimize f at fixed rho and so dominate the true
+    minimum), with full-spectrum rows, amplitudes k^-1.5.  One uniform
+    draw picks each row's kind and one standard_normal draw gives every
+    coefficient.  A row whose draws are all zero has no kinetic norm to
+    scale by and comes out NaN, which fails the certificate.
     """
+    k = np.arange(1, K + 1, dtype=float)
+    low = rng.uniform(size=count) < LOW_MODE_FRACTION
+    scale = np.where(low[:, None], np.where(k <= LOW_MODE_MAX, 1.0 / k, 0.0), k ** -1.5)
     rows = np.zeros((count, 2 * K + 1, n))
-    for row in rows:
-        if rng.uniform() < low_mode_fraction:
-            k, decay = min(low_mode_max, K), 1.0
-        else:
-            k, decay = K, 1.5
-        scale = np.arange(1, k + 1, dtype=float) ** (-decay)
-        row[1:k + 1] = rng.standard_normal((k, n)) * scale[:, None]
-        row[K + 1:K + 1 + k] = rng.standard_normal((k, n)) * scale[:, None]
-    kin = _kinetic_norm(rows, T)
-    flat = kin == 0.0                       # fall back to sin(w_1 t) e_1
-    rows[flat] = 0.0
-    rows[flat, K + 1, 0] = 1.0
-    kin[flat] = _kinetic_norm(rows[flat], T)
-    rows *= (rho / kin)[:, None, None]
-    return rows
+    rows[:, 1:] = rng.standard_normal((count, 2 * K, n)) * np.tile(scale, 2)[:, :, None]
+    return rows * (rho / _kinetic_norm(rows, T))[:, None, None]
 
 
 def _kinetic_norm(c: np.ndarray, T: float) -> np.ndarray:
@@ -220,14 +216,16 @@ def certify_linking(geom: LinkingGeometry, model: PotentialModel, T: float,
 
     alpha_sampled is the minimum over S (never exceeding f at any
     individual S point by construction); beta_sampled the maximum over
-    the bottom disk, the lateral shell and the top disk.  The returned
-    geometry records pass <=> alpha_sampled > beta_sampled; a fail is a
-    valid negative certificate.
+    the bottom disk, the lateral shell, the top disk and the zero loop.
+    The returned geometry records pass <=> alpha_sampled > beta_sampled;
+    a fail is a valid negative certificate.
 
-    The samples are rows drawn in the order sphere, bottom disk, zero
-    loop, lateral shell, top disk, and evaluated as stacked action_values
-    batches, bit-identical per row to one action_value call each.  Disk
-    rows carry K modes; rows x1 + s e carry max(K, e.K), as loop sums do.
+    Each set is drawn as one block: the n_samples sphere rows of
+    sphere_rows, then max(n_samples // 3, 8) points per face from one
+    standard_normal draw of directions and one uniform draw, which gives
+    a disk point its radius and a shell point its s.  Every face row is
+    x1 + s e at the one width max(K, e.K); with the zero loop they are
+    evaluated in one action_values call.
     """
     if geom.mode != "superquadratic":
         raise ValueError("certify_linking applies to superquadratic geometries")
@@ -244,31 +242,17 @@ def certify_linking(geom: LinkingGeometry, model: PotentialModel, T: float,
     alpha = np.min(action_values(sphere_rows(rng, T, n, K, geom.rho, n_samples),
                                  T, model))
 
-    per_face = max(n_samples // 3, 8)
-    disks = np.zeros((per_face + 1, 2 * K + 1, n))   # bottom disk (s = 0), zero loop
-    for row in disks[:per_face]:
-        row[0] = _ball_point(rng, n, geom.r1)
-    shell = np.zeros((2 * per_face, 2 * e.K + 1, n))  # x1 + s e: lateral, then top
-    s = np.full(2 * per_face, geom.r2)
-    for i in range(per_face):                       # lateral shell, |x1| = r1
-        shell[i, 0] = _sphere_point(rng, n, geom.r1)
-        s[i] = rng.uniform(0.0, geom.r2)
-    for row in shell[per_face:]:                    # top disk, s = r2
-        row[0] = _ball_point(rng, n, geom.r1)
-    shell += s[:, None, None] * e.coefficients()
-    beta = max(np.max(action_values(rows, T, model)) for rows in (disks, shell))
+    face = np.repeat([0, 1, 2], max(n_samples // 3, 8))   # bottom disk, lateral shell, top disk
+    z = rng.standard_normal((face.size, n))
+    u = rng.uniform(size=face.size)
+    radius = geom.r1 * np.where(face == 1, 1.0, u ** (1.0 / n))
+    s = np.append(geom.r2 * np.where(face == 1, u, face / 2.0), 0.0)
+    rows = s[:, None, None] * e.coefficients()           # the last row is the zero loop
+    rows[:-1, 0] += (radius / np.linalg.norm(z, axis=1))[:, None] * z
+    beta = np.max(action_values(rows, T, model))
 
     return replace(geom, alpha_sampled=float(alpha), beta_sampled=float(beta),
                    passed=bool(alpha > beta), n_samples=n_samples, seed=seed)
-
-
-def _sphere_point(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    z = rng.standard_normal(n)
-    return radius * z / max(np.linalg.norm(z), 1e-300)
-
-
-def _ball_point(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    return _sphere_point(rng, n, radius) * rng.uniform() ** (1.0 / n)
 
 
 # -- saddle calibration -------------------------------------------------
@@ -356,9 +340,8 @@ def _descend_lockstep(model: PotentialModel, T: float, starts: np.ndarray) -> np
 
 
 def calibrate_saddle(model: PotentialModel, certs: dict, T: float,
-                     K: int = 16, seed: int = 0, n_samples: int = 120,
-                     n_descents: int = 4, max_doublings: int = 40,
-                     gap_margin: float | None = None) -> LinkingGeometry:
+                     K: int = 16, seed: int = 0, n_descents: int = 4,
+                     max_doublings: int = 40) -> LinkingGeometry:
     """Grow R until sup f on the boundary sphere sits below inf f on X2.
 
     The inf is bounded analytically by -a T through the quadratic bound
@@ -377,13 +360,12 @@ def calibrate_saddle(model: PotentialModel, certs: dict, T: float,
     rng = np.random.default_rng(seed)
     n = model.dim
     inf_bound = -a * T
-    if gap_margin is None:
-        gap_margin = 1e-3 * T * (1.0 + abs(a))
+    gap_margin = 1e-3 * T * (1.0 + abs(a))
 
     R = 1.0
     beta = np.inf
     for _ in range(max_doublings):
-        pts = _box_boundary_points(rng, n, R, n_samples)
+        pts = _box_boundary_points(rng, n, R, BOUNDARY_SAMPLES)
         beta = float(np.max(-T * model.value(pts)))
         if beta <= inf_bound - gap_margin:
             break
@@ -402,4 +384,4 @@ def calibrate_saddle(model: PotentialModel, certs: dict, T: float,
     return LinkingGeometry(mode="saddle", T=T, alpha_bound=inf_bound, R=R,
                            alpha_sampled=alpha, beta_sampled=beta,
                            passed=bool(alpha > beta and inf_bound > beta),
-                           n_samples=n_samples, seed=seed)
+                           n_samples=BOUNDARY_SAMPLES, seed=seed)

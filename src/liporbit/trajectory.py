@@ -236,14 +236,6 @@ class PeriodicTrajectory:
         return "\n".join([header] + [",".join(map(repr, row)) for row in rows.tolist()]) + "\n"
 
 
-@dataclass(frozen=True)
-class SpaceSplit:
-    """Constant part plus zero-mean oscillation of a loop."""
-
-    mean: np.ndarray
-    oscillation: PeriodicTrajectory
-
-
 def default_grid_size(K: int) -> int:
     """Quadrature grid size 4K+4: 2x oversampling of the 2K+2 round-trip grid."""
     return 4 * K + 4
@@ -302,12 +294,6 @@ def h1_norm_row(c: np.ndarray, T: float) -> float:
 def h1_norm(q: PeriodicTrajectory) -> float:
     """Equivalent W^{1,2} norm (int |qdot|^2)^{1/2} + |q(0)|."""
     return h1_norm_row(q.coefficients(), q.T)
-
-
-def split(q: PeriodicTrajectory) -> SpaceSplit:
-    """Project onto constants plus zero-mean oscillation."""
-    osc = PeriodicTrajectory(q.T, np.zeros(q.n), q.a, q.b)
-    return SpaceSplit(mean=q.mean(), oscillation=osc)
 
 
 def random_trajectory(rng: np.random.Generator, T: float, n: int, K: int,

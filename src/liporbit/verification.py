@@ -33,6 +33,7 @@ from .trajectory import PeriodicTrajectory, default_grid_size, l2_norm_row
 FLOW_TOL = 1e-13           # rtol = atol of every shooting-oracle flow
 FIT_SAMPLES = 4096         # path nodes handed to the oracle's Fourier fit
 MAX_RHS_CALLS = 4 * FIT_SAMPLES  # gradient calls one flow may spend
+STALL_ACCEPT = 1e-6        # relative closure residual a stalled oracle still accepts
 
 
 class OracleFailure(RuntimeError):
@@ -129,7 +130,7 @@ def _flow(model: PotentialModel, T: float, y0: np.ndarray, t_eval=None) -> np.nd
 
 def shooting_oracle(model: PotentialModel, T: float, initial_guess,
                     K: int = 64, max_newton: int = 50,
-                    tol: float = 1e-9, stall_accept: float = 1e-6) -> ShootingResult:
+                    tol: float = 1e-9) -> ShootingResult:
     """Close the period-T orbit of qdd = -grad V(q) through Newton on (q0, v0).
 
     Smooth models only.  newton_steps, with (q0, v0) as its one row,
@@ -144,8 +145,8 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
     The adaptive flow only admits fixed points up to its own truncation
     error: the iteration ends once no step longer than FLOW_TOL * scale,
     the accuracy asked of the flow, lowers the residual.  An end below
-    stall_accept counts as closure, with the achieved residual reported;
-    an end above it raises OracleFailure.
+    STALL_ACCEPT * scale counts as closure, with the achieved residual
+    reported; an end above it raises OracleFailure.
 
     Every flow may call the gradient at most MAX_RHS_CALLS times, which
     bounds the cost of a guess whose orbit oscillates many times per
@@ -195,7 +196,7 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
             if np.linalg.norm(res) <= tol * scale:
                 break
     res_norm = float(np.linalg.norm(res))
-    if res_norm > stall_accept * scale:
+    if res_norm > STALL_ACCEPT * scale:
         raise OracleFailure(f"shooting Newton stopped at residual {res_norm:.3e} "
                             f"after {iters} iterations")
 

@@ -220,6 +220,21 @@ def test_min_norm_rejects_nodes_without_active_piece(bad):
         min_norm_residuals(c[None], 2.0, V)
 
 
+@pytest.mark.parametrize("call", [min_norm_residuals, residual_jacobians])
+def test_smooth_path_rejects_non_finite_nodes_as_max_path_does(call):
+    # A quartic loop with a0 = inf raised nothing on the smooth path: NaN
+    # residual rows came back.  Both paths now raise the same error.
+    c = PeriodicTrajectory.harmonic(2.0, 2, 1, sin_amp=1.3, K=8).coefficients()
+    c[0, 0] = np.inf
+    messages = []
+    for V in (make_quartic(2), make_maxpair(2)):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
+            call(c[None], 2.0, V)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "q must be finite" in messages[0]
+
+
 def forward_difference_jacobian(q, V, h):
     """dR/dx column by column from min_norm_residuals, x = q.coefficients()."""
     c = q.coefficients()

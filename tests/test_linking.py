@@ -1,11 +1,13 @@
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from liporbit import linking
 from liporbit.action import action_value, action_values
 from liporbit.linking import (
+    LOW_MODE_FRACTION,
+    LOW_MODE_MAX,
     InfeasibleGeometryError,
     LinkingGeometry,
     NonCoerciveError,
@@ -13,11 +15,9 @@ from liporbit.linking import (
     calibrate_saddle,
     calibrate_superquadratic,
     certify_linking,
-    _ball_point,
     _box_boundary_points,
     _descend_lockstep,
     _kinetic_norm,
-    _sphere_point,
     outer_boundary_bound,
     sphere_rows,
     threshold_period,
@@ -248,45 +248,10 @@ def test_certify_linking_requires_the_calibrated_period_exactly():
         certify_linking(geom, make_quartic(1), geom.T * (1 + 1e-12), n_samples=10, K=8)
 
 
-# -- batched certificates against the serial loops ------------------------
+# -- the sampled sets ----------------------------------------------------
 
 
-def _serial_sphere_sample(rng, T, n, K, rho):
-    # The sampler as it was before the rows: one PeriodicTrajectory each.
-    if rng.uniform() < 0.7:
-        q = random_trajectory(rng, T, n, min(4, K), zero_mean=True, decay=1.0).pad_modes(K)
-    else:
-        q = random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5)
-    kin = l2_norm(q.derivative())
-    if kin == 0.0:
-        q = PeriodicTrajectory.harmonic(T, n, 1, K=K)
-        kin = l2_norm(q.derivative())
-    return q * (rho / kin)
-
-
-def _serial_certify_linking(geom, model, T, n_samples, K, seed):
-    # One action_value call per sample, in the certificate's rng order.
-    rng = np.random.default_rng(seed)
-    n = model.dim
-    e = geom.e.pad_modes(K) if geom.e.K < K else geom.e
-    alpha = np.inf
-    for _ in range(n_samples):
-        alpha = min(alpha, action_value(_serial_sphere_sample(rng, T, n, K, geom.rho), model))
-    beta = -np.inf
-    per_face = max(n_samples // 3, 8)
-    for _ in range(per_face):
-        q = PeriodicTrajectory.constant(T, _ball_point(rng, n, geom.r1), K=K)
-        beta = max(beta, action_value(q, model))
-    beta = max(beta, action_value(PeriodicTrajectory.constant(T, np.zeros(n), K=K), model))
-    for _ in range(per_face):
-        x1 = _sphere_point(rng, n, geom.r1)
-        s = rng.uniform(0.0, geom.r2)
-        beta = max(beta, action_value(PeriodicTrajectory.constant(T, x1, K=K) + s * e, model))
-    for _ in range(per_face):
-        q = PeriodicTrajectory.constant(T, _ball_point(rng, n, geom.r1), K=K) + geom.r2 * e
-        beta = max(beta, action_value(q, model))
-    return replace(geom, alpha_sampled=float(alpha), beta_sampled=float(beta),
-                   passed=bool(alpha > beta), n_samples=n_samples, seed=seed)
+MAXPAIR_CERTS = {"A": 1.0, "radius": 1.0, "a1": 1.0, "a2": -1.0, "mu1": 4.0}
 
 
 def _certify_case(name):
@@ -295,8 +260,7 @@ def _certify_case(name):
         return calibrate_superquadratic(V, QUARTIC_CERTS, TWO_PI), V, TWO_PI
     if name == "maxpair":
         M = make_maxpair(2)
-        certs = {"A": 1.0, "radius": 1.0, "a1": 1.0, "a2": -1.0, "mu1": 4.0}
-        return calibrate_superquadratic(M, certs, 2.0), M, 2.0
+        return calibrate_superquadratic(M, MAXPAIR_CERTS, 2.0), M, 2.0
     if name == "forced":
         return _forced_geometry()
     V = make_quartic(1)                             # e with more modes than K
@@ -304,79 +268,102 @@ def _certify_case(name):
     return calibrate_superquadratic(V, QUARTIC_CERTS, TWO_PI, e=e), V, TWO_PI
 
 
-@pytest.mark.parametrize("name,K,n_samples,seed", [
-    ("quartic", 32, 200, 0), ("quartic", 128, 200, 7), ("maxpair", 64, 200, 1),
-    ("forced", 16, 200, 4), ("wide_e", 8, 60, 3), ("wide_e", 8, 1, 2)])
-def test_batched_certificate_equals_serial_loop(name, K, n_samples, seed):
+def _drawn_rows(monkeypatch, geom, V, T, **kwargs):
+    """certify_linking's result and the row blocks it handed to action_values."""
+    blocks = []
+
+    def recording(rows, T, model):
+        blocks.append(rows.copy())
+        return action_values(rows, T, model)
+
+    monkeypatch.setattr(linking, "action_values", recording)
+    return certify_linking(geom, V, T, **kwargs), blocks
+
+
+CERTIFY_CASES = [("quartic", 32, 200, 0), ("quartic", 128, 200, 7), ("maxpair", 64, 200, 1),
+                 ("forced", 16, 200, 4), ("wide_e", 8, 60, 3), ("wide_e", 8, 1, 2)]
+
+
+@pytest.mark.parametrize("name,K,n_samples,seed", CERTIFY_CASES)
+def test_every_face_row_lies_on_its_face(monkeypatch, name, K, n_samples, seed):
+    # Q's boundary: the bottom disk s = 0, the lateral shell |x1| = r1 with
+    # 0 <= s <= r2 and the top disk s = r2, each |x1| <= r1; plus the zero loop.
     geom, V, T = _certify_case(name)
-    batched = certify_linking(geom, V, T, n_samples=n_samples, K=K, seed=seed)
-    serial = _serial_certify_linking(geom, V, T, n_samples, K, seed)
-    assert batched.to_dict() == serial.to_dict()
-    assert batched.passed == serial.passed
-    assert batched.passed == (name != "forced")
+    _, (sphere, faces) = _drawn_rows(monkeypatch, geom, V, T, n_samples=n_samples, K=K,
+                                     seed=seed)
+    m = max(n_samples // 3, 8)
+    E = geom.e.pad_modes(max(K, geom.e.K)).coefficients()
+    assert sphere.shape[1] == 2 * K + 1 and faces.shape == (3 * m + 1,) + E.shape
+    s = np.sum(faces[:, 1:] * E[1:], axis=(1, 2)) / np.sum(E[1:] ** 2)
+    assert np.allclose(faces[:, 1:], s[:, None, None] * E[1:], rtol=0.0, atol=1e-12 * geom.r2)
+    x1 = np.linalg.norm(faces[:, 0], axis=1)
+    inside = x1 <= geom.r1 * (1.0 + 1e-12)
+    bottom = inside & (np.abs(s) <= 1e-12 * geom.r2)
+    lateral = np.isclose(x1, geom.r1, rtol=1e-12, atol=0.0) & (s >= 0.0) & (s <= geom.r2)
+    top = inside & np.isclose(s, geom.r2, rtol=1e-12, atol=0.0)
+    assert np.all(bottom | lateral | top)
+    assert (bottom.sum(), lateral.sum(), top.sum()) == (m + 1, m, m)
+    assert np.any(np.all(faces == 0.0, axis=(1, 2)))              # the zero loop
+    assert len(np.unique(x1[bottom | top])) == 2 * m + 1          # disk points spread
 
 
-def test_sphere_sample_is_one_row_of_sphere_rows():
-    # Rows draw from rng in turn: one-row calls give the rows of one call.
-    for seed in range(4):
-        rows = sphere_rows(np.random.default_rng(seed), 2.0, 2, 16, 1.3, 12)
-        rng, rng_serial = np.random.default_rng(seed), np.random.default_rng(seed)
-        for row in rows:
-            assert np.array_equal(sphere_rows(rng, 2.0, 2, 16, 1.3, 1)[0], row)
-            serial = _serial_sphere_sample(rng_serial, 2.0, 2, 16, 1.3)
-            assert np.array_equal(serial.coefficients(), row)
+@pytest.mark.parametrize("T, n, K, count", [(2.0, 2, 16, 2000), (5.0, 1, 32, 2000),
+                                            (1.3, 3, 6, 2000)])
+def test_sphere_rows_are_zero_mean_on_the_sphere_with_two_decay_laws(T, n, K, count):
+    rows = sphere_rows(np.random.default_rng(17), T, n, K, 1.3, count)
+    assert rows.shape == (count, 2 * K + 1, n)
+    assert np.all(rows[:, 0] == 0.0)
+    assert np.allclose(_kinetic_norm(rows, T), 1.3, rtol=1e-12, atol=0.0)
+    # low-mode rows carry nothing above LOW_MODE_MAX; the rest carry every mode
+    modes = rows[:, 1:].reshape(count, 2, K, n)
+    low = np.all(modes[:, :, LOW_MODE_MAX:] == 0.0, axis=(1, 2, 3))
+    assert np.all(modes[~low] != 0.0)
+    assert abs(low.mean() - LOW_MODE_FRACTION) < 4.0 * np.sqrt(0.21 / count)
+    # amplitude k^-decay times a standard normal: after removing k^-decay
+    # and each row's scale, every mode has unit mean square
+    k = np.arange(1, K + 1, dtype=float)
+    for rows_of, decay, top in ((low, 1.0, LOW_MODE_MAX), (~low, 1.5, K)):
+        w = modes[rows_of][:, :, :top] * (k[:top] ** decay)[:, None]
+        w /= np.sqrt(np.mean(w ** 2, axis=(1, 2, 3)))[:, None, None, None]
+        per_mode = np.mean(w ** 2, axis=(0, 1, 3))
+        assert np.all(np.abs(per_mode - 1.0) < 0.15), per_mode
 
 
-def _serial_sphere_rows(rng, T, n, K, rho, count, low_mode_fraction=0.7, low_mode_max=4):
-    # sphere_rows as a loop that normalizes each row after its draws.
-    rows = np.zeros((count, 2 * K + 1, n))
-    for row in rows:
-        if rng.uniform() < low_mode_fraction:
-            k, decay = min(low_mode_max, K), 1.0
-        else:
-            k, decay = K, 1.5
-        scale = np.arange(1, k + 1, dtype=float) ** (-decay)
-        row[1:k + 1] = rng.standard_normal((k, n)) * scale[:, None]
-        row[K + 1:K + 1 + k] = rng.standard_normal((k, n)) * scale[:, None]
-        kin = l2_norm(PeriodicTrajectory.from_coefficients(T, row).derivative())
-        if kin == 0.0:
-            row[:] = 0.0
-            row[K + 1, 0] = 1.0
-            kin = l2_norm(PeriodicTrajectory.from_coefficients(T, row).derivative())
-        row *= rho / kin
-    return rows
+@pytest.mark.parametrize("name,K,n_samples,seed", CERTIFY_CASES)
+def test_sampled_extremes_are_action_values_of_the_drawn_rows(monkeypatch, name, K,
+                                                              n_samples, seed):
+    geom, V, T = _certify_case(name)
+    geom, (sphere, faces) = _drawn_rows(monkeypatch, geom, V, T, n_samples=n_samples,
+                                        K=K, seed=seed)
+    assert len(sphere) == n_samples == geom.n_samples
+    one_row = [[action_value(PeriodicTrajectory.from_coefficients(T, row), V)
+                for row in rows] for rows in (sphere, faces)]
+    assert geom.alpha_sampled == min(one_row[0])
+    assert geom.beta_sampled == max(one_row[1])
+    assert geom.passed == (geom.alpha_sampled > geom.beta_sampled) == (name != "forced")
 
 
-class _ZeroRowsRng:
-    """A generator whose normal draws are zeros for every third row."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.draws = 0
-
-    def uniform(self):
-        return self.rng.uniform()
-
-    def standard_normal(self, shape):
-        self.draws += 1
-        z = self.rng.standard_normal(shape)
-        return np.zeros(shape) if (self.draws - 1) // 2 % 3 == 0 else z
+def _bench_geometry(name, T, K):
+    if name == "maxpair":
+        return calibrate_superquadratic(make_maxpair(2), MAXPAIR_CERTS, T), make_maxpair(2)
+    V = make_quartic(int(name[-1]))
+    return calibrate_superquadratic(V, QUARTIC_CERTS, T), V
 
 
-@pytest.mark.parametrize("T, n, K, count, low", [
-    (2.0, 2, 16, 12, 0.7), (5.0, 1, 32, 200, 0.7), (1.3, 2, 64, 50, 0.0),
-    (7.5, 3, 100, 20, 0.3), (0.9, 4, 1, 9, 1.0)])
-def test_sphere_rows_equal_serial_row_loop(T, n, K, count, low):
-    for seed in range(3):
-        batched = sphere_rows(np.random.default_rng(seed), T, n, K, 1.3, count, low)
-        serial = _serial_sphere_rows(np.random.default_rng(seed), T, n, K, 1.3, count, low)
-        assert np.array_equal(batched, serial)
-    # rows whose draws are all zero fall back to sin(w_1 t) e_1
-    batched = sphere_rows(_ZeroRowsRng(0), T, n, K, 1.3, count, low)
-    assert np.array_equal(batched, _serial_sphere_rows(_ZeroRowsRng(0), T, n, K, 1.3, count, low))
-    harmonic = PeriodicTrajectory.harmonic(T, n, 1, K=K)
-    scaled = harmonic * (1.3 / l2_norm(harmonic.derivative()))
-    assert np.array_equal(batched[0], scaled.coefficients())
+# The (T, K) grids of the smooth-sweep and kink-sweep benchmarks.
+SMOOTH_GRID = [(3.5 + 0.5 * j, (32, 64, 128)[j % 3]) for j in range(11)]
+KINK_GRID = [(T, 64) for T in (1.5, 1.625, 1.75, 1.875, 2.0, 2.25, 2.4)]
+
+
+@pytest.mark.parametrize("name", ["quartic1", "quartic2", "maxpair"])
+def test_certificate_verdict_holds_at_the_benchmark_inputs(name):
+    for T, K in KINK_GRID if name == "maxpair" else SMOOTH_GRID:
+        geom, V = _bench_geometry(name, T, K)
+        for seed in range(10):
+            assert certify_linking(geom, V, T, K=K, seed=seed).passed, (T, K, seed)
+    geom, V, T = _forced_geometry()
+    for seed in range(10):
+        assert not certify_linking(geom, V, T, K=16, seed=seed).passed
 
 
 def test_row_norms_equal_trajectory_norms():

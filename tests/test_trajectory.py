@@ -13,7 +13,6 @@ from liporbit.trajectory import (
     l2_norm,
     l2_norm_row,
     random_trajectory,
-    split,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -197,48 +196,6 @@ def test_h1_norm_mean_variant_differs_for_shifted_loops():
     assert h1_norm(q) > kinetic + np.linalg.norm(q.mean())
 
 
-# -- splitting ----------------------------------------------------------
-
-
-def test_split_constant():
-    q = PeriodicTrajectory.constant(1.0, [2.0, -1.0], K=2)
-    parts = split(q)
-    assert np.allclose(parts.mean, [2.0, -1.0])
-    assert l2_norm(parts.oscillation) == 0.0
-
-
-def test_split_pure_harmonic():
-    q = PeriodicTrajectory.harmonic(1.0, 2, 1)
-    parts = split(q)
-    assert np.all(parts.mean == 0.0)
-    assert np.all(parts.oscillation.a == q.a)
-    assert np.all(parts.oscillation.b == q.b)
-
-
-def test_split_reassembles_exactly():
-    rng = np.random.default_rng(31)
-    q = random_trajectory(rng, T=1.5, n=3, K=6)
-    parts = split(q)
-    assert np.all(parts.mean == q.a0) and np.all(parts.oscillation.a0 == 0.0)
-    assert np.all(parts.oscillation.a == q.a) and np.all(parts.oscillation.b == q.b)
-
-
-def test_split_is_idempotent_projection():
-    rng = np.random.default_rng(32)
-    q = random_trajectory(rng, T=1.5, n=2, K=6)
-    osc = split(q).oscillation
-    assert np.all(split(osc).mean == 0.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 12))
-def test_split_roundtrip_property(seed, n, K):
-    q = random_trajectory(np.random.default_rng(seed), T=2.0, n=n, K=K)
-    parts = split(q)
-    assert np.all(parts.mean == q.a0) and np.all(parts.oscillation.a0 == 0.0)
-    assert np.all(parts.oscillation.a == q.a) and np.all(parts.oscillation.b == q.b)
-
-
 # -- classical inequalities ---------------------------------------------
 #
 # Both sides by Parseval.  Wirtinger's constant (2 pi / T)^2 is the one in
@@ -281,7 +238,7 @@ def test_wirtinger_rejects_nonzero_mean():
     q = PeriodicTrajectory.constant(1.0, [1.0], K=2) + PeriodicTrajectory.harmonic(1.0, 1, 1, K=2)
     lhs, rhs = wirtinger_sides(q)
     assert lhs < rhs
-    lhs, rhs = wirtinger_sides(split(q).oscillation)
+    lhs, rhs = wirtinger_sides(PeriodicTrajectory(q.T, np.zeros(q.n), q.a, q.b))
     assert abs(lhs - rhs) < 1e-12 * rhs
 
 

@@ -16,8 +16,11 @@ blocks 0-1:
   `SolverResult.to_json()` plus the inclusion report; its exit code is
   the workload's (0 when converged and the aggregate passes the gate).
 
-It prints the BLAS thread variables, each run's exit code, and one
-sha256 per written file except run_meta.json (wall-clock metadata).
+It prints the BLAS thread variables, each run's exit code, beside it
+the `pass` flag of a superquadratic run's geometry.json (so a diff
+shows whether the certificate's verdict held where a geometry.json hash
+moved), and one sha256 per written file except run_meta.json
+(wall-clock metadata).
 Artifacts are byte-reproducible only at a fixed BLAS thread count, so
 two checkouts give the same answers when `diff` of their outputs, made
 with the same thread settings, is empty.
@@ -47,6 +50,15 @@ SEEDS = (1, 2)
 BLOCKS = (0, 1)
 
 
+def geometry_pass(out_dir: Path) -> str:
+    """" pass <flag>" of a superquadratic run's geometry.json, else ""."""
+    path = out_dir / "geometry.json"
+    if not path.exists():
+        return ""
+    geom = json.loads(path.read_text())
+    return f" pass {geom['pass']}" if geom["mode"] == "superquadratic" else ""
+
+
 def solve_inputs(name: str, raw_of, out: Path) -> list[str]:
     lines = []
     wl = WORKLOADS[name]
@@ -56,7 +68,7 @@ def solve_inputs(name: str, raw_of, out: Path) -> list[str]:
                 out_dir = out / name / f"s{seed}b{block}" / str(i)
                 raw = dict(raw_of(inp), output_dir=str(out_dir), verbosity=0)
                 code = cli.cmd_solve(cli.RunConfig.from_dict(raw))
-                lines.append(f"exit {code} {out_dir.relative_to(out)}")
+                lines.append(f"exit {code}{geometry_pass(out_dir)} {out_dir.relative_to(out)}")
                 traj = out_dir / "trajectory.json"
                 if traj.exists():
                     cfg = cli.RunConfig.from_dict(dict(raw, output_dir=str(out_dir / "verify")))
@@ -104,6 +116,9 @@ def main(argv: list[str]) -> int:
     lines += solve_inputs(kink.name, lambda inp: kink.config(inp["T"], inp["sampler_seed"]),
                           out)
     lines.append(f"exit {cli.cmd_bench(str(out / 'bench'), verbosity=0)} bench")
+    for case in json.loads((out / "bench" / "bench.json").read_text())["results"]:
+        case_dir = out / "bench" / case["case"]
+        lines.append(f"exit {case['exit']}{geometry_pass(case_dir)} {case_dir.relative_to(out)}")
     lines += saddle_wells(out)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         if path.name != "run_meta.json":
