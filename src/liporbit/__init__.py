@@ -62,7 +62,6 @@ from .solver import (
 from .trajectory import (
     PeriodicTrajectory,
     h1_norm,
-    l2_inner,
     l2_norm,
     random_trajectory,
 )

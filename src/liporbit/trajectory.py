@@ -250,19 +250,9 @@ def _aligned(p: PeriodicTrajectory, q: PeriodicTrajectory):
     return p.pad_modes(K), q.pad_modes(K)
 
 
-def l2_inner(p: PeriodicTrajectory, q: PeriodicTrajectory) -> float:
-    """int_0^T <p, q> dt by Parseval: T<a0,a0'> + (T/2) sum_k (<a_k,a_k'> + <b_k,b_k'>)."""
-    p, q = _aligned(p, q)
-    val = p.T * float(p.a0 @ q.a0)
-    val += 0.5 * p.T * float(np.sum(p.a * q.a) + np.sum(p.b * q.b))
-    return val
-
-
 def l2_norm_row(c: np.ndarray, T: float) -> float:
-    """L2 norm of the loop of period T with coefficient row c (2K+1, n).
-
-    Sums as l2_inner(q, q) does, so it gives the same bits.
-    """
+    """L2 norm of the loop of period T with coefficient row c (2K+1, n),
+    by Parseval: sqrt(T |a0|^2 + (T/2) sum_k (|a_k|^2 + |b_k|^2))."""
     K = (c.shape[0] - 1) // 2
     a, b = c[1:K + 1], c[K + 1:]
     val = T * float(c[0] @ c[0]) + 0.5 * T * float(np.sum(a * a) + np.sum(b * b))

@@ -409,17 +409,47 @@ print(json.dumps({"scipy_stats": "scipy.stats" in sys.modules, "code": code,
 """
 
 
+def _fresh_process(script, tmp_path):
+    """The JSON last line of script run in a new interpreter on this src/."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_import_skips_scipy_stats_and_solves_without_page_faults(tmp_path):
     # A fresh process: scipy.stats must not load, and once the allocator
     # holds its temporaries a repeated kink solve faults in almost no pages
     # (about 0; about 4500 without the package's allocator warm-up).
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_AND_FAULTS, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    out = json.loads(proc.stdout.splitlines()[-1])
+    out = _fresh_process(IMPORT_AND_FAULTS, tmp_path)
     assert out["scipy_stats"] is False
     assert out["code"] == cli.EXIT_OK
     if platform.libc_ver()[0] == "glibc":
         assert out["faults"][1] < 1000, out["faults"]
+
+
+NO_SCIPY = """
+import json, sys
+import numpy as np
+import liporbit.cli as cli
+from liporbit.potentials import make_quartic
+from liporbit.verification import shooting_oracle
+raw = {"potential": {"type": "quartic"}, "T": 6.0, "n": 1, "K": 32, "verbosity": 0,
+       "solver": {"grid": 9, "tol_conv": 1e-5, "max_iters": 4000, "seed": 0},
+       "output_dir": sys.argv[1]}
+code = cli.cmd_solve(cli.RunConfig.from_dict(raw))
+shot = shooting_oracle(make_quartic(1), 2 * np.pi, [1.18, 0.0], K=16)
+print(json.dumps({"scipy": [m for m in sys.modules if m.startswith("scipy")], "code": code,
+                  "closure": shot.closure_residual}))
+"""
+
+
+def test_a_solve_and_a_shooting_run_load_no_scipy(tmp_path):
+    # A fresh process: the package, a solve with its certificates and the
+    # shooting oracle's flows run on numpy alone.
+    out = _fresh_process(NO_SCIPY, tmp_path)
+    assert out["scipy"] == []
+    assert out["code"] == cli.EXIT_OK
+    assert out["closure"] < 1e-9

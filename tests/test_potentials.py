@@ -1,3 +1,6 @@
+import math
+import statistics
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,10 @@ from liporbit.potentials import (
     PotentialModel,
     SamplerSpec,
     _ball_directions_from_unit,
+    _ndtri,
     _pairing_extremes,
     _sobol_block,
+    _sphere_block,
     _sq_norm,
     active_set,
     certify,
@@ -398,6 +403,45 @@ def test_sobol_block_is_cached_read_only():
         block[0, 0] = 0.5
     SamplerSpec(count=64, seed=1).points(2)     # points does not write into it
     assert np.array_equal(block, _sobol_block.__wrapped__(3, 5))
+
+
+def _ndtri_cases():
+    """The clipped Sobol block of the sampler plus AS241's edges: the
+    clip bounds, the center, |p - 0.5| = 0.425 and r = 5 (p = e^-25),
+    each with its neighbours."""
+    edges = np.array([1e-12, 0.5, 1.0 - 1e-12, 0.075, 0.925, math.exp(-25.0),
+                      1.0 - math.exp(-25.0)])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    block = np.clip(_sobol_block(6, 11), 1e-12, 1.0 - 1e-12).ravel()
+    return np.concatenate([block, edges])
+
+
+def test_ndtri_equals_the_stdlib_inverse_cdf_bit_for_bit():
+    p = _ndtri_cases()
+    ref = np.array([statistics.NormalDist().inv_cdf(v) for v in p.tolist()])
+    assert np.array_equal(_bits(_ndtri(p)), _bits(ref))
+    assert np.array_equal(_bits(_ndtri(p.reshape(-1, 1))), _bits(ref.reshape(-1, 1)))
+
+
+def test_ndtri_stays_within_5_ulp_of_scipy():
+    from scipy.special import ndtri
+
+    p = _ndtri_cases()
+    ref = ndtri(p)
+    assert np.all(np.abs(_ndtri(p) - ref) <= 5 * np.spacing(np.abs(ref)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_sphere_block_is_cached_read_only_and_rowwise(dim):
+    z = _sphere_block(dim, 7)
+    assert _sphere_block(dim, 7) is z
+    assert not z.flags.writeable
+    u = _sobol_block(dim + 1, 7)[:, :dim]
+    for rows in (1, 3, 100, 128):
+        assert np.array_equal(_bits(z[:rows]), _bits(_ball_directions_from_unit(u[:rows], dim)))
+    if dim == 1:    # the sign of the Gaussian quantile, 0 mapped to +1
+        signs = np.sign(_ndtri(np.clip(u, 1e-12, 1.0 - 1e-12)))
+        assert np.array_equal(z, np.where(signs == 0.0, 1.0, signs))
 
 
 def test_sampler_dim_above_the_table_raises_by_name():

@@ -9,13 +9,17 @@ from liporbit.trajectory import (
     PeriodicTrajectory,
     default_grid_size,
     h1_norm,
-    l2_inner,
     l2_norm,
     l2_norm_row,
     random_trajectory,
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def polarized_inner(p, q):
+    """int <p, q> dt from l2_norm by the polarization identity."""
+    return (l2_norm(p + q) ** 2 - l2_norm(p + (-1.0) * q) ** 2) / 4.0
 
 
 def quadrature_inner(p, q, N=None):
@@ -120,11 +124,11 @@ def test_time_shift_exact():
 # -- inner products and norms ------------------------------------------
 
 
-def test_l2_inner_orthogonality_sin_cos():
+def test_l2_norm_is_pythagorean_for_sin_and_cos():
     T = TWO_PI
     s = PeriodicTrajectory.harmonic(T, 1, 1, sin_amp=1.0)
     c = PeriodicTrajectory.harmonic(T, 1, 1, cos_amp=1.0, sin_amp=0.0)
-    assert abs(l2_inner(s, c)) < 1e-14
+    assert abs(l2_norm(s + c) ** 2 - (l2_norm(s) ** 2 + l2_norm(c) ** 2)) < 1e-14
 
 
 def test_l2_norm_of_first_harmonic():
@@ -133,30 +137,32 @@ def test_l2_norm_of_first_harmonic():
     assert np.isclose(l2_norm(s) ** 2, T / 2.0, rtol=1e-14)
 
 
-def test_l2_inner_matches_quadrature():
+def test_polarized_l2_norm_matches_the_quadrature_inner_product():
     rng = np.random.default_rng(21)
     p = random_trajectory(rng, T=1.9, n=2, K=11)
     q = random_trajectory(rng, T=1.9, n=2, K=11)
-    exact = l2_inner(p, q)
+    exact = polarized_inner(p, q)
     quad = quadrature_inner(p, q)
     assert abs(exact - quad) < 1e-10 * (1 + abs(exact))
 
 
-def test_l2_inner_pads_mismatched_mode_counts():
+def test_sum_pads_mismatched_mode_counts():
     rng = np.random.default_rng(2)
     p = random_trajectory(rng, T=1.0, n=2, K=4)
     q = random_trajectory(rng, T=1.0, n=2, K=9)
-    assert np.isclose(l2_inner(p, q), quadrature_inner(p, q), atol=1e-10)
+    assert (p + q).K == 9
+    assert np.allclose((p + q).sample(40), p.sample(40) + q.sample(40), atol=1e-12)
+    assert np.isclose(polarized_inner(p, q), quadrature_inner(p, q), atol=1e-10)
 
 
-def test_l2_inner_dimension_errors():
+def test_sum_dimension_errors():
     p = PeriodicTrajectory.harmonic(1.0, 1, 1)
     q_wrong_T = PeriodicTrajectory.harmonic(2.0, 1, 1)
     q_wrong_n = PeriodicTrajectory.harmonic(1.0, 2, 1)
-    with pytest.raises(ValueError):
-        l2_inner(p, q_wrong_T)
-    with pytest.raises(ValueError):
-        l2_inner(p, q_wrong_n)
+    with pytest.raises(ValueError, match="period"):
+        p + q_wrong_T
+    with pytest.raises(ValueError, match="dimension"):
+        p + q_wrong_n
 
 
 @pytest.mark.parametrize("K", [1, 8, 64, 512])
@@ -338,7 +344,7 @@ def test_sup_norm_on_known_loop():
 def test_l2_norm_row_is_the_parseval_norm_bitwise():
     # The polish, the saddle descents and l2_norm all take norms of
     # coefficient rows through l2_norm_row; it must give the bits of
-    # the Parseval inner product, across sizes and scales.
+    # the Parseval sum, across sizes and scales.
     rng = np.random.default_rng(23)
     for K in (1, 2, 7, 32, 64, 128):
         for n in (1, 2, 3, 5):
@@ -346,7 +352,9 @@ def test_l2_norm_row_is_the_parseval_norm_bitwise():
                 T = rng.uniform(0.5, 9.0)
                 c = scale * rng.standard_normal((2 * K + 1, n))
                 q = PeriodicTrajectory.from_coefficients(T, c)
-                assert l2_norm_row(c, T) == float(np.sqrt(l2_inner(q, q)))
+                parseval = T * float(q.a0 @ q.a0) + 0.5 * T * float(
+                    np.sum(q.a * q.a) + np.sum(q.b * q.b))
+                assert l2_norm_row(c, T) == float(np.sqrt(parseval))
                 assert l2_norm(q) == l2_norm_row(c, T)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from liporbit.action import project_hull
 from liporbit.potentials import PotentialModel, make_maxpair, make_quartic, subdiff
@@ -211,6 +211,65 @@ def test_stacked_flow_rows_match_single_row_flows(quartic_orbit):
     stacked = verification._flow(V, TWO_PI, batch)[-1]
     for row, end in zip(batch, stacked):
         assert np.max(np.abs(end - verification._flow(V, TWO_PI, row)[-1])) <= 1e-11
+
+
+def _counting(model):
+    """model with its gradient calls counted in calls[0]."""
+    calls = [0]
+
+    def gradient(x):
+        calls[0] += 1
+        return model.gradients[0](x)
+
+    return PotentialModel.smooth(model.values[0], gradient, model.dim), calls
+
+
+def _scipy_flow(model, T, y0, t_eval=None):
+    """The flow of _flow as scipy's solve_ivp integrates it."""
+    n, y0 = model.dim, np.asarray(y0, dtype=float)
+
+    def rhs(_t, y):
+        y = y.reshape(-1, 2 * n)
+        return np.concatenate([y[:, n:], -model.gradients[0](y[:, :n])], axis=1).ravel()
+
+    sol = solve_ivp(rhs, (0.0, T), y0.ravel(), method="DOP853", t_eval=t_eval,
+                    rtol=verification.FLOW_TOL, atol=verification.FLOW_TOL)
+    return sol, sol.y.T.reshape((-1,) + y0.shape) if sol.status == 0 else None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("T", [0.7, TWO_PI, 5.5])
+@pytest.mark.parametrize("nodes", [None, "fit", 37])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_flow_equals_solve_ivp_step_for_step(n, T, nodes, stacked):
+    # The in-tree DOP853 takes scipy's steps: the same bits at every node
+    # (fit nodes end on T, a step boundary) and the same gradient calls.
+    model, calls = _counting(make_quartic(n))
+    y0 = np.random.default_rng(n).uniform(-1.5, 1.5, 2 * n)
+    if stacked:
+        y0 = np.vstack([y0, y0 + 1e-7 * np.eye(2 * n), np.full(2 * n, 0.3)])
+    t_eval = {None: None, "fit": np.append(T * np.arange(verification.FIT_SAMPLES)
+                                           / verification.FIT_SAMPLES, T),
+              37: np.sort(np.random.default_rng(7).uniform(0.0, T, 37))}[nodes]
+    ours = verification._flow(model, T, y0, t_eval=t_eval)
+    ours_calls, calls[0] = calls[0], 0
+    sol, ref = _scipy_flow(model, T, y0, t_eval)
+    assert ours.shape == ref.shape
+    assert np.array_equal(ours, ref)
+    assert ours_calls == sol.nfev == calls[0]
+
+
+def test_flow_fails_where_solve_ivp_fails():
+    # The gradient is NaN beyond |q| = 2, where the repelled orbit goes:
+    # every step is rejected until it falls below the minimum length.
+    def gradient(x):
+        return np.where(np.linalg.norm(x, axis=-1, keepdims=True) > 2.0, np.nan, -x)
+
+    model = PotentialModel.smooth(lambda x: -0.5 * np.sum(x * x, axis=-1), gradient, 1)
+    sol, _ = _scipy_flow(model, 5.0, [1.0, 1.0])
+    assert sol.status == -1
+    with pytest.raises(OracleFailure, match="step below"):
+        verification._flow(model, 5.0, [1.0, 1.0])
 
 
 def test_oracle_stops_on_the_truncation_floor(quartic_orbit, monkeypatch):
