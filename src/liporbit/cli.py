@@ -329,24 +329,27 @@ BENCH_CONFIGS = {
 
 
 def cmd_bench(cfg_dir: str, verbosity: int = 1) -> int:
-    """Run the built-in zoo benchmarks and report one line per case."""
+    """Run the zoo benchmarks, one line per case (null c if no result.json)."""
     rows = []
     worst = EXIT_OK
     for name, raw in BENCH_CONFIGS.items():
         case = dict(raw)
         case["output_dir"] = str(Path(cfg_dir) / name)
         case["verbosity"] = 0
+        path = Path(cfg_dir) / name / "result.json"
+        path.unlink(missing_ok=True)        # an earlier run's is not this one's
         t0 = time.time()
         code = cmd_solve(RunConfig.from_dict(case))
         dt = time.time() - t0
-        result = json.loads((Path(cfg_dir) / name / "result.json").read_text())
-        rows.append((name, code, result["c_estimate"],
-                     result["verification"]["aggregate"], dt))
+        result = json.loads(path.read_text()) if path.exists() else None
+        rows.append((name, code, result and result["c_estimate"],
+                     result and result["verification"]["aggregate"], dt))
         worst = max(worst, code)
     if verbosity:
         print(f"{'case':10s} {'exit':4s} {'c_estimate':>12s} {'residual':>10s} {'sec':>6s}")
         for name, code, c, agg, dt in rows:
-            print(f"{name:10s} {code:4d} {c:12.6f} {agg:10.2e} {dt:6.1f}")
+            print(f"{name:10s} {code:4d} {'-' if c is None else f'{c:.6f}':>12s} "
+                  f"{'-' if agg is None else f'{agg:.2e}':>10s} {dt:6.1f}")
     _write(Path(cfg_dir), "bench.json",
            json.dumps({"results": [
                {"case": r[0], "exit": r[1], "c_estimate": r[2],

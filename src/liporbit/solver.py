@@ -406,11 +406,11 @@ def _polish_candidates(q0s: list[PeriodicTrajectory], model: PotentialModel,
     caller that stops early leaves the later rows unfinished.  A list
     holds one record per loop reached, indexed from start_index, at most
     max_steps + 1, the last one that of the polished loop; a seed's
-    polish stops once the measure is below tol_conv / 10 or no step
-    lowers ||R||.  Until a seed is yielded its loops are kept as
-    coefficient rows; then one action_values call gives their f, and
-    only the loops reached, not the rejected line-search trials, are
-    built as trajectories.
+    polish stops once the measure is below tol_conv / 10 or its ||R||
+    stops contracting (newton_steps' end test).  Until a seed is yielded
+    its loops are kept as coefficient rows; then one action_values call
+    gives their f, and only the loops reached, not the line-search
+    trials, are built as trajectories.
     """
     T, shape = q0s[0].T, (2 * q0s[0].K + 1, q0s[0].n)
     reached = [[] for _ in q0s]     # per seed: (coefficients, h1norm, min_norm, measure)

@@ -20,6 +20,7 @@ two is meaningful evidence.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,7 +327,8 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
     FLOW_TOL divided by the difference step, about 1e-6, as noise.  That
     ratio is also the cutoff of the least-squares step, since the
     monodromy of a conservative orbit is singular along the flow and
-    misses the energy direction.
+    misses the energy direction.  Trial steps are flowed each alone: a
+    stacked flow shares its adaptive steps, so a trial would lose its bits.
 
     The adaptive flow only admits fixed points up to its own truncation
     error: the iteration ends once no step longer than FLOW_TOL * scale,
@@ -354,12 +356,12 @@ def shooting_oracle(model: PotentialModel, T: float, initial_guess,
         path = _flow(model, T, state, t_eval=times)
         return path[-1] - state, path[:-1, :model.dim]
 
-    def trial_closure(states):      # newton_steps' one row
-        try:
-            res, samples = closure(states[0])
-        except OracleFailure:
-            return np.full(states.shape, np.inf), [None]
-        return res[None], [samples]
+    def trial_closure(states):      # each trial row flowed alone
+        res, samples = np.full(states.shape, np.inf), [None] * len(states)
+        for i, state in enumerate(states):
+            with contextlib.suppress(OracleFailure):   # a trial past the budget is rejected
+                res[i], samples[i] = closure(state)
+        return res, samples
 
     fd_h = 1e-7
 

@@ -453,3 +453,21 @@ def test_a_solve_and_a_shooting_run_load_no_scipy(tmp_path):
     assert out["scipy"] == []
     assert out["code"] == cli.EXIT_OK
     assert out["closure"] < 1e-9
+
+
+def test_bench_reports_a_case_that_wrote_no_result_with_null_values(tmp_path, monkeypatch,
+                                                                     capsys):
+    # quartic at T = 9.5 is past the calibration threshold: cmd_solve exits
+    # 3 before writing result.json.  An earlier run's result.json in the
+    # case directory is not reported as this run's.
+    monkeypatch.setattr(cli, "BENCH_CONFIGS",
+                        {"quartic": dict(cli.BENCH_CONFIGS["quartic"], T=9.5)})
+    case = tmp_path / "quartic"
+    case.mkdir()
+    (case / "result.json").write_text(json.dumps(
+        {"c_estimate": 1.0163, "verification": {"aggregate": 7.3e-9}}))
+    assert cli.cmd_bench(str(tmp_path)) == cli.EXIT_INFEASIBLE
+    assert json.loads((tmp_path / "bench.json").read_text())["results"] == [
+        {"case": "quartic", "exit": cli.EXIT_INFEASIBLE, "c_estimate": None, "residual": None}]
+    assert not (case / "result.json").exists()
+    assert capsys.readouterr().out.splitlines()[1].split()[:4] == ["quartic", "3", "-", "-"]

@@ -6,6 +6,7 @@ from liporbit.action import project_hull
 from liporbit.potentials import PotentialModel, make_maxpair, make_quartic, subdiff
 from liporbit.trajectory import PeriodicTrajectory, default_grid_size, random_trajectory
 from liporbit import verification
+from liporbit.newton import newton_steps
 from liporbit.verification import (
     OracleFailure,
     inclusion_residual,
@@ -303,6 +304,27 @@ def test_oracle_fits_the_flow_that_closed_the_orbit(quartic_orbit, monkeypatch,
     flows = _count_flows(monkeypatch)
     again = shooting_oracle(V, TWO_PI, res.initial_state + [nudge, 0.0], K=64)
     assert (again.newton_iters, len(flows)) == (newton_iters, n_flows)
+
+
+def test_oracle_trial_rows_get_the_bits_of_one_row_calls(quartic_orbit, monkeypatch):
+    # newton_steps evaluates a chunk of step lengths in one residual call;
+    # the oracle flows each trial row alone, so two rows in one call get
+    # the closure residuals and fit samples of two one-row calls.
+    V, res = quartic_orbit
+    residuals = []
+
+    def spy(x, R, residual, *args, **kwargs):
+        residuals.append(residual)
+        return newton_steps(x, R, residual, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "newton_steps", spy)
+    shooting_oracle(V, TWO_PI, res.initial_state + [1e-6, 0.0], K=64)
+    states = res.initial_state + np.array([[1e-6, 0.0], [0.0, -1e-4]])
+    both, both_samples = residuals[0](states)
+    for i in range(2):
+        one, one_samples = residuals[0](states[i:i + 1])
+        assert np.array_equal(both[i], one[0])
+        assert np.array_equal(both_samples[i], one_samples[0])
 
 
 def _reflowing_oracle(*args, **kwargs):
