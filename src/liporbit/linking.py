@@ -13,16 +13,15 @@ cylinder Q = {x1 + s e} the growth bound and Jensen's inequality force
 
 which goes negative once the box is large enough.  Saddle mode grows a
 radius R until the sup of f over constant loops on the boundary sphere
-drops below the analytic lower bound of f on the zero-mean subspace X2,
-and estimates inf f on X2 by Newton descents on that subspace.
+drops below the analytic lower bound of f on the zero-mean subspace X2;
+that bound decides, and f at a few zero-mean loops is sampled beside it.
 
-Certificates are sampled evidence plus the analytic bound: a failing
-certificate is a valid negative result.  Samples are coefficient rows:
-each sampled set (the sphere, the three faces of the cylinder) is drawn
-as one block and evaluated in one action_values call, and the face rows
-all take the form x1 + s e at one width.  The descents that estimate
-inf f on X2 run in lockstep as one batch, with one residual_jacobians
-call and one stacked solve per step, and each row ends as it would alone.
+Certificates are sampled evidence plus the analytic bound, and a sample
+below the bound fails them: a failing certificate is a valid negative
+result.  Samples are coefficient rows: each sampled set (the sphere,
+the three faces of the cylinder, the saddle mode's zero-mean loops) is
+drawn as one block and evaluated in one action_values call, and the
+face rows all take the form x1 + s e at one width.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action import action_value, action_values, min_norm_residuals, residual_jacobians
+from .action import action_values
 from .potentials import PotentialModel
 from .trajectory import PeriodicTrajectory, l2_norm, random_trajectory
 
@@ -42,6 +41,10 @@ LOW_MODE_FRACTION = 0.7
 LOW_MODE_MAX = 4
 # Random points per radius on the boundary box of the saddle calibration.
 BOUNDARY_SAMPLES = 120
+# Random zero-mean loops sampled beside the zero loop in the saddle calibration.
+ZERO_MEAN_SAMPLES = 4
+# A pass needs alpha_sampled >= alpha_bound - LEVEL_TOL, as the solver's level gate.
+LEVEL_TOL = 1e-8
 
 
 class InfeasibleGeometryError(ValueError):
@@ -108,6 +111,8 @@ class LinkingGeometry:
                 raise ValueError(f"need r2 > rho > 0, got r2={self.r2}, rho={self.rho}")
         if self.passed and not (self.alpha_sampled > self.beta_sampled):
             raise ValueError("a passing certificate requires alpha_sampled > beta_sampled")
+        if self.passed and not (self.alpha_sampled >= self.alpha_bound - LEVEL_TOL):
+            raise ValueError("a passing certificate requires alpha_sampled >= alpha_bound")
 
     def to_dict(self) -> dict:
         def opt(v):
@@ -217,8 +222,9 @@ def certify_linking(geom: LinkingGeometry, model: PotentialModel, T: float,
     alpha_sampled is the minimum over S (never exceeding f at any
     individual S point by construction); beta_sampled the maximum over
     the bottom disk, the lateral shell, the top disk and the zero loop.
-    The returned geometry records pass <=> alpha_sampled > beta_sampled;
-    a fail is a valid negative certificate.
+    The returned geometry records pass <=> alpha_sampled > beta_sampled
+    and alpha_sampled >= alpha_bound - LEVEL_TOL; a fail is a valid
+    negative certificate.
 
     Each set is drawn as one block: the n_samples sphere rows of
     sphere_rows, then max(n_samples // 3, 8) points per face from one
@@ -252,7 +258,8 @@ def certify_linking(geom: LinkingGeometry, model: PotentialModel, T: float,
     beta = np.max(action_values(rows, T, model))
 
     return replace(geom, alpha_sampled=float(alpha), beta_sampled=float(beta),
-                   passed=bool(alpha > beta), n_samples=n_samples, seed=seed)
+                   passed=bool(alpha > beta and alpha >= geom.alpha_bound - LEVEL_TOL),
+                   n_samples=n_samples, seed=seed)
 
 
 # -- saddle calibration -------------------------------------------------
@@ -270,90 +277,21 @@ def _box_boundary_points(rng: np.random.Generator, n: int, R: float,
     return np.vstack([pts, centers])
 
 
-def _descent_steps(J: np.ndarray, R: np.ndarray, precond: np.ndarray) -> np.ndarray:
-    """The zero-mean step of each descent row: Newton's, else the preconditioned gradient.
-
-    R holds the rows' zero-mean residual coefficients (B, 2K, n) and J
-    the zero-mean blocks of their residual_jacobians.  One stacked solve
-    gives every row's Newton step; a row keeps it when it is finite and
-    goes downhill, <R, s> < 0 (the gradient of f is T/2 R on these
-    coefficients), else its step is -R / (1 + w_k^2).  If a block is
-    singular the stacked solve raises LinAlgError, and every row is
-    solved alone, a singular row taking the gradient step, so each row
-    gets the step it would get alone.
-    """
-    try:
-        step = np.linalg.solve(J, -R.reshape(len(R), -1, 1)).reshape(R.shape)
-    except np.linalg.LinAlgError:
-        if len(R) == 1:
-            return -precond * R
-        return np.concatenate([_descent_steps(j[None], r[None], precond)
-                               for j, r in zip(J, R)])
-    downhill = np.all(np.isfinite(step), axis=(1, 2)) & (np.sum(R * step, axis=(1, 2)) < 0.0)
-    return np.where(downhill[:, None, None], step, -precond * R)
-
-
-def _descend_lockstep(model: PotentialModel, T: float, starts: np.ndarray) -> np.ndarray:
-    """Safeguarded Newton descents in the zero-mean subspace, one per row of starts.
-
-    Each step makes one min_norm_residuals and one residual_jacobians
-    call over the live rows, takes their _descent_steps in one stacked
-    solve, and backtracks from step length 1 under the Armijo test
-    f(q + t s) <= f(q) + 1e-4 t slope, slope = T/2 <R, s>, with one
-    action_values call per halving round over the rows still searching.
-    A row stops once its decrement -slope is at most 4 eps (1 + |f|),
-    when 30 step lengths fail, or after 60 steps.  No step reaches a row
-    from another, so a row ends as it would alone.
-    Returns each row's last accepted f, its smallest (an accepted step
-    lowers f).  newton.newton_steps is not used: it accepts on ||R||,
-    which may climb to a saddle of f on the subspace.
-    """
-    q = np.array(starts, dtype=float)
-    K, n = (q.shape[1] - 1) // 2, q.shape[2]
-    omegas = 2.0 * np.pi * np.arange(1, K + 1) / T
-    precond = np.tile(1.0 / (1.0 + omegas ** 2), 2)[:, None]
-    f = action_values(q, T, model)
-    live = np.arange(len(q))
-    for _ in range(60):
-        if not live.size:
-            break
-        R = min_norm_residuals(q[live], T, model)[:, 1:]
-        d = _descent_steps(residual_jacobians(q[live], T, model)[:, n:, n:], R, precond)
-        slope = 0.5 * T * np.sum(R * d, axis=(1, 2))
-        going = -slope > 4.0 * np.finfo(float).eps * (1.0 + np.abs(f[live]))
-        live, d, slope = live[going], d[going], slope[going]
-        t = np.ones(live.size)
-        searching = np.arange(live.size)                # indices into live
-        for _ in range(30):
-            if not searching.size:
-                break
-            rows = live[searching]
-            trial = q[rows]
-            trial[:, 1:] += t[searching, None, None] * d[searching]
-            ft = action_values(trial, T, model)
-            ok = ft <= f[rows] + 1e-4 * t[searching] * slope[searching]
-            q[rows[ok]], f[rows[ok]] = trial[ok], ft[ok]
-            t[searching[~ok]] *= 0.5
-            searching = searching[~ok]
-        live = np.delete(live, searching)               # failed line searches stop
-    return f
-
-
 def calibrate_saddle(model: PotentialModel, certs: dict, T: float,
-                     K: int = 16, seed: int = 0, n_descents: int = 4,
-                     max_doublings: int = 40) -> LinkingGeometry:
+                     K: int = 16, seed: int = 0, max_doublings: int = 40) -> LinkingGeometry:
     """Grow R until sup f on the boundary sphere sits below inf f on X2.
 
-    The inf is bounded analytically by -a T through the quadratic bound
-    (with the Wirtinger constant) and estimated by safeguarded Newton
-    descents from random zero-mean starts (_descend_lockstep) and by f
-    of the zero loop; the sup over constant loops on the boundary is
-    sampled.  Failure to open a gap within the doubling budget reports
-    the potential as non-coercive.
+    V4' (the quadratic bound with the Wirtinger constant) bounds the inf
+    by -a T, and that bound decides: it must lie above beta_sampled, the
+    sampled sup of f over constant loops on the boundary.  If no gap opens
+    within the doubling budget, the potential is reported non-coercive.
 
-    The starts are drawn up front (the descents draw nothing) and descend
-    in lockstep as one batch; a row whose Newton decrement reaches
-    rounding level, or whose line search fails, drops out of it.
+    alpha_sampled is sampled evidence: the min of f over the zero loop,
+    which is critical for f restricted to X2 for every V (its nodal
+    gradient grad V(0) has no zero-mean part), and ZERO_MEAN_SAMPLES random
+    loops of X2 drawn after the boundary points.  V4' puts every
+    sample at or above -a T, so a pass also needs alpha_sampled >=
+    -a T - LEVEL_TOL, and alpha_sampled > beta_sampled then follows.
     """
     A, a = float(certs["A"]), float(certs["a"])
     _require_below_threshold(A, T)
@@ -375,13 +313,13 @@ def calibrate_saddle(model: PotentialModel, certs: dict, T: float,
             f"sup f on the boundary stayed at {beta:g} >= {inf_bound:g} up to "
             f"R = {R:g}; the potential does not look coercive")
 
-    starts = np.zeros((n_descents, 2 * K + 1, n))
-    for row in starts:
+    rows = np.zeros((ZERO_MEAN_SAMPLES + 1, 2 * K + 1, n))     # row 0 is the zero loop
+    for row in rows[1:]:
         row[:] = random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5).coefficients()
-    alpha = np.min(_descend_lockstep(model, T, starts), initial=np.inf)
-    alpha = float(min(alpha, action_value(PeriodicTrajectory.zero(T, n, K), model)))
+    alpha = float(np.min(action_values(rows, T, model)))
 
     return LinkingGeometry(mode="saddle", T=T, alpha_bound=inf_bound, R=R,
                            alpha_sampled=alpha, beta_sampled=beta,
-                           passed=bool(alpha > beta and inf_bound > beta),
+                           passed=bool(alpha > beta and inf_bound > beta
+                                       and alpha >= inf_bound - LEVEL_TOL),
                            n_samples=BOUNDARY_SAMPLES, seed=seed)

@@ -7,7 +7,8 @@ searching, one residual call per chunk of step lengths: {1}, {1/2, 1/4},
 {1/8 ... 1/64}, {1/128 ... 1/2048}.  A row reads its lengths in order and
 no value reaches it from another, so it takes the iterates of a search
 of one length per call, alone.  The shooting oracle passes one row, the
-polish one row per seed.
+polish one row per seed.  It is the only damped search that a solve or
+a calibration makes.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ from .action import (
     min_norm_subgradient,
     residual_jacobians,
 )
-from .linking import LinkingGeometry
+from .linking import LEVEL_TOL, LinkingGeometry
 from .newton import newton_steps
 from .potentials import PotentialModel
 from .trajectory import (
@@ -530,7 +530,7 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
     def judge(q: PeriodicTrajectory, rec: CeramiRecord):
         if rec.measure > config.tol_conv:
             return "measure", None
-        if superquadratic and rec.f_value < geom.alpha_bound - 1e-8:
+        if superquadratic and rec.f_value < geom.alpha_bound - LEVEL_TOL:
             return "level", None
         report = inclusion_residual(q, model)
         if superquadratic and not report.nonconstant:
@@ -630,7 +630,7 @@ def run_minimax(model: PotentialModel, geom: LinkingGeometry,
     """Probe the linking cylinder and polish its minimax point to a critical loop.
 
     c_estimate is f at the reported candidate.  A candidate counts only
-    at or above the certified sphere level alpha_bound (to 1e-8).
+    at or above the certified sphere level alpha_bound (to LEVEL_TOL).
     """
     if geom.mode != "superquadratic":
         raise ValueError("run_minimax expects a superquadratic geometry")

@@ -93,6 +93,26 @@ def test_force_overrides_only_the_hypothesis_certificates(tmp_path, capsys):
     assert json.loads((out / "geometry.json").read_text())["pass"] is False
 
 
+@pytest.mark.parametrize("raw", [
+    {"potential": {"type": "subq32"}, "T": 1.0, "n": 2, "K": 64, "mode": "saddle",
+     "hypotheses": {"a": -1}, "solver": {"grid": 9, "tol_conv": 1e-5, "max_iters": 2000}},
+    {"potential": {"type": "quartic"}, "T": 6.0, "n": 1, "K": 32, "hypotheses": {"A": 0.05}},
+], ids=["subq32-a<0", "quartic-A=0.05"])
+def test_forced_run_with_a_sample_below_the_analytic_bound_exits_1(tmp_path, capsys, raw):
+    # Under --force the geometry is calibrated from constants that do not
+    # hold: a sample of f (the zero loop in saddle mode, a sphere loop in
+    # superquadratic mode) sits below alpha_bound, and the certificate fails.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["solve", str(path), "-o", str(out), "--force"]) == cli.EXIT_NEGATIVE
+    assert capsys.readouterr().err.startswith("linking certificate failed\n")
+    geom = json.loads((out / "geometry.json").read_text())
+    assert geom["pass"] is False and geom["alpha_sampled"] < geom["alpha_bound"]
+    assert not (out / "result.json").exists()
+
+
 def quartic_level(T):
     # c(T) = (4 sqrt(2) L)^4 / (12 T^3), L = Gamma(1/4) Gamma(1/2) / (4 Gamma(3/4)):
     # the level of the T-periodic orbit of q'' + 4 q^3 = 0 with its minimal period.

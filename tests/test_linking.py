@@ -6,8 +6,10 @@ import pytest
 from liporbit import linking
 from liporbit.action import action_value, action_values
 from liporbit.linking import (
+    LEVEL_TOL,
     LOW_MODE_FRACTION,
     LOW_MODE_MAX,
+    ZERO_MEAN_SAMPLES,
     InfeasibleGeometryError,
     LinkingGeometry,
     NonCoerciveError,
@@ -16,14 +18,14 @@ from liporbit.linking import (
     calibrate_superquadratic,
     certify_linking,
     _box_boundary_points,
-    _descend_lockstep,
     _kinetic_norm,
     outer_boundary_bound,
     sphere_rows,
     threshold_period,
     unit_direction,
 )
-from liporbit.potentials import PotentialModel, make_maxpair, make_quartic, make_subq32
+from liporbit.potentials import (PotentialModel, make_maxpair, make_quartic, make_subq32,
+                                 make_subq32cos)
 from liporbit.trajectory import PeriodicTrajectory, default_grid_size, l2_norm, random_trajectory
 
 TWO_PI = 2.0 * np.pi
@@ -340,7 +342,9 @@ def test_sampled_extremes_are_action_values_of_the_drawn_rows(monkeypatch, name,
                 for row in rows] for rows in (sphere, faces)]
     assert geom.alpha_sampled == min(one_row[0])
     assert geom.beta_sampled == max(one_row[1])
-    assert geom.passed == (geom.alpha_sampled > geom.beta_sampled) == (name != "forced")
+    assert geom.passed == (geom.alpha_sampled > geom.beta_sampled
+                           and geom.alpha_sampled >= geom.alpha_bound - LEVEL_TOL)
+    assert geom.passed == (name != "forced")
 
 
 def _bench_geometry(name, T, K):
@@ -396,106 +400,9 @@ SADDLE_CASES = {
 }
 
 
-def _saddle_starts(T, n, K):
-    rng = np.random.default_rng(5)
-    starts = [random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5) for _ in range(5)]
-    starts.insert(2, PeriodicTrajectory.zero(T, n, K))
-    return np.stack([q.coefficients() for q in starts])
-
-
-@pytest.mark.parametrize("name", sorted(SADDLE_CASES))
-def test_lockstep_rows_equal_their_one_row_calls(name):
-    # No step reaches a row from another, so each row of the batch ends
-    # bitwise where it ends alone; an accepted step lowers f.
-    make, _ = SADDLE_CASES[name]
-    model = make()
-    T, n, K = 1.0, 2, 16
-    starts = _saddle_starts(T, n, K)
-    got = _descend_lockstep(model, T, starts)
-    alone = [_descend_lockstep(model, T, row[None])[0] for row in starts]
-    assert got.tolist() == alone
-    assert np.all(got <= action_values(starts, T, model))
-    if name == "subq32":
-        # grad V(0) = 0: the zero row stops at once beside live rows.
-        assert got[2] == action_value(PeriodicTrajectory.zero(T, n, K), model)
-        assert np.all(got[[0, 1, 3, 4, 5]] < got[2])
-
-
-def test_lockstep_singular_block_falls_back_row_by_row(monkeypatch):
-    # One row's zero-mean Jacobian block is forced singular, so the
-    # stacked solve raises; that step is then taken row by row, the
-    # singular row on its gradient step, and every row still ends as it
-    # does alone.
-    import liporbit.linking as linking
-
-    model = SADDLE_CASES["well_eps2_0.01"][0]()
-    T, n, K = 1.0, 2, 16
-    starts = _saddle_starts(T, n, K)
-    free = [_descend_lockstep(model, T, row[None])[0] for row in starts]
-    marked = np.array([0.05, -0.05])            # the descents never move the mean
-    starts[3, 0] = marked
-    free[3] = _descend_lockstep(model, T, starts[3][None])[0]
-    jacobians = linking.residual_jacobians
-
-    def singular_for_marked(coeffs, T, model):
-        J = jacobians(coeffs, T, model)
-        J[np.all(coeffs[:, 0] == marked, axis=1), n:, n:] = 0.0
-        return J
-
-    monkeypatch.setattr(linking, "residual_jacobians", singular_for_marked)
-    got = _descend_lockstep(model, T, starts)
-    alone = [_descend_lockstep(model, T, row[None])[0] for row in starts]
-    assert got.tolist() == alone
-    assert alone[:3] + alone[4:] == free[:3] + free[4:]
-    assert alone[3] != free[3]
-    assert np.all(got <= action_values(starts, T, model))
-
-
-def test_newton_descent_reaches_inf_on_the_subspace(monkeypatch):
-    # On p = (0.3, -0.15), eps2 = 0.01 the zero loop is the minimiser of f
-    # on X2 (grad V(0) is constant); the Newton descents reach its f within
-    # a few residual evaluations.
-    import liporbit.linking as linking
-
-    model = SADDLE_CASES["well_eps2_0.01"][0]()
-    T, n, K = 1.0, 2, 16
-    rng = np.random.default_rng(0)
-    starts = np.stack([random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5).coefficients()
-                       for _ in range(4)])
-    calls = []
-    residuals = linking.min_norm_residuals
-    monkeypatch.setattr(linking, "min_norm_residuals",
-                        lambda *a, **kw: calls.append(1) or residuals(*a, **kw))
-    got = _descend_lockstep(model, T, starts)
-    inf = action_value(PeriodicTrajectory.zero(T, n, K), model)
-    assert np.all(np.abs(got - inf) <= 1e-12 * abs(inf))
-    assert len(calls) <= 6
-
-
-def test_lockstep_descent_keeps_start_f_when_line_search_fails():
-    # The gradient is reported with the wrong sign, so on the first mode
-    # (w_1^2 < 2c) the Newton step looks uphill, the fallback gradient
-    # climbs the true f and the line search fails at once, while on the
-    # second mode (w_2^2 > 2c) the kinetic part wins and the row descends
-    # beside it.
-    c = 50.0
-    model = PotentialModel.smooth(lambda x: -c * np.sum(x ** 2, axis=-1),
-                                  lambda x: 2.0 * c * x, 2)
-    rng = np.random.default_rng(2)
-    starts = np.stack([q.coefficients() for q in (
-        PeriodicTrajectory.harmonic(1.0, 2, 1, K=8),
-        PeriodicTrajectory.harmonic(1.0, 2, 2, axis=1, K=8),
-        random_trajectory(rng, 1.0, 2, 8, zero_mean=True))])
-    f0 = action_values(starts, 1.0, model)
-    got = _descend_lockstep(model, 1.0, starts)
-    assert got[0] == f0[0]
-    assert got[1] < f0[1]
-    assert np.all(got <= f0)
-
-
-def _staged_calibrate_saddle(model, certs, T, K, seed, n_samples=120, n_descents=4):
+def _staged_calibrate_saddle(model, certs, T, K, seed, n_samples=120):
     # calibrate_saddle's stages in its rng order: the R doublings, then the
-    # zero-mean starts drawn one loop at a time, then the descents.
+    # zero-mean starts drawn one loop at a time, each evaluated alone.
     a = float(certs["a"])
     rng = np.random.default_rng(seed)
     n = model.dim
@@ -507,14 +414,13 @@ def _staged_calibrate_saddle(model, certs, T, K, seed, n_samples=120, n_descents
         if beta <= inf_bound - 1e-3 * T * (1.0 + abs(a)):
             break
         R *= 2.0
-    starts = [random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5)
-              for _ in range(n_descents)]
-    alpha = min(min(_descend_lockstep(model, T, row.coefficients()[None])[0]
-                    for row in starts),
-                action_value(PeriodicTrajectory.zero(T, n, K), model))
+    loops = [PeriodicTrajectory.zero(T, n, K)] + [
+        random_trajectory(rng, T, n, K, zero_mean=True, decay=1.5) for _ in range(4)]
+    alpha = min(action_value(q, model) for q in loops)
     return LinkingGeometry(mode="saddle", T=T, alpha_bound=inf_bound, R=R,
                            alpha_sampled=float(alpha), beta_sampled=beta,
-                           passed=bool(alpha > beta and inf_bound > beta),
+                           passed=bool(alpha > beta and inf_bound > beta
+                                       and alpha >= inf_bound - 1e-8),
                            n_samples=n_samples, seed=seed)
 
 
@@ -529,10 +435,65 @@ def test_calibrate_saddle_equals_its_stages(name):
         assert geom.alpha_sampled >= geom.alpha_bound
 
 
-def test_calibrate_saddle_without_descents_uses_zero_loop():
+@pytest.mark.parametrize("name", sorted(SADDLE_CASES))
+def test_saddle_alpha_sampled_is_min_over_zero_loop_and_drawn_starts(monkeypatch, name):
+    # One action_values call over the zero loop and ZERO_MEAN_SAMPLES
+    # random zero-mean rows drawn after the boundary points; its min
+    # equals the min of one-row action_value calls.
+    make, a = SADDLE_CASES[name]
+    model = make()
+    blocks = []
+
+    def recording(rows, T, model):
+        blocks.append(rows.copy())
+        return action_values(rows, T, model)
+
+    monkeypatch.setattr(linking, "action_values", recording)
+    geom = calibrate_saddle(model, {"A": 1.0, "a": a}, 1.0, K=8, seed=2)
+    (rows,) = blocks
+    assert rows.shape == (ZERO_MEAN_SAMPLES + 1, 17, 2)
+    assert np.all(rows[0] == 0.0) and np.all(rows[:, 0] == 0.0)
+    assert np.all(np.any(rows[1:] != 0.0, axis=(1, 2)))
+    loops = [PeriodicTrajectory.from_coefficients(1.0, row) for row in rows]
+    assert geom.alpha_sampled == min(action_value(q, model) for q in loops)
+    assert geom.alpha_sampled <= action_value(PeriodicTrajectory.zero(1.0, 2, 8), model)
+
+
+def _saddle_verdict_cases():
+    # subq32 and subq32cos at their zoo constants, and benchmark-style
+    # shifted wells at the benchmark's constants A = a = 1.
+    yield "subq32", make_subq32(2), {"A": 1.0, "a": 27.0 / 256.0}
+    yield "subq32cos", make_subq32cos(2), {"A": 1.0, "a": 0.5}
+    rng = np.random.default_rng(9)
+    for eps2 in (0.0, 0.01, 0.1):
+        for _ in range(3):
+            p = rng.uniform(-0.4, 0.4, size=2)
+            yield f"well eps2={eps2}", _shifted_well(p, eps2), {"A": 1.0, "a": 1.0}
+
+
+def test_saddle_verdict_is_the_analytic_bound_over_the_boundary_sup():
+    # V4' holds on every case, so no sample sits below the bound and the
+    # verdict is inf_bound > beta_sampled alone.
+    for name, model, certs in _saddle_verdict_cases():
+        for K, seed in ((16, 0), (64, 1)):
+            geom = calibrate_saddle(model, certs, 1.0, K=K, seed=seed)
+            assert geom.alpha_sampled >= geom.alpha_bound, (name, K, seed)
+            assert geom.passed == (geom.alpha_bound > geom.beta_sampled), (name, K, seed)
+            assert geom.passed, (name, K, seed)
+
+
+def test_a_sample_below_the_analytic_bound_fails_the_certificate():
+    # a < 0 claims f >= -a T > 0 on X2, which the zero loop (f = 0) breaks;
+    # a sphere level A below the true curvature does the same on S.
     V = make_subq32(2)
-    geom = calibrate_saddle(V, {"A": 1.0, "a": 27.0 / 256.0}, 1.0, K=8, n_descents=0)
-    assert geom.alpha_sampled == action_value(PeriodicTrajectory.zero(1.0, 2, 8), V)
+    geom = calibrate_saddle(V, {"A": 1.0, "a": -1.0}, 1.0, K=16, seed=0)
+    assert geom.alpha_sampled == 0.0 < geom.alpha_bound and geom.beta_sampled < 0.0
+    assert not geom.passed
+    certs = dict(QUARTIC_CERTS, A=0.05)
+    V = make_quartic(1)
+    geom = certify_linking(calibrate_superquadratic(V, certs, 6.0), V, 6.0, K=32, seed=0)
+    assert geom.beta_sampled < geom.alpha_sampled < geom.alpha_bound - LEVEL_TOL
+    assert not geom.passed
 
 
 def test_certificate_json_schema():
@@ -555,6 +516,11 @@ def test_geometry_invariants_enforced():
         LinkingGeometry(mode="superquadratic", T=1.0, alpha_bound=0.1,
                         rho=1.0, r1=1.0, r2=2.0, e=e,
                         alpha_sampled=0.1, beta_sampled=0.5, passed=True)
+    with pytest.raises(ValueError, match="alpha_sampled >= alpha_bound"):
+        LinkingGeometry(mode="saddle", T=1.0, alpha_bound=1.0, R=1.0,
+                        alpha_sampled=0.0, beta_sampled=-1.0, passed=True)
+    LinkingGeometry(mode="saddle", T=1.0, alpha_bound=1.0, R=1.0,     # within LEVEL_TOL
+                    alpha_sampled=1.0 - 0.5 * LEVEL_TOL, beta_sampled=-1.0, passed=True)
 
 
 # -- saddle calibration ---------------------------------------------------
@@ -567,8 +533,8 @@ def test_calibrate_saddle_subq32():
     assert geom.passed
     assert geom.R <= 4.0  # moderate radius suffices
     assert np.isclose(geom.alpha_bound, -27.0 / 256.0, rtol=1e-12)
-    # descent estimate of inf f respects the analytic bound
-    assert geom.alpha_sampled >= geom.alpha_bound - 1e-8
+    # the sampled f on X2 respects the analytic bound
+    assert geom.alpha_sampled >= geom.alpha_bound - LEVEL_TOL
     assert geom.beta_sampled < geom.alpha_bound
 
 

@@ -17,10 +17,11 @@ blocks 0-1:
   the workload's (0 when converged and the aggregate passes the gate).
 
 It prints the BLAS thread variables, each run's exit code, beside it
-the `pass` flag of a superquadratic run's geometry.json (so a diff
-shows whether the certificate's verdict held where a geometry.json hash
-moved), and one sha256 per written file except run_meta.json
-(wall-clock metadata).
+the `pass` flag of the run's geometry (its geometry.json, or a saddle
+well's calibrate_saddle result; so a diff shows whether the
+certificate's verdict held where the hash of a geometry.json or a
+result.json moved), and one sha256 per written file except
+run_meta.json (wall-clock metadata).
 Artifacts are byte-reproducible only at a fixed BLAS thread count, so
 two checkouts give the same answers when `diff` of their outputs, made
 with the same thread settings, is empty.
@@ -51,12 +52,9 @@ BLOCKS = (0, 1)
 
 
 def geometry_pass(out_dir: Path) -> str:
-    """" pass <flag>" of a superquadratic run's geometry.json, else ""."""
+    """" pass <flag>" of a run's geometry.json, else ""."""
     path = out_dir / "geometry.json"
-    if not path.exists():
-        return ""
-    geom = json.loads(path.read_text())
-    return f" pass {geom['pass']}" if geom["mode"] == "superquadratic" else ""
+    return f" pass {json.loads(path.read_text())['pass']}" if path.exists() else ""
 
 
 def solve_inputs(name: str, raw_of, out: Path) -> list[str]:
@@ -96,7 +94,7 @@ def saddle_wells(out: Path) -> list[str]:
                 (out_dir / "verification.json").write_text(
                     json.dumps(report.to_dict(), sort_keys=True, indent=1))
                 code = 0 if res.converged and report.aggregate < VERIFY_TOL else 1
-                lines.append(f"exit {code} {out_dir.relative_to(out)}")
+                lines.append(f"exit {code} pass {geom.passed} {out_dir.relative_to(out)}")
     return lines
 
 

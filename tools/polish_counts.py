@@ -1,4 +1,4 @@
-"""Count the Newton polish's residual and Jacobian work on the hard inputs.
+"""Count the action-layer work of a solve on the hard inputs and the saddle wells.
 
     OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 \
         python3 tools/polish_counts.py [REPEATS]
@@ -6,15 +6,19 @@
 Runs from the root of a checkout against the liporbit sources under its
 src/.  Solves kink-sweep T = 1.75, 2.25, 2.4 and smooth-sweep quartic
 T = 5.5, 8.5 at K = 64 through `cli.cmd_solve`, with the benchmark's
-configs (perfbench/workloads.py) and sampler seed 1, and prints per
-solve:
+configs (perfbench/workloads.py) and sampler seed 1, then the 17
+saddle-offcenter wells of seed 1, block 0 through the workload's own
+solve (calibrate_saddle, run_saddle, inclusion_residual and the
+answer check), and prints per solve:
 
-* the exit code and the records of the run (result.json `iterations`);
-* `min_norm_residuals` calls and the rows they evaluate, and
-  `residual_jacobians` calls and rows, over every level, counted by
-  wrapping the names `solver` holds;
+* the exit code and the records of the run (result.json `iterations`,
+  or the well's history length);
+* for each of `action_values`, `min_norm_residuals` and
+  `residual_jacobians`, the calls and the rows they evaluate, counted
+  by wrapping the names `linking` and `solver` hold, as calls/rows per
+  module; a name the module does not hold prints "-";
 * the median in-process time of REPEATS (default 5) further unwrapped
-  `cmd_solve` calls.
+  solves.
 """
 
 from __future__ import annotations
@@ -29,17 +33,39 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from liporbit import cli, solver  # noqa: E402
+from liporbit import cli, linking, solver  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SAMPLER_SEED = 1
+COUNTED = [(module, name) for module in (linking, solver)
+           for name in ("action_values", "min_norm_residuals", "residual_jacobians")]
 
 
-def inputs() -> list[tuple[str, dict]]:
+def cmd_solve_input(raw: dict):
+    """A solve of raw through cmd_solve: (exit code, records)."""
+    def run(out: str) -> tuple[int, int]:
+        code = cli.cmd_solve(cli.RunConfig.from_dict(dict(raw, output_dir=out, verbosity=0)))
+        return code, json.loads((Path(out) / "result.json").read_text())["iterations"]
+    return run
+
+
+def well_input(inp: dict):
+    """A saddle-offcenter solve of inp: (exit code, records)."""
+    def run(out: str) -> tuple[int, int]:
+        outcome = WORKLOADS["saddle-offcenter"].solve(inp, Path(out))
+        return outcome.code, outcome.details["iterations"]
+    return run
+
+
+def inputs() -> list[tuple[str, object]]:
     kink, smooth = WORKLOADS["kink-sweep"], WORKLOADS["smooth-sweep"]
-    return ([(f"kink T = {T}", kink.config(T, SAMPLER_SEED)) for T in (1.75, 2.25, 2.4)]
-            + [(f"quartic T = {T}, K = 64", smooth.config(T, 64, SAMPLER_SEED))
-               for T in (5.5, 8.5)])
+    saddle = WORKLOADS["saddle-offcenter"]
+    return ([(f"kink T = {T}", cmd_solve_input(kink.config(T, SAMPLER_SEED)))
+             for T in (1.75, 2.25, 2.4)]
+            + [(f"quartic T = {T}, K = 64", cmd_solve_input(smooth.config(T, 64, SAMPLER_SEED)))
+               for T in (5.5, 8.5)]
+            + [(f"well {i} eps2 = {inp['eps2']}", well_input(inp))
+               for i, inp in enumerate(saddle.inputs(1, 0))])
 
 
 def counted(fn, tally: list[int]):
@@ -51,33 +77,35 @@ def counted(fn, tally: list[int]):
     return wrapper
 
 
-def solve(raw: dict, out: str) -> int:
-    return cli.cmd_solve(cli.RunConfig.from_dict(dict(raw, output_dir=out, verbosity=0)))
-
-
 def main(argv: list[str]) -> int:
     repeats = int(argv[0]) if argv else 5
-    print(f"{'input':24s} {'exit':>4s} {'records':>7s} {'res calls':>9s} {'res rows':>8s} "
-          f"{'jac calls':>9s} {'jac rows':>8s} {'median ms':>9s}")
-    residuals, jacobians = solver.min_norm_residuals, solver.residual_jacobians
+    held = [(module, name) for module, name in COUNTED if hasattr(module, name)]
+    labels = [f"{module.__name__.split('.')[-1]}.{name}" for module, name in COUNTED]
+    width = max(map(len, labels))
+    print(f"{'input':24s} {'exit':>4s} {'records':>7s} "
+          + " ".join(f"{label:>{width}s}" for label in labels) + f" {'median ms':>9s}")
     with tempfile.TemporaryDirectory() as tmp:
-        solve(inputs()[0][1], tmp)          # warm-up, so the first time is not the process's
-        for name, raw in inputs():
-            res, jac = [0, 0], [0, 0]
-            solver.min_norm_residuals = counted(residuals, res)
-            solver.residual_jacobians = counted(jacobians, jac)
+        inputs()[0][1](tmp)                 # warm-up, so the first time is not the process's
+        for label, run in inputs():
+            tallies = {key: [0, 0] for key in held}
+            originals = {key: getattr(*key) for key in held}
+            for (module, name), tally in tallies.items():
+                setattr(module, name, counted(originals[module, name], tally))
             try:
-                code = solve(raw, tmp)
+                code, records = run(tmp)
             finally:
-                solver.min_norm_residuals, solver.residual_jacobians = residuals, jacobians
-            records = json.loads((Path(tmp) / "result.json").read_text())["iterations"]
+                for (module, name), fn in originals.items():
+                    setattr(module, name, fn)
             times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                solve(raw, tmp)
+                run(tmp)
                 times.append(time.perf_counter() - t0)
-            print(f"{name:24s} {code:4d} {records:7d} {res[0]:9d} {res[1]:8d} "
-                  f"{jac[0]:9d} {jac[1]:8d} {1e3 * statistics.median(times):9.1f}")
+            cells = [f"{tallies[key][0]}/{tallies[key][1]}" if key in tallies else "-"
+                     for key in COUNTED]
+            print(f"{label:24s} {code:4d} {records:7d} "
+                  + " ".join(f"{cell:>{width}s}" for cell in cells)
+                  + f" {1e3 * statistics.median(times):9.1f}")
     return 0
 
 
