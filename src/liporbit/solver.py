@@ -5,33 +5,33 @@ inclusion residual until one passes every gate, and builds no grid
 surface.  In superquadratic mode the seeds are the point of one probe
 of the linking cylinder's grid columns x1 + s e (ridge_probe; node
 values miss the critical ridge where it runs between nodes, so each
-column is probed between its nodes too), then symmetry-breaking
-variants of it.  In saddle mode the one seed is the max of f over the
-constant loops of the X1 box's grid, the grid point of least V.  A run
-reports the polished loop with the lowest inclusion aggregate among
-those that pass the measure, level and shape gates, and why each other
-one failed; converged means that aggregate is below verify_tol, the
-test behind exit code 0.
+column is probed between its nodes too), then its quarter-period
+rotating mixes (none at n = 1).  In saddle mode the one seed is the max
+of f over the constant loops of the X1 box's grid, the grid point of
+least V.  A run draws no random numbers.  It reports the polished loop
+with the lowest inclusion aggregate among those that pass the measure,
+level and shape gates, and why each other one failed; converged means
+that aggregate is below verify_tol, the test behind exit code 0.
 
 A run works on two levels of the Fourier space (nested iteration).  The
 probe, the seeds and a first polish of each seed live at the coarse
-K0 = min(K, max(16, K // 4)) modes; a seed whose coarse polish ends at a
-measure at or below tol_conv is padded to the caller's K and polished
-and judged there.  The coarse level only rejects: a seed that ends above
-tol_conv at K0 is rejected on "measure", and every pass is decided by
-the gates at K.  For K <= 16 the two levels coincide.
+K0 = min(K, max(16, K // 4)) modes.  In superquadratic mode that polish
+is deflated off the constant loops, which no pass can be, so Newton is
+not drawn to them.  A coarse loop goes through every gate at K0; one
+that passes them all is padded to the caller's K, polished again (not
+deflated) and judged there.  The coarse level only rejects: every pass
+is decided by the gates at K.  For K <= 16 the two levels coincide.
 
 The seeds' coarse polishes run one at a time until one ends above
-tol_conv (a stalled seed).  The remaining variants are then drawn, in
-the same rng order, and polished at K0 together, as the rows of one
-lockstep Newton iteration (newton.newton_steps): a round makes one
-Jacobian call and one stacked solve for all rows, and each row takes
-the iterates it would take alone.  They are finalized in seed order
-(the polish at K, the gates, the rejection list) as each row ends, and
-the run stops at the first pass, leaving later rows unfinished.  The
-history is the one of polishing each seed alone: records are appended
-in seed order and re-indexed, and each keeps the prefix the record
-budget leaves room for at its turn.
+tol_conv (a stalled seed).  The remaining variants are then polished at
+K0 together, as the rows of one lockstep Newton iteration
+(newton.newton_steps): a round makes one Jacobian call and one stacked
+solve for all rows, and each row takes the iterates it would take alone.
+They are finalized in seed order (the gates at K0, the polish at K, the
+rejection list) as each row ends, and the run stops at the first pass,
+leaving later rows unfinished.  The history is the one of polishing each
+seed alone: records are appended in seed order and re-indexed, and each
+keeps the prefix the record budget leaves room for at its turn.
 
 Surface, init_surface (the grid of node loops, boundary pinned) and
 deform_step (a peak-shaving descent step at its argmax node) are not
@@ -66,7 +66,6 @@ from .trajectory import (
     h1_norm_row,
     l2_norm,
     l2_norm_row,
-    random_trajectory,
 )
 from .verification import VerificationReport, inclusion_residual, nonconstant_row
 
@@ -85,7 +84,8 @@ class GeometryNotCertified(ValueError):
     """run_* requires a geometry whose certificate passed."""
 
 
-# Polishes per superquadratic run: the probe point and its seed variants.
+# Polishes per superquadratic run: the probe point and its rotating mixes
+# (2 (n - 1) of them, so the cap binds from n = 4).
 MAX_POLISHES = 6
 
 # deform_step's line search: neighbor diffusion factor, Armijo decrement
@@ -104,7 +104,7 @@ class SolverConfig:
     # Cerami records for the whole run, the coarse polishes at
     # K0 = min(K, max(16, K // 4)) included; the coarse level only rejects.
     max_iters: int = 20000
-    seed: int = 0
+    seed: int = 0                       # certificate sampling only; a run draws nothing
     verify_tol: float = 1e-4            # posterior inclusion gate for candidates
 
     def __post_init__(self):
@@ -390,16 +390,47 @@ def _polish_steps(x: np.ndarray, R: np.ndarray, shape: tuple[int, int], T: float
     return steps
 
 
+def _deflation(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The deflation factors m = 1 + 1/|y|^2 of the coefficient rows x and their gradients.
+
+    y is a row with its n mean entries zeroed, so m is infinite on the
+    constant loops and near 1 far from them.
+    """
+    y = np.array(x, dtype=float)
+    y[:, :n] = 0.0
+    y2 = np.array([row @ row for row in y])
+    return 1.0 + 1.0 / y2, y * (-2.0 / y2 ** 2)[:, None]
+
+
+def _deflated_steps(x: np.ndarray, G: np.ndarray, shape: tuple[int, int], T: float,
+                    model: PotentialModel) -> np.ndarray:
+    """The Newton steps of the deflated residual rows G = m R at the rows x.
+
+    G's Jacobian m J + R grad(m)^T is m J plus a rank-one term, so
+    (Sherman-Morrison) its phase-anchored step is _polish_steps' step d
+    for R = G / m scaled by m / (m - grad(m) . d).  A row's step has the
+    bits of its one-row call.
+    """
+    m, grad = _deflation(x, shape[1])
+    d = _polish_steps(x, G / m[:, None], shape, T, model)
+    return d * (m / (m - np.array([g @ s for g, s in zip(grad, d)])))[:, None]
+
+
 def _polish_candidates(q0s: list[PeriodicTrajectory], model: PotentialModel,
                        config: SolverConfig, start_index: int = 0,
-                       max_steps: int = 60) -> Iterator[list[CeramiRecord]]:
+                       max_steps: int = 60, deflate: bool = False
+                       ) -> Iterator[list[CeramiRecord]]:
     """Damped Newton zero-finding on the discrete inclusion residual.
 
     R maps Fourier coefficients to those of the min-norm residual
     -qdd - v (its Jacobian is residual_jacobians').  newton_steps with
     _polish_steps' phase-anchored steps turns a ridge point located by
     the probe into a candidate whose Cerami measure meets the stopping
-    tolerance.  The seeds q0s share T and K and are the rows of one
+    tolerance.  With deflate, newton_steps searches and end-tests the
+    deflated residual G = m R (_deflation, _deflated_steps) instead, which
+    has R's zeros save the constant loops, so the polish is not drawn to
+    them (Farrell, Birkisson & Funke 2015); the records and the stop test
+    read R.  The seeds q0s share T and K and are the rows of one
     lockstep iteration; each gets the records it would get alone.
     Yields one list of records per seed, in seed order, as soon as the
     polishes of that seed and of every seed before it have ended, so a
@@ -416,8 +447,10 @@ def _polish_candidates(q0s: list[PeriodicTrajectory], model: PotentialModel,
     reached = [[] for _ in q0s]     # per seed: (coefficients, h1norm, min_norm, measure)
     live = np.ones(len(q0s), dtype=bool)
 
+    # The rows searched (R, or G with deflate) and the true residual rows R.
     def residual(x: np.ndarray):
-        return min_norm_residuals(x.reshape(-1, *shape), T, model).reshape(len(x), -1), None
+        R = min_norm_residuals(x.reshape(-1, *shape), T, model).reshape(len(x), -1)
+        return (_deflation(x, shape[1])[0][:, None] * R if deflate else R), R
 
     def reach(rows, x: np.ndarray, R: np.ndarray):
         for i, xi, Ri in zip(rows, x, R):
@@ -434,11 +467,12 @@ def _polish_candidates(q0s: list[PeriodicTrajectory], model: PotentialModel,
                 for k, ((c, h1, min_norm, measure), fk) in enumerate(zip(reached[i], f))]
 
     x = np.stack([q.coefficients().ravel() for q in q0s])
-    R, _ = residual(x)
-    rounds = newton_steps(x, R, residual,
-                          lambda x, R: _polish_steps(x, R, shape, T, model), max_steps, live=live)
+    G, R = residual(x)
+    steps = _deflated_steps if deflate else _polish_steps
+    rounds = newton_steps(x, G, residual,
+                          lambda x, G: steps(x, G, shape, T, model), max_steps, live=live)
     ended = 0                   # seeds yielded so far
-    for rows, x, R, _ in itertools.chain([(range(len(q0s)), x, R, None)], rounds):
+    for rows, x, _, R in itertools.chain([(range(len(q0s)), x, G, R)], rounds):
         reach(rows, x, R)
         while ended < len(q0s) and not live[ended]:
             yield records(ended)
@@ -447,38 +481,22 @@ def _polish_candidates(q0s: list[PeriodicTrajectory], model: PotentialModel,
         yield records(i)
 
 
-def _seed_variants(seed: PeriodicTrajectory, dim: int,
-                   rng: np.random.Generator, max_variants: int):
+def _seed_variants(seed: PeriodicTrajectory, dim: int, max_variants: int):
     """Polish seeds in preference order: the ridge point itself, then
     quarter-period rotating mixes across axis pairs (autonomous radial
-    systems keep planar data planar, so these break that symmetry), then
-    mildly noised copies."""
+    systems keep planar data planar, so these break that symmetry), at
+    most max_variants in all.  At n = 1 the ridge point is the only seed."""
     yield seed
-    produced = 1
-    if dim >= 2 and produced < max_variants:
-        amp = np.linalg.norm(seed.a, axis=0) + np.linalg.norm(seed.b, axis=0)
-        j_main = int(np.argmax(amp))
-        shifted = seed.time_shift(seed.T / 4.0)
-        for j_other in range(dim):
-            if j_other == j_main or produced >= max_variants:
-                continue
-            for sign in (1.0, -1.0):
-                if produced >= max_variants:
-                    break
-                a = np.array(seed.a)
-                b = np.array(seed.b)
-                a[:, j_other] = sign * shifted.a[:, j_main]
-                b[:, j_other] = sign * shifted.b[:, j_main]
-                yield PeriodicTrajectory(seed.T, seed.a0, a, b)
-                produced += 1
-    while produced < max_variants:
-        noise = random_trajectory(rng, seed.T, seed.n, seed.K, zero_mean=True)
-        kin = l2_norm(noise.derivative())
-        scale = 0.1 * (l2_norm(seed.derivative()) + 1.0)
-        if kin > 0:
-            noise = noise * (scale / kin)
-        yield seed + noise
-        produced += 1
+    amp = np.linalg.norm(seed.a, axis=0) + np.linalg.norm(seed.b, axis=0)
+    j_main = int(np.argmax(amp))
+    shifted = seed.time_shift(seed.T / 4.0)
+    mixes = ((j, sign) for j in range(dim) if j != j_main for sign in (1.0, -1.0))
+    for j_other, sign in itertools.islice(mixes, max_variants - 1):
+        a = np.array(seed.a)
+        b = np.array(seed.b)
+        a[:, j_other] = sign * shifted.a[:, j_main]
+        b[:, j_other] = sign * shifted.b[:, j_main]
+        yield PeriodicTrajectory(seed.T, seed.a0, a, b)
 
 
 def _run(model: PotentialModel, geom: LinkingGeometry,
@@ -487,16 +505,19 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
 
     Superquadratic: the ridge_probe point, then its _seed_variants, at
     most MAX_POLISHES.  Saddle: the grid point of least V alone; a
-    constant seed's variants repeat it or polish to tiny nonconstant
-    loops that are not the equilibrium.  The probe, the seeds and their
-    first polish are at K0 = min(K, max(16, K // 4)) modes.  A seed
-    whose coarse polish ends above tol_conv is rejected on "measure";
-    else its loop, padded to K, is polished again at K and judged there,
-    so every pass is decided at K.  Both levels' records go into the
-    history and count against max_iters.  A seed that is already
-    critical is its polish's only record.  With no polished loop to
-    report, the report is the first seed or, when every probe column
-    leaked, the zero loop, at K.
+    constant seed's rotating mixes repeat it.  The probe, the seeds and their
+    first polish are at K0 = min(K, max(16, K // 4)) modes; a
+    superquadratic seed's polish there is deflated off the constant loops
+    (_polish_candidates), which every run rejects.  A coarse loop goes
+    through every gate of judge at K0 (measure, level, constant,
+    aggregate); one that fails any is rejected on it, else it is padded
+    to K, polished again at K without deflation and judged there, so
+    every pass is decided at K.  Both levels' records go into the history
+    and count against max_iters.  A seed that is already critical is its
+    polish's only record.  With no loop judged at K to report, the report
+    is the K0 loop of least aggregate among those that passed measure,
+    level and constant, padded to K, else the first seed or, when every
+    probe column leaked, the zero loop, at K; it is verified at K.
 
     Seeds are polished one at a time until one stalls at K0; then the
     remaining variants are polished at K0 together in lockstep
@@ -512,7 +533,6 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
     if geom.passed is not True:
         raise GeometryNotCertified(
             "geometry certificate absent or failed; calibrate and certify first")
-    rng = np.random.default_rng(config.seed)
     coarse_K = int(min(config.K, max(16, config.K // 4)))
     superquadratic = geom.mode == "superquadratic"
     records: list[CeramiRecord] = []
@@ -520,6 +540,8 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
     best: PeriodicTrajectory | None = None
     best_report: VerificationReport | None = None
     best_aggregate = np.inf
+    coarse_best: PeriodicTrajectory | None = None   # the K0 fallback report, K0 < K only
+    coarse_aggregate = np.inf
 
     # The first gate q fails (None if it passes), and q's inclusion report
     # when q may be reported (it passed every gate but perhaps the
@@ -543,9 +565,10 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
 
     # The polishes of the seeds q0s, all at the seeds' K, in seed order
     # (_polish_candidates); with the budget spent, their seeds' records.
-    def polish(q0s: list[PeriodicTrajectory]) -> Iterator[list[CeramiRecord]]:
+    def polish(q0s: list[PeriodicTrajectory], deflate: bool = False
+               ) -> Iterator[list[CeramiRecord]]:
         return _polish_candidates(q0s, model, config, start_index=len(records),
-                                  max_steps=steps_left())
+                                  max_steps=steps_left(), deflate=deflate)
 
     # Append a polish's records, the prefix the budget leaves room for now
     # (the polish it would have made alone), re-indexed; returns its loop,
@@ -573,24 +596,27 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
                              floor=geom.alpha_bound - 1e-6)) is not None:
         first_seed, probe_val = hit
         ridge_slack = float(probe_val - geom.alpha_bound)
-        seeds = _seed_variants(first_seed, model.dim, rng, MAX_POLISHES)
+        seeds = _seed_variants(first_seed, model.dim, MAX_POLISHES)
 
     # Each seed's polish at K0, in seed order: one at a time until one ends
     # above tol_conv, then every remaining seed in one lockstep polish.
     def coarse_polishes():
         for seed_try in seeds:
-            polished = next(polish([seed_try]))
+            polished = next(polish([seed_try], superquadratic))
             yield polished
             if polished[-1].measure > config.tol_conv:
                 if rest := list(seeds):
-                    yield from polish(rest)
+                    yield from polish(rest, superquadratic)
                 return
 
     for polished in coarse_polishes():
         candidate = commit(polished)
         if candidate is not None and coarse_K < config.K:
-            if records[-1].measure > config.tol_conv:
-                rejections.append("measure")
+            reason, report = judge(candidate, records[-1])
+            if report is not None and report.aggregate < coarse_aggregate:
+                coarse_best, coarse_aggregate = candidate, report.aggregate
+            if reason is not None:
+                rejections.append(reason)
                 continue
             candidate = commit(next(polish([candidate.pad_modes(config.K)])))
         if candidate is None:
@@ -604,8 +630,9 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
 
     candidate, verification = best, best_report
     if candidate is None:
-        candidate = (first_seed or PeriodicTrajectory.zero(geom.T, model.dim, coarse_K)
-                     ).pad_modes(config.K)
+        fallback = coarse_best or first_seed or PeriodicTrajectory.zero(geom.T, model.dim,
+                                                                        coarse_K)
+        candidate = fallback.pad_modes(config.K)
         verification = inclusion_residual(candidate, model)
     diagnostics = {
         "seed": config.seed,
@@ -613,7 +640,7 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
         "ridge_barrier_slack": ridge_slack,
         "max_h1norm": float(max((r.h1norm for r in records), default=0.0)),
         "mode": geom.mode,
-        "ridge_polish": best is not None,
+        "ridge_polish": best is not None or coarse_best is not None,
         "rejected_candidates": len(rejections),
         "rejections": rejections,
     }

@@ -138,6 +138,18 @@ def test_quartic_solve_reaches_closed_form_level(tmp_path, T, K):
     assert abs(result["c_estimate"] - quartic_level(T)) <= 1e-8 * quartic_level(T)
 
 
+@pytest.mark.parametrize("n, K", [(1, 128), (2, 64)], ids=["n1-K128", "n2-K64"])
+def test_quartic_at_T_8_5_reports_the_brake_orbit(tmp_path, n, K):
+    # The coarse polish is deflated off the constant loops.  n = 1, K = 128
+    # (K0 = 32): every seed used to fall below alpha_bound and the run
+    # exited 1.  n = 2: the probe point reaches the brake orbit's level
+    # c(T), where the uniform circle (c = 0.6344577) used to be reported.
+    assert cli.cmd_solve(quartic_config(8.5, K, tmp_path, n=n)) == cli.EXIT_OK
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["converged"] is True
+    assert abs(result["c_estimate"] - quartic_level(8.5)) <= 1e-8 * quartic_level(8.5)
+
+
 def test_a_singular_newton_system_exits_1_after_writing_the_result(tmp_path, monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")

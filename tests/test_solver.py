@@ -25,6 +25,7 @@ from liporbit.solver import (
     SolverConfig,
     StallError,
     Surface,
+    _deflated_steps,
     _grid_points,
     _polish_candidates,
     _polish_steps,
@@ -341,8 +342,9 @@ def test_coarse_records_count_against_max_iters(quartic_setup):
 
 def test_coarse_level_only_rejects(quartic_setup, monkeypatch):
     # A seed whose coarse polish ends above tol_conv is rejected on
-    # "measure" without a polish at K; the reported loop is the probe
-    # point padded to K.
+    # "measure" without a polish at K; at n = 1 the probe point is the
+    # only seed, and with no polished loop to report it is the reported
+    # loop, padded to K.
     import liporbit.solver as solver
 
     def singular(*args):
@@ -357,8 +359,8 @@ def test_coarse_level_only_rejects(quartic_setup, monkeypatch):
     V, geom = quartic_setup
     res = run_minimax(V, geom, SolverConfig(K=64, grid=9, max_iters=3000, seed=0))
     assert not res.converged
-    assert seed_modes == [16] * 6
-    assert res.diagnostics["rejections"] == ["measure"] * 6
+    assert seed_modes == [16]
+    assert res.diagnostics["rejections"] == ["measure"]
     assert res.candidate.K == 64
     assert np.array_equal(res.candidate.coefficients(),
                           res.history[0].trajectory.pad_modes(64).coefficients())
@@ -786,7 +788,7 @@ def test_saddle_seed_is_the_argmax_node_of_init_surface(saddle_setup, case):
 
 def probe_seeds(model, geom, K, count):
     seed, _ = ridge_probe(geom, model, K, 9, floor=geom.alpha_bound - 1e-6)
-    return list(_seed_variants(seed, model.dim, np.random.default_rng(0), count))
+    return list(_seed_variants(seed, model.dim, count))
 
 
 def values(record):
@@ -811,17 +813,18 @@ def test_polish_records_each_loop_once(quartic_setup, case):
 
 
 def test_lockstep_rows_take_the_iterates_they_take_alone():
-    # maxpair T = 2.4: the six K0 = 16 seeds of a run, a constant loop and
-    # a row whose step solve is singular go through newton_steps as one
-    # stack.  Each row yields the bits it yields alone; the singular row
-    # ends at once, and its failure sends the stacked solve row by row
-    # without ending any other row.
+    # maxpair T = 2.4: the three K0 = 16 seeds of a run, three loops built
+    # from them, a constant loop and a row whose step solve is singular go
+    # through newton_steps as one stack.  Each row yields the bits it
+    # yields alone; the singular row ends at once, and its failure sends
+    # the stacked solve row by row without ending any other row.
     model, geom = maxpair_geometry(2.4)
     seeds = probe_seeds(model, geom, 16, 6)
     T, shape = geom.T, (33, 2)
+    built = [seeds[0] * 0.8, seeds[1].time_shift(T / 8.0), seeds[2] * 1.2]
     constant = PeriodicTrajectory.constant(T, [0.7, -0.4], K=16)
     singular = seeds[0] + 0.01 * seeds[1]
-    rows = np.stack([q.coefficients().ravel() for q in seeds + [constant, singular]])
+    rows = np.stack([q.coefficients().ravel() for q in seeds + built + [constant, singular]])
 
     def residual(x):
         return min_norm_residuals(x.reshape(-1, *shape), T, model).reshape(len(x), -1), None
@@ -851,9 +854,10 @@ def test_lockstep_rows_take_the_iterates_they_take_alone():
 @pytest.mark.parametrize("max_iters", [12, 25, 41, 4000])
 def test_lockstep_keeps_the_one_at_a_time_history_under_the_budget(monkeypatch, max_iters):
     # maxpair T = 2.4, K = 64: every seed stalls at K0 = 16, so the run
-    # polishes the first seed alone and the other five in lockstep.  With
-    # the record budget binding or not, the history and rejections are
-    # those of polishing each seed alone, in order, with the budget left.
+    # polishes the first seed alone and the two rotating mixes in lockstep.
+    # With the record budget binding or not, the history and rejections
+    # are those of polishing each seed alone, deflated, in order, with the
+    # budget left.
     import liporbit.solver as solver
 
     model, geom = maxpair_geometry(2.4)
@@ -864,7 +868,7 @@ def test_lockstep_keeps_the_one_at_a_time_history_under_the_budget(monkeypatch, 
         if room < 1:
             break
         records += next(_polish_candidates([seed], model, cfg, start_index=len(records),
-                                           max_steps=min(60, room - 1)))
+                                           max_steps=min(60, room - 1), deflate=True))
         assert records[-1].measure > cfg.tol_conv
         rejections.append("measure")
 
@@ -873,12 +877,68 @@ def test_lockstep_keeps_the_one_at_a_time_history_under_the_budget(monkeypatch, 
     monkeypatch.setattr(solver, "_polish_candidates",
                         lambda q0s, *a, **kw: stacks.append(len(q0s)) or polish(q0s, *a, **kw))
     res = run_minimax(model, geom, cfg)
-    assert stacks == [1, 5]
+    assert stacks == [1, 2]
     assert res.diagnostics["rejections"] == rejections
     assert len(res.history) == len(records) <= max_iters
     for got, want in zip(res.history, records):
         assert (got.index, values(got)) == (want.index, values(want))
         assert np.array_equal(got.trajectory.coefficients(), want.trajectory.coefficients())
+
+
+@pytest.mark.parametrize("case", ["maxpair-1.875", "quartic-2pi"])
+def test_deflated_step_is_the_newton_step_of_the_deflated_residual(quartic_setup, case):
+    # G = m R with m = 1 + 1/|y|^2, y the coefficient row with its mean
+    # entries zeroed.  The bordered Newton step of G from its dense
+    # Jacobian m J + R grad(m)^T, grad(m) by central differences, is the
+    # step _deflated_steps takes by Sherman-Morrison from _polish_steps.
+    model, geom = quartic_setup if case == "quartic-2pi" else maxpair_geometry(1.875)
+    q = probe_seeds(model, geom, 16, 1)[0]
+    shape, n = (33, q.n), q.n
+    x = q.coefficients().ravel()
+    R = min_norm_residuals(x.reshape(1, *shape), q.T, model)[0].ravel()
+
+    def deflation(z):
+        y = np.array(z)
+        y[:n] = 0.0
+        return 1.0 + 1.0 / (y @ y)
+
+    h = 1e-6
+    grad = np.array([(deflation(x + h * e) - deflation(x - h * e)) / (2 * h)
+                     for e in np.eye(x.size)])
+    m = deflation(x)
+    p = q.derivative().coefficients().ravel()
+    p /= np.linalg.norm(p)
+    bordered = np.zeros((x.size + 1, x.size + 1))
+    bordered[:-1, :-1] = m * residual_jacobians(x.reshape(1, *shape), q.T, model)[0] \
+        + np.outer(R, grad)
+    bordered[:-1, -1] = bordered[-1, :-1] = p
+    want = np.linalg.solve(bordered, np.append(-m * R, 0.0))[:-1]
+    got = _deflated_steps(x[None], (m * R)[None], shape, q.T, model)[0]
+    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+    plain = _polish_steps(x[None], R[None], shape, q.T, model)[0]
+    assert np.linalg.norm(got - plain) >= 1e-3 * np.linalg.norm(plain)
+
+
+def test_a_loop_rejected_at_K0_gets_no_polish_at_K(monkeypatch):
+    # maxpair T = 1.75, K = 64: the probe point polishes at K0 = 16 to the
+    # line orbit through the origin, which the inclusion gate rejects
+    # there; the next seed, a rotating mix, reaches the circle and passes
+    # at K.  The line orbit makes no Jacobian call at K.
+    import liporbit.solver as solver
+
+    events = []
+    polish, jacobians = solver._polish_candidates, solver.residual_jacobians
+    monkeypatch.setattr(solver, "_polish_candidates", lambda q0s, *a, **kw: events.append(
+        ("polish", q0s[0].K)) or polish(q0s, *a, **kw))
+    monkeypatch.setattr(solver, "residual_jacobians", lambda c, *a: events.append(
+        ("jacobian", (c.shape[1] - 1) // 2)) or jacobians(c, *a))
+    model, geom = maxpair_geometry(1.75)
+    res = run_minimax(model, geom, SolverConfig(K=64, grid=9, max_iters=4000, seed=0))
+    assert res.converged and res.diagnostics["rejections"] == ["aggregate"]
+    polishes = [i for i, event in enumerate(events) if event[0] == "polish"]
+    assert [events[i] for i in polishes] == [("polish", 16)] * 2 + [("polish", 64)]
+    assert {event for event in events[:polishes[2]]} == {("polish", 16), ("jacobian", 16)}
+    assert set(events[polishes[2]:]) <= {("polish", 64), ("jacobian", 64)}
 
 
 @pytest.mark.parametrize("case", ["maxpair-1.875", "quartic-2pi"])
@@ -933,35 +993,42 @@ def test_saddle_mode_runs_one_polish(monkeypatch):
     assert res.diagnostics["rejections"] == ["measure"]
 
 
-def test_a_singular_newton_system_ends_the_polish(quartic_setup, monkeypatch):
+def test_a_singular_newton_system_ends_the_polish(monkeypatch):
     # A LinAlgError from the step ends that polish with what it reached;
-    # it never escapes the run.
+    # it never escapes the run, alone or in lockstep.  maxpair n = 2 has
+    # three seeds: the probe point and its two rotating mixes.
     import liporbit.solver as solver
 
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(solver, "_polish_steps", singular)
-    V, geom = quartic_setup
-    res = run_minimax(V, geom, SolverConfig(K=32, grid=9, max_iters=4000, seed=0))
+    M, geom = maxpair_geometry(2.25)
+    res = run_minimax(M, geom, SolverConfig(K=32, grid=9, max_iters=4000, seed=0))
     assert not res.converged
-    assert res.diagnostics["rejections"] == ["measure"] * 6
-    assert len(res.history) == 6                # one record per polish: its seed
+    assert res.diagnostics["rejections"] == ["measure"] * 3
+    assert len(res.history) == 3                # one record per polish: its seed
 
 
 # -- rejection reasons -------------------------------------------------------
 
 
 @pytest.mark.parametrize("K, expected", [
-    (64, ["aggregate"] + ["measure"] * 5),
-    (32, ["measure"] * 6),
+    (64, ["aggregate", "measure", "measure"]),
+    (32, ["aggregate", "measure", "measure"]),
 ])
 def test_rejections_name_the_failed_gate(K, expected):
-    # maxpair T = 2.25: at K = 64 the first polish reaches the line orbit
-    # through the origin, which fails the inclusion gate, and the seed
-    # variants end above tol_conv; at K = 32 every polish does.
+    # maxpair T = 2.25: at K0 = 16 the first polish reaches the line orbit
+    # through the origin, which fails the inclusion gate there, and the two
+    # rotating mixes end above tol_conv.  No loop reaches K, so the report
+    # is the line orbit's K0 loop padded to K.
     M, geom = maxpair_geometry(2.25)
     res = run_minimax(M, geom, SolverConfig(K=K, grid=9, max_iters=4000, seed=0))
     assert not res.converged
     assert res.diagnostics["rejections"] == expected
     assert res.diagnostics["rejected_candidates"] == len(expected)
+    line = [r for r in res.history if np.array_equal(
+        r.trajectory.pad_modes(K).coefficients(), res.candidate.coefficients())]
+    assert len(line) == 1 and line[0].trajectory.K == 16 and line[0].measure <= 1e-5
+    assert res.diagnostics["ridge_polish"]
+    assert res.verification.to_dict() == inclusion_residual(res.candidate, M).to_dict()

@@ -4,12 +4,13 @@
         python3 tools/polish_counts.py [REPEATS]
 
 Runs from the root of a checkout against the liporbit sources under its
-src/.  Solves kink-sweep T = 1.75, 2.25, 2.4 and smooth-sweep quartic
-T = 5.5, 8.5 at K = 64 through `cli.cmd_solve`, with the benchmark's
-configs (perfbench/workloads.py) and sampler seed 1, then the 17
-saddle-offcenter wells of seed 1, block 0 through the workload's own
-solve (calibrate_saddle, run_saddle, inclusion_residual and the
-answer check), and prints per solve:
+src/.  Solves kink-sweep T = 1.75, 2.25, 2.4, smooth-sweep quartic
+T = 5.5, 8.5 at K = 64 and T = 8.5 at K = 128, and the quartic at n = 2,
+T = 8.5, K = 64 (not a benchmark input), through `cli.cmd_solve`, with
+the benchmark's configs (perfbench/workloads.py) and sampler seed 1,
+then the 17 saddle-offcenter wells of seed 1, block 0 through the
+workload's own solve (calibrate_saddle, run_saddle, inclusion_residual
+and the answer check), and prints per solve:
 
 * the exit code and the records of the run (result.json `iterations`,
   or the well's history length);
@@ -18,7 +19,11 @@ answer check), and prints per solve:
   by wrapping the names `linking` and `solver` hold, as calls/rows per
   module; a name the module does not hold prints "-";
 * the median in-process time of REPEATS (default 5) further unwrapped
-  solves.
+  solves;
+* the run's rejection list (result.json `diagnostics.rejections`, or
+  the well's `SolverResult`), one gate name per rejected loop: a name
+  of a gate other than measure on a loop that ended below tol_conv at
+  K0 shows the gates judged there.
 """
 
 from __future__ import annotations
@@ -42,18 +47,26 @@ COUNTED = [(module, name) for module in (linking, solver)
 
 
 def cmd_solve_input(raw: dict):
-    """A solve of raw through cmd_solve: (exit code, records)."""
-    def run(out: str) -> tuple[int, int]:
+    """A solve of raw through cmd_solve: (exit code, records, rejections)."""
+    def run(out: str) -> tuple[int, int, list[str]]:
         code = cli.cmd_solve(cli.RunConfig.from_dict(dict(raw, output_dir=out, verbosity=0)))
-        return code, json.loads((Path(out) / "result.json").read_text())["iterations"]
+        result = json.loads((Path(out) / "result.json").read_text())
+        return code, result["iterations"], result["diagnostics"]["rejections"]
     return run
 
 
 def well_input(inp: dict):
-    """A saddle-offcenter solve of inp: (exit code, records)."""
-    def run(out: str) -> tuple[int, int]:
-        outcome = WORKLOADS["saddle-offcenter"].solve(inp, Path(out))
-        return outcome.code, outcome.details["iterations"]
+    """A saddle-offcenter solve of inp: (exit code, records, rejections)."""
+    def run(out: str) -> tuple[int, int, list[str]]:
+        results = []
+        run_saddle = solver.run_saddle          # the name the workload imports per solve
+        solver.run_saddle = lambda *args: results.append(run_saddle(*args)) or results[-1]
+        try:
+            outcome = WORKLOADS["saddle-offcenter"].solve(inp, Path(out))
+        finally:
+            solver.run_saddle = run_saddle
+        return (outcome.code, outcome.details["iterations"],
+                results[-1].diagnostics["rejections"])
     return run
 
 
@@ -62,8 +75,10 @@ def inputs() -> list[tuple[str, object]]:
     saddle = WORKLOADS["saddle-offcenter"]
     return ([(f"kink T = {T}", cmd_solve_input(kink.config(T, SAMPLER_SEED)))
              for T in (1.75, 2.25, 2.4)]
-            + [(f"quartic T = {T}, K = 64", cmd_solve_input(smooth.config(T, 64, SAMPLER_SEED)))
-               for T in (5.5, 8.5)]
+            + [(f"quartic T = {T}, K = {K}", cmd_solve_input(smooth.config(T, K, SAMPLER_SEED)))
+               for T, K in ((5.5, 64), (8.5, 64), (8.5, 128))]
+            + [("quartic n = 2, T = 8.5", cmd_solve_input(
+                dict(smooth.config(8.5, 64, SAMPLER_SEED), n=2)))]
             + [(f"well {i} eps2 = {inp['eps2']}", well_input(inp))
                for i, inp in enumerate(saddle.inputs(1, 0))])
 
@@ -83,7 +98,8 @@ def main(argv: list[str]) -> int:
     labels = [f"{module.__name__.split('.')[-1]}.{name}" for module, name in COUNTED]
     width = max(map(len, labels))
     print(f"{'input':24s} {'exit':>4s} {'records':>7s} "
-          + " ".join(f"{label:>{width}s}" for label in labels) + f" {'median ms':>9s}")
+          + " ".join(f"{label:>{width}s}" for label in labels)
+          + f" {'median ms':>9s} rejections")
     with tempfile.TemporaryDirectory() as tmp:
         inputs()[0][1](tmp)                 # warm-up, so the first time is not the process's
         for label, run in inputs():
@@ -92,7 +108,7 @@ def main(argv: list[str]) -> int:
             for (module, name), tally in tallies.items():
                 setattr(module, name, counted(originals[module, name], tally))
             try:
-                code, records = run(tmp)
+                code, records, rejections = run(tmp)
             finally:
                 for (module, name), fn in originals.items():
                     setattr(module, name, fn)
@@ -105,7 +121,7 @@ def main(argv: list[str]) -> int:
                      for key in COUNTED]
             print(f"{label:24s} {code:4d} {records:7d} "
                   + " ".join(f"{cell:>{width}s}" for cell in cells)
-                  + f" {1e3 * statistics.median(times):9.1f}")
+                  + f" {1e3 * statistics.median(times):9.1f} {rejections}")
     return 0
 
 
