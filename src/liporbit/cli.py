@@ -361,14 +361,16 @@ def cmd_bench(cfg_dir: str, verbosity: int = 1) -> int:
 def _apply_overrides(raw: dict, args) -> dict:
     if args.output is not None:
         raw["output_dir"] = args.output
-    if args.seed is not None:
-        raw.setdefault("solver", {})["seed"] = args.seed
     if args.modes is not None:
         raw["K"] = args.modes
-    if args.grid is not None:
-        raw.setdefault("solver", {})["grid"] = args.grid
     if args.period is not None:
         raw["T"] = args.period
+    # A "solver" that is not an object is left for RunConfig.from_dict to reject.
+    solver = raw.get("solver", {})
+    overrides = {key: value for key, value in (("seed", args.seed), ("grid", args.grid))
+                 if value is not None}
+    if overrides and isinstance(solver, dict):
+        raw["solver"] = dict(solver, **overrides)
     return raw
 
 

@@ -22,16 +22,15 @@ that passes them all is padded to the caller's K, polished again (not
 deflated) and judged there.  The coarse level only rejects: every pass
 is decided by the gates at K.  For K <= 16 the two levels coincide.
 
-The seeds' coarse polishes run one at a time until one ends above
-tol_conv (a stalled seed).  The remaining variants are then polished at
-K0 together, as the rows of one lockstep Newton iteration
-(newton.newton_steps): a round makes one Jacobian call and one stacked
-solve for all rows, and each row takes the iterates it would take alone.
-They are finalized in seed order (the gates at K0, the polish at K, the
-rejection list) as each row ends, and the run stops at the first pass,
-leaving later rows unfinished.  The history is the one of polishing each
-seed alone: records are appended in seed order and re-indexed, and each
-keeps the prefix the record budget leaves room for at its turn.
+A run's seeds are polished at K0 together from the first round, as the
+rows of one lockstep Newton iteration (newton.newton_steps): a round
+makes one Jacobian call and one stacked solve for all rows, and each row
+takes the iterates it would take alone.  They are finalized in seed
+order (the gates at K0, the polish at K, the rejection list) as each row
+ends, and the run stops at the first pass, leaving later rows
+unfinished.  The history is the one of polishing each seed alone: records
+are appended in seed order and numbered on, and each keeps the prefix
+the record budget leaves room for at its turn.
 
 Surface, init_surface (the grid of node loops, boundary pinned) and
 deform_step (a peak-shaving descent step at its argmax node) are not
@@ -417,8 +416,7 @@ def _deflated_steps(x: np.ndarray, G: np.ndarray, shape: tuple[int, int], T: flo
 
 
 def _polish_candidates(q0s: list[PeriodicTrajectory], model: PotentialModel,
-                       config: SolverConfig, start_index: int = 0,
-                       max_steps: int = 60, deflate: bool = False
+                       config: SolverConfig, max_steps: int, deflate: bool = False
                        ) -> Iterator[list[CeramiRecord]]:
     """Damped Newton zero-finding on the discrete inclusion residual.
 
@@ -435,7 +433,7 @@ def _polish_candidates(q0s: list[PeriodicTrajectory], model: PotentialModel,
     Yields one list of records per seed, in seed order, as soon as the
     polishes of that seed and of every seed before it have ended, so a
     caller that stops early leaves the later rows unfinished.  A list
-    holds one record per loop reached, indexed from start_index, at most
+    holds one record per loop reached, indexed from 0, at most
     max_steps + 1, the last one that of the polished loop; a seed's
     polish stops once the measure is below tol_conv / 10 or its ||R||
     stops contracting (newton_steps' end test).  Until a seed is yielded
@@ -462,7 +460,7 @@ def _polish_candidates(q0s: list[PeriodicTrajectory], model: PotentialModel,
 
     def records(i: int) -> list[CeramiRecord]:
         f = action_values(np.stack([c for c, *_ in reached[i]]), T, model)
-        return [CeramiRecord(start_index + k, float(fk), h1, min_norm, measure,
+        return [CeramiRecord(k, float(fk), h1, min_norm, measure,
                              q0s[i] if k == 0 else PeriodicTrajectory.from_coefficients(T, c))
                 for k, ((c, h1, min_norm, measure), fk) in enumerate(zip(reached[i], f))]
 
@@ -487,6 +485,8 @@ def _seed_variants(seed: PeriodicTrajectory, dim: int, max_variants: int):
     systems keep planar data planar, so these break that symmetry), at
     most max_variants in all.  At n = 1 the ridge point is the only seed."""
     yield seed
+    if dim == 1:            # no axis pair to mix: skip the time shift
+        return
     amp = np.linalg.norm(seed.a, axis=0) + np.linalg.norm(seed.b, axis=0)
     j_main = int(np.argmax(amp))
     shifted = seed.time_shift(seed.T / 4.0)
@@ -519,13 +519,11 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
     level and constant, padded to K, else the first seed or, when every
     probe column leaked, the zero loop, at K; it is verified at K.
 
-    Seeds are polished one at a time until one stalls at K0; then the
-    remaining variants are polished at K0 together in lockstep
-    (_polish_candidates) and finalized in seed order as their rows end,
-    each truncated to the records the budget leaves it then, so the
-    history, the rejections and the answer are those of the
-    one-at-a-time schedule.  Saddle mode has one seed and never gets
-    there.
+    Every seed is polished at K0 from the first round, as the rows of one
+    lockstep polish (_polish_candidates), and finalized in seed order as
+    its row ends, truncated to the records the budget leaves it then, so
+    the history, the rejections and the answer are those of polishing
+    each seed alone in turn.
     """
     if config.mode != geom.mode:
         raise ValueError(f"solver config mode {config.mode!r} does not match "
@@ -567,49 +565,35 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
     # (_polish_candidates); with the budget spent, their seeds' records.
     def polish(q0s: list[PeriodicTrajectory], deflate: bool = False
                ) -> Iterator[list[CeramiRecord]]:
-        return _polish_candidates(q0s, model, config, start_index=len(records),
-                                  max_steps=steps_left(), deflate=deflate)
+        return _polish_candidates(q0s, model, config, steps_left(), deflate=deflate)
 
     # Append a polish's records, the prefix the budget leaves room for now
-    # (the polish it would have made alone), re-indexed; returns its loop,
-    # or None when the budget is spent.
+    # (the polish it would have made alone), numbered on from the history;
+    # returns its loop, or None when the budget is spent.
     def commit(polished: list[CeramiRecord]) -> PeriodicTrajectory | None:
         if steps_left() < 0:
             return None
-        kept = polished[:steps_left() + 1]
-        if kept[0].index != len(records):
-            kept = [replace(rec, index=i) for i, rec in enumerate(kept, len(records))]
-        records.extend(kept)
-        return kept[-1].trajectory
+        records.extend([replace(rec, index=i) for i, rec
+                        in enumerate(polished[:steps_left() + 1], len(records))])
+        return records[-1].trajectory
 
     # The saddle seed maximizes f = -T V(x1) over the X1 grid; ties to the first.
     first_seed = ridge_slack = None
-    seeds = iter(())
+    seeds: list[PeriodicTrajectory] = []
     if not superquadratic:
         if geom.R is None:
             raise ValueError("saddle mode needs the X1 radius R")
         x1 = _grid_points(geom.R, config.grid, model.dim)
         first_seed = PeriodicTrajectory.constant(geom.T, x1[np.argmin(model.value(x1))],
                                                  K=coarse_K)
-        seeds = iter([first_seed])
+        seeds = [first_seed]
     elif (hit := ridge_probe(geom, model, coarse_K, config.grid,
                              floor=geom.alpha_bound - 1e-6)) is not None:
         first_seed, probe_val = hit
         ridge_slack = float(probe_val - geom.alpha_bound)
-        seeds = _seed_variants(first_seed, model.dim, MAX_POLISHES)
+        seeds = list(_seed_variants(first_seed, model.dim, MAX_POLISHES))
 
-    # Each seed's polish at K0, in seed order: one at a time until one ends
-    # above tol_conv, then every remaining seed in one lockstep polish.
-    def coarse_polishes():
-        for seed_try in seeds:
-            polished = next(polish([seed_try], superquadratic))
-            yield polished
-            if polished[-1].measure > config.tol_conv:
-                if rest := list(seeds):
-                    yield from polish(rest, superquadratic)
-                return
-
-    for polished in coarse_polishes():
+    for polished in polish(seeds, superquadratic) if seeds else ():
         candidate = commit(polished)
         if candidate is not None and coarse_K < config.K:
             reason, report = judge(candidate, records[-1])

@@ -75,6 +75,24 @@ def test_removed_or_invalid_solver_key_exits_2(tmp_path, key, value):
     assert not (tmp_path / "out").exists()      # nothing written before the exit
 
 
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--grid", "9"]], ids=["seed", "grid"])
+@pytest.mark.parametrize("solver", [5, None, []], ids=["5", "null", "list"])
+def test_solver_override_on_a_solver_that_is_not_an_object_exits_2(tmp_path, capsys,
+                                                                   solver, flag):
+    # --seed and --grid write into "solver"; one that is not an object gets
+    # the message of the run without the flag, not a TypeError.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(MAXPAIR_K32, solver=solver)))
+    out = ["-o", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert cli.main(["solve", str(path)] + out) == cli.EXIT_INPUT
+    plain = capsys.readouterr().err
+    assert plain == f"bad config: config key 'solver': must be an object, got {solver!r}\n"
+    assert cli.main(["solve", str(path)] + out + flag) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == plain
+    assert not (tmp_path / "out").exists()
+
+
 def test_force_overrides_only_the_hypothesis_certificates(tmp_path, capsys):
     # radius = 10 fails a hypothesis certificate and, under --force, the
     # linking certificate, which no flag overrides: both paths exit 1.

@@ -52,6 +52,12 @@ def maxpair_geometry(T):
     return M, certify_linking(geom, M, T, n_samples=100, K=32, seed=0)
 
 
+def quartic_geometry(n, T):
+    V = make_quartic(n)
+    return V, certify_linking(calibrate_superquadratic(V, QUARTIC_CERTS, T), V, T,
+                              n_samples=100, K=32, seed=0)
+
+
 @pytest.fixture(scope="module")
 def quartic_setup():
     V = make_quartic(1)
@@ -562,9 +568,9 @@ def test_polish_records_match_min_norm_subgradient():
     q0 = PeriodicTrajectory.harmonic(2.0, 2, 1, cos_amp=1.0, sin_amp=0.0, K=16)
     q0 = q0 + PeriodicTrajectory.harmonic(2.0, 2, 1, axis=1, K=16)
     q0 = q0 + 0.05 * random_trajectory(rng, 2.0, 2, 16)
-    records = next(_polish_candidates([q0], M, SolverConfig(K=16), start_index=7))
+    records = next(_polish_candidates([q0], M, SolverConfig(K=16), 60))
     assert len(records) >= 3
-    assert [r.index for r in records] == list(range(7, 7 + len(records)))
+    assert [r.index for r in records] == list(range(len(records)))
     for rec in records:
         grad = min_norm_subgradient(rec.trajectory, M, metric="l2")
         assert rec.min_norm == grad.l2_norm
@@ -804,8 +810,7 @@ def test_polish_records_each_loop_once(quartic_setup, case):
     cfg = SolverConfig(K=K)
     q0 = probe_seeds(model, geom, K, 1)[0]
     for max_steps in (60, 2):
-        records = next(_polish_candidates([q0], model, cfg, start_index=0,
-                                     max_steps=max_steps))
+        records = next(_polish_candidates([q0], model, cfg, max_steps))
         assert len(records) <= max_steps + 1
         assert [r.index for r in records] == list(range(len(records)))
         assert all(values(a) != values(b) for a, b in zip(records, records[1:]))
@@ -851,33 +856,48 @@ def test_lockstep_rows_take_the_iterates_they_take_alone():
             assert np.array_equal(x, x1) and np.array_equal(R, R1)
 
 
-@pytest.mark.parametrize("max_iters", [12, 25, 41, 4000])
-def test_lockstep_keeps_the_one_at_a_time_history_under_the_budget(monkeypatch, max_iters):
-    # maxpair T = 2.4, K = 64: every seed stalls at K0 = 16, so the run
-    # polishes the first seed alone and the two rotating mixes in lockstep.
-    # With the record budget binding or not, the history and rejections
-    # are those of polishing each seed alone, deflated, in order, with the
-    # budget left.
+@pytest.mark.parametrize("case, max_iters", [
+    ("maxpair-2.4", 12), ("maxpair-2.4", 25), ("maxpair-2.4", 41), ("maxpair-2.4", 4000),
+    ("quartic-n2-8.5", 4000),
+], ids=["12", "25", "41", "4000", "quartic-n2-8.5"])
+def test_lockstep_keeps_the_one_at_a_time_history_under_the_budget(monkeypatch, case,
+                                                                   max_iters):
+    # K = 64: every seed of the run is polished at K0 = 16 in one lockstep.
+    # maxpair T = 2.4: every seed stalls there.  Quartic n = 2, T = 8.5: the
+    # probe point passes, and the run stops with its two rotating mixes
+    # unfinished.  With the record budget binding or not, the history and
+    # rejections are those of polishing each seed alone, deflated, in
+    # order, with the budget left, and a loop that ends below tol_conv
+    # padded to K and polished there.
     import liporbit.solver as solver
 
-    model, geom = maxpair_geometry(2.4)
+    model, geom = maxpair_geometry(2.4) if case == "maxpair-2.4" else quartic_geometry(2, 8.5)
     cfg = SolverConfig(K=64, grid=9, max_iters=max_iters, seed=0)
     records, rejections = [], []
+
+    def polish_alone(q):
+        polished = next(_polish_candidates([q], model, cfg,
+                                           min(60, cfg.max_iters - len(records) - 1),
+                                           deflate=q.K < cfg.K))
+        records.extend([replace(rec, index=len(records) + rec.index) for rec in polished])
+
     for seed in probe_seeds(model, geom, 16, 6):
-        room = cfg.max_iters - len(records)
-        if room < 1:
+        if cfg.max_iters - len(records) < 1:
             break
-        records += next(_polish_candidates([seed], model, cfg, start_index=len(records),
-                                           max_steps=min(60, room - 1), deflate=True))
-        assert records[-1].measure > cfg.tol_conv
-        rejections.append("measure")
+        polish_alone(seed)
+        if records[-1].measure > cfg.tol_conv:
+            rejections.append("measure")
+            continue
+        polish_alone(records[-1].trajectory.pad_modes(cfg.K))
+        break
 
     stacks = []
     polish = solver._polish_candidates
     monkeypatch.setattr(solver, "_polish_candidates",
                         lambda q0s, *a, **kw: stacks.append(len(q0s)) or polish(q0s, *a, **kw))
     res = run_minimax(model, geom, cfg)
-    assert stacks == [1, 2]
+    assert stacks == ([3] if case == "maxpair-2.4" else [3, 1])
+    assert res.converged is (case != "maxpair-2.4")
     assert res.diagnostics["rejections"] == rejections
     assert len(res.history) == len(records) <= max_iters
     for got, want in zip(res.history, records):
@@ -920,10 +940,11 @@ def test_deflated_step_is_the_newton_step_of_the_deflated_residual(quartic_setup
 
 
 def test_a_loop_rejected_at_K0_gets_no_polish_at_K(monkeypatch):
-    # maxpair T = 1.75, K = 64: the probe point polishes at K0 = 16 to the
-    # line orbit through the origin, which the inclusion gate rejects
-    # there; the next seed, a rotating mix, reaches the circle and passes
-    # at K.  The line orbit makes no Jacobian call at K.
+    # maxpair T = 1.75, K = 64: the three seeds polish at K0 = 16 in one
+    # lockstep.  The probe point reaches the line orbit through the
+    # origin, which the inclusion gate rejects there; the next seed, a
+    # rotating mix, reaches the circle and passes at K.  The line orbit
+    # makes no Jacobian call at K.
     import liporbit.solver as solver
 
     events = []
@@ -936,9 +957,9 @@ def test_a_loop_rejected_at_K0_gets_no_polish_at_K(monkeypatch):
     res = run_minimax(model, geom, SolverConfig(K=64, grid=9, max_iters=4000, seed=0))
     assert res.converged and res.diagnostics["rejections"] == ["aggregate"]
     polishes = [i for i, event in enumerate(events) if event[0] == "polish"]
-    assert [events[i] for i in polishes] == [("polish", 16)] * 2 + [("polish", 64)]
-    assert {event for event in events[:polishes[2]]} == {("polish", 16), ("jacobian", 16)}
-    assert set(events[polishes[2]:]) <= {("polish", 64), ("jacobian", 64)}
+    assert [events[i] for i in polishes] == [("polish", 16), ("polish", 64)]
+    assert {event for event in events[:polishes[1]]} == {("polish", 16), ("jacobian", 16)}
+    assert set(events[polishes[1]:]) <= {("polish", 64), ("jacobian", 64)}
 
 
 @pytest.mark.parametrize("case", ["maxpair-1.875", "quartic-2pi"])
@@ -965,7 +986,7 @@ def test_constant_seed_polishes_to_a_constant_loop():
     # the polish is Newton on grad V(x) = 0 and ends at the well centre.
     V, geom, cfg = offcenter_well()
     q0 = PeriodicTrajectory.constant(1.0, [0.8, 0.4], K=16)
-    records = next(_polish_candidates([q0], V, cfg, start_index=0))
+    records = next(_polish_candidates([q0], V, cfg, 60))
     q = records[-1].trajectory
     assert records[-1].measure <= 0.1 * cfg.tol_conv
     assert len(records) > 3

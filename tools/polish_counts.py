@@ -20,6 +20,9 @@ and the answer check), and prints per solve:
   module; a name the module does not hold prints "-";
 * the median in-process time of REPEATS (default 5) further unwrapped
   solves;
+* the stack sizes of the run's `solver._polish_candidates` calls, one
+  per call (the seeds polished in one lockstep at K0, then each K-level
+  polish);
 * the run's rejection list (result.json `diagnostics.rejections`, or
   the well's `SolverResult`), one gate name per rejected loop: a name
   of a gate other than measure on a loop that ended below tol_conv at
@@ -92,6 +95,14 @@ def counted(fn, tally: list[int]):
     return wrapper
 
 
+def stacked(fn, stacks: list[int]):
+    """fn, appending the number of its first argument's rows to stacks per call."""
+    def wrapper(q0s, *args, **kwargs):
+        stacks.append(len(q0s))
+        return fn(q0s, *args, **kwargs)
+    return wrapper
+
+
 def main(argv: list[str]) -> int:
     repeats = int(argv[0]) if argv else 5
     held = [(module, name) for module, name in COUNTED if hasattr(module, name)]
@@ -99,7 +110,7 @@ def main(argv: list[str]) -> int:
     width = max(map(len, labels))
     print(f"{'input':24s} {'exit':>4s} {'records':>7s} "
           + " ".join(f"{label:>{width}s}" for label in labels)
-          + f" {'median ms':>9s} rejections")
+          + f" {'median ms':>9s} {'stacks':>9s} rejections")
     with tempfile.TemporaryDirectory() as tmp:
         inputs()[0][1](tmp)                 # warm-up, so the first time is not the process's
         for label, run in inputs():
@@ -107,11 +118,15 @@ def main(argv: list[str]) -> int:
             originals = {key: getattr(*key) for key in held}
             for (module, name), tally in tallies.items():
                 setattr(module, name, counted(originals[module, name], tally))
+            stacks: list[int] = []
+            polish = solver._polish_candidates
+            solver._polish_candidates = stacked(polish, stacks)
             try:
                 code, records, rejections = run(tmp)
             finally:
                 for (module, name), fn in originals.items():
                     setattr(module, name, fn)
+                solver._polish_candidates = polish
             times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
@@ -121,7 +136,7 @@ def main(argv: list[str]) -> int:
                      for key in COUNTED]
             print(f"{label:24s} {code:4d} {records:7d} "
                   + " ".join(f"{cell:>{width}s}" for cell in cells)
-                  + f" {1e3 * statistics.median(times):9.1f} {rejections}")
+                  + f" {1e3 * statistics.median(times):9.1f} {str(stacks):>9s} {rejections}")
     return 0
 
 
