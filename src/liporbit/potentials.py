@@ -28,7 +28,6 @@ and the worst observed margin rather than claiming a proof.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -267,8 +266,8 @@ def _sphere_block(dim: int, m: int) -> np.ndarray:
 
 def _ball_directions_from_unit(u: np.ndarray, dim: int) -> np.ndarray:
     """Map unit-cube rows to sphere directions via the Gaussian inverse
-    CDF, Wichura's AS241 (_ndtri).  For dim = 1 that is the sign of
-    u - 0.5, the cube center mapped to +1."""
+    CDF (_ndtri).  For dim = 1 that is the sign of u - 0.5, the cube
+    center mapped to +1."""
     if dim == 1:
         return np.where(u < 0.5, -1.0, 1.0)
     z = _ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
@@ -281,60 +280,16 @@ def _ball_directions_from_unit(u: np.ndarray, dim: int) -> np.ndarray:
     return z / norms
 
 
-# Wichura's AS241 (Appl. Statist. 37, 1988): three rational functions,
-# each as (numerator, denominator), leading coefficient first.  For
-# |q| <= 0.425, q = p - 0.5, the quantile is q num(r) / den(r) in
-# r = 0.180625 - q^2; in the tails it is +-num(r') / den(r') in r' = r - 1.6
-# for r = sqrt(-log(min(p, 1 - p))) <= 5, else r' = r - 5.  The literals
-# are those of the stdlib's statistics.NormalDist.inv_cdf.
-_AS241 = (
-    ((2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
-      4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
-      1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
-     (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
-      2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
-      4.23133_30701_60091_1252e+1, 1.0)),
-    ((7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
-      1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
-      4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
-     (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
-      1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
-      2.05319_16266_37758_82187e+0, 1.0)),
-    ((2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
-      2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
-      5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
-     (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
-      7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
-      5.99832_20655_58879_37690e-1, 1.0)),
-)
-
-
-def _horner(coeffs: tuple, r: np.ndarray) -> np.ndarray:
-    """The polynomial in r with coeffs, leading first, by Horner's rule."""
-    acc = coeffs[0] * r + coeffs[1]
-    for c in coeffs[2:]:
-        acc = acc * r + c
-    return acc
-
-
 def _ndtri(p: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF of each p in (0, 1) by AS241, with the
-    branches, operation order and libm log of statistics.NormalDist, so
-    that it gives the bits of its inv_cdf."""
+    """Inverse standard normal CDF of each p in (0, 1): the stdlib's
+    statistics.NormalDist.inv_cdf (Wichura's AS241), element by element."""
+    # Imported here: at module level statistics adds about 3.7 ms to the
+    # package import, and this runs only through the cached _sphere_block.
+    import statistics
+
+    inv_cdf = statistics.NormalDist().inv_cdf
     p = np.asarray(p, dtype=float)
-    q = p - 0.5
-    x = np.empty_like(p)
-    central = np.abs(q) <= 0.425
-    qc, qt, pt = q[central], q[~central], p[~central]
-    r = 0.180625 - qc * qc
-    x[central] = _horner(_AS241[0][0], r) * qc / _horner(_AS241[0][1], r)
-    tail = np.where(qt <= 0.0, pt, 1.0 - pt)
-    r = np.sqrt(-np.array([math.log(v) for v in tail.tolist()]))
-    near, far = r - 1.6, r - 5.0
-    xt = np.where(r > 5.0, _horner(_AS241[2][0], far) / _horner(_AS241[2][1], far),
-                  _horner(_AS241[1][0], near) / _horner(_AS241[1][1], near))
-    x[~central] = np.where(qt < 0.0, -xt, xt)
-    return x
+    return np.array([inv_cdf(v) for v in p.ravel().tolist()]).reshape(p.shape)
 
 
 @dataclass(frozen=True)

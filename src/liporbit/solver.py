@@ -6,12 +6,13 @@ surface.  In superquadratic mode the seeds are the point of one probe
 of the linking cylinder's grid columns x1 + s e (ridge_probe; node
 values miss the critical ridge where it runs between nodes, so each
 column is probed between its nodes too), then its quarter-period
-rotating mixes (none at n = 1).  In saddle mode the one seed is the max
-of f over the constant loops of the X1 box's grid, the grid point of
-least V.  A run draws no random numbers.  It reports the polished loop
-with the lowest inclusion aggregate among those that pass the measure,
-level and shape gates, and why each other one failed; converged means
-that aggregate is below verify_tol, the test behind exit code 0.
+rotating mixes, one per symmetry class of f (none at n = 1).  In saddle
+mode the one seed is the max of f over the constant loops of the X1
+box's grid, the grid point of least V.  A run draws no random numbers.
+It reports the polished loop with the lowest inclusion aggregate among
+those that pass the measure, level and shape gates, and why each other
+one failed; converged means that aggregate is below verify_tol, the
+test behind exit code 0.
 
 A run works on two levels of the Fourier space (nested iteration).  The
 probe, the seeds and a first polish of each seed live at the coarse
@@ -84,8 +85,8 @@ class GeometryNotCertified(ValueError):
 
 
 # Polishes per superquadratic run: the probe point and its rotating mixes
-# (2 (n - 1) of them, so the cap binds from n = 4).
-MAX_POLISHES = 6
+# (n - 1 of them, one per symmetry class, so the cap binds from n = 5).
+MAX_POLISHES = 4
 
 # deform_step's line search: neighbor diffusion factor, Armijo decrement
 # coefficient and halving budget.
@@ -480,22 +481,30 @@ def _polish_candidates(q0s: list[PeriodicTrajectory], model: PotentialModel,
 
 
 def _seed_variants(seed: PeriodicTrajectory, dim: int, max_variants: int):
-    """Polish seeds in preference order: the ridge point itself, then
-    quarter-period rotating mixes across axis pairs (autonomous radial
-    systems keep planar data planar, so these break that symmetry), at
-    most max_variants in all.  At n = 1 the ridge point is the only seed."""
+    """Polish seeds in preference order: the ridge point itself, then one
+    quarter-period rotating mix per other axis (autonomous radial systems
+    keep planar data planar, so these break that symmetry), at most
+    max_variants in all.  At n = 1 the ridge point is the only seed.
+
+    A mix writes the main axis shifted by T/4 into one other axis.  The
+    mix with the opposite sign is not polished: V is autonomous, so f is
+    invariant under M = (time reversal) o (shift by T/2), which maps
+    a_k -> (-1)^k a_k and b_k -> -(-1)^k b_k and fixes the mean.  M fixes
+    the ridge point x1 + s e (e is a first-harmonic sine) and negates its
+    T/4 shift, so it maps one sign's mix onto the other's, and their
+    polishes reach the same critical loop up to M."""
     yield seed
     if dim == 1:            # no axis pair to mix: skip the time shift
         return
     amp = np.linalg.norm(seed.a, axis=0) + np.linalg.norm(seed.b, axis=0)
     j_main = int(np.argmax(amp))
     shifted = seed.time_shift(seed.T / 4.0)
-    mixes = ((j, sign) for j in range(dim) if j != j_main for sign in (1.0, -1.0))
-    for j_other, sign in itertools.islice(mixes, max_variants - 1):
+    others = (j for j in range(dim) if j != j_main)
+    for j_other in itertools.islice(others, max_variants - 1):
         a = np.array(seed.a)
         b = np.array(seed.b)
-        a[:, j_other] = sign * shifted.a[:, j_main]
-        b[:, j_other] = sign * shifted.b[:, j_main]
+        a[:, j_other] = shifted.a[:, j_main]
+        b[:, j_other] = shifted.b[:, j_main]
         yield PeriodicTrajectory(seed.T, seed.a0, a, b)
 
 
@@ -503,21 +512,22 @@ def _run(model: PotentialModel, geom: LinkingGeometry,
          config: SolverConfig) -> SolverResult:
     """Polish the geometry's seeds in order until one passes every gate.
 
-    Superquadratic: the ridge_probe point, then its _seed_variants, at
-    most MAX_POLISHES.  Saddle: the grid point of least V alone; a
-    constant seed's rotating mixes repeat it.  The probe, the seeds and their
-    first polish are at K0 = min(K, max(16, K // 4)) modes; a
-    superquadratic seed's polish there is deflated off the constant loops
-    (_polish_candidates), which every run rejects.  A coarse loop goes
-    through every gate of judge at K0 (measure, level, constant,
-    aggregate); one that fails any is rejected on it, else it is padded
-    to K, polished again at K without deflation and judged there, so
-    every pass is decided at K.  Both levels' records go into the history
-    and count against max_iters.  A seed that is already critical is its
-    polish's only record.  With no loop judged at K to report, the report
-    is the K0 loop of least aggregate among those that passed measure,
-    level and constant, padded to K, else the first seed or, when every
-    probe column leaked, the zero loop, at K; it is verified at K.
+    Superquadratic: the ridge_probe point, then its _seed_variants, one
+    rotating mix per other axis, at most MAX_POLISHES.  Saddle: the grid
+    point of least V alone; a constant seed's rotating mixes repeat it.
+    The probe, the seeds and their first polish are at
+    K0 = min(K, max(16, K // 4)) modes; a superquadratic seed's polish
+    there is deflated off the constant loops (_polish_candidates), which
+    every run rejects.  A coarse loop goes through every gate of judge at
+    K0 (measure, level, constant, aggregate); one that fails any is
+    rejected on it, else it is padded to K, polished again at K without
+    deflation and judged there, so every pass is decided at K.  Both
+    levels' records go into the history and count against max_iters.  A
+    seed that is already critical is its polish's only record.  With no
+    loop judged at K to report, the report is the K0 loop of least
+    aggregate among those that passed measure, level and constant, padded
+    to K, else the first seed or, when every probe column leaked, the zero
+    loop, at K; it is verified at K.
 
     Every seed is polished at K0 from the first round, as the rows of one
     lockstep polish (_polish_candidates), and finalized in seed order as

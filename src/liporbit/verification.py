@@ -65,6 +65,8 @@ class VerificationReport:
 def inclusion_residual(traj: PeriodicTrajectory, model: PotentialModel) -> VerificationReport:
     """Distance from -qdd(t) to the subdifferential hull at each node,
     selected through action._select under the one activity rule."""
+    if model.dim != traj.n:
+        raise ValueError(f"model dimension {model.dim} != trajectory dimension {traj.n}")
     N = default_grid_size(traj.K)
     qs, target = _synthesize(traj.coefficients()[None], traj.T, N, accel=True)
     qs, target = qs[0], target[0]

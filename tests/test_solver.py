@@ -18,8 +18,9 @@ from liporbit.linking import (
     certify_linking,
     unit_direction,
 )
-from liporbit.potentials import make_maxpair, make_maxpoly, make_quartic, make_subq32
+from liporbit.potentials import active_set, make_maxpair, make_maxpoly, make_quartic, make_subq32
 from liporbit.solver import (
+    MAX_POLISHES,
     SCREEN_TOL,
     GeometryNotCertified,
     SolverConfig,
@@ -38,7 +39,13 @@ from liporbit.solver import (
     run_saddle,
 )
 from liporbit.newton import newton_steps
-from liporbit.trajectory import PeriodicTrajectory, h1_norm, l2_norm, random_trajectory
+from liporbit.trajectory import (
+    PeriodicTrajectory,
+    default_grid_size,
+    h1_norm,
+    l2_norm,
+    random_trajectory,
+)
 from liporbit.verification import inclusion_residual
 
 TWO_PI = 2.0 * np.pi
@@ -801,6 +808,65 @@ def values(record):
     return (record.f_value, record.h1norm, record.min_norm, record.measure)
 
 
+def half_period_reversal(c):
+    """M = (time reversal) o (shift by T/2) on coefficient rows (..., 2K+1, n):
+    a_k -> (-1)^k a_k, b_k -> -(-1)^k b_k, the mean fixed."""
+    alt = (-1.0) ** np.arange(1, (c.shape[-2] - 1) // 2 + 1)
+    return c * np.concatenate([[1.0], alt, -alt])[:, None]
+
+
+def test_half_period_reversal_maps_residuals_and_keeps_values():
+    # V is autonomous, so M is a symmetry of f: the node t_j of M q carries
+    # q and -qdd of q at T/2 - t_j, again a node (N is even), so
+    # R(M x) = M R(x) and f(M x) = f(x).  maxpair n = 2, T = 2.6: every
+    # node of the shifted unit circle (a critical loop, its residual
+    # rounding) and four nodes of the bent one sit on |x| = 1 and go
+    # through the hull projection.
+    V, T, K = make_maxpair(2), 2.6, 16
+    N = default_grid_size(K)
+    circle = (PeriodicTrajectory.harmonic(T, 2, 1, cos_amp=1.0, sin_amp=0.0, K=K)
+              + PeriodicTrajectory.harmonic(T, 2, 1, axis=1, K=K))
+    bent = (circle + PeriodicTrajectory.harmonic(T, 2, 2, sin_amp=0.3, K=K)
+            + PeriodicTrajectory.harmonic(T, 2, 4, axis=1, sin_amp=0.2, K=K))
+    rng = np.random.default_rng(23)
+    loops = [circle.time_shift(0.3), bent,
+             random_trajectory(rng, T, 2, K, zero_mean=False) * 0.8]
+    on_hull = [int(np.sum(active_set(V.piece_values(q.sample(N))).sum(axis=0) > 1))
+               for q in loops]
+    assert on_hull[0] == N and 0 < on_hull[1] < N
+    x = np.stack([q.coefficients() for q in loops])
+    Mx = half_period_reversal(x)
+    assert all(not np.allclose(a, b) for a, b in zip(Mx, x))
+    for r, r_image in zip(min_norm_residuals(x, T, V), min_norm_residuals(Mx, T, V)):
+        assert np.linalg.norm(r_image - half_period_reversal(r)) <= 1e-12 * (
+            1.0 + np.linalg.norm(r))
+    np.testing.assert_allclose(action_values(Mx, T, V), action_values(x, T, V),
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_seed_variants_are_one_seed_per_symmetry_class(n):
+    # Quartic T = 6, the probe point of a grid-3 probe: M fixes it and
+    # negates a rotating mix's T/4 shifted axis (to the rounding of
+    # cos(pi/2)), so the mix of the other sign is its image.  The seeds are
+    # the probe point and one mix per other axis (e runs along axis 0, so
+    # seed j mixes axis j), at most MAX_POLISHES, and no two are related
+    # by M.
+    model, geom = quartic_geometry(n, 6.0)
+    probe, _ = ridge_probe(geom, model, 16, 3, floor=geom.alpha_bound - 1e-6)
+    seeds = [q.coefficients() for q in _seed_variants(probe, n, MAX_POLISHES)]
+    assert len(seeds) == min(n, 4)
+    images = [half_period_reversal(c) for c in seeds]
+    assert np.array_equal(images[0], seeds[0])
+    for j, (image, c) in enumerate(zip(images[1:], seeds[1:]), 1):
+        twin = np.array(c)
+        twin[1:, j] *= -1.0
+        assert np.allclose(image, twin, rtol=0.0, atol=1e-15)
+    for i, j in itertools.combinations(range(len(seeds)), 2):
+        assert not np.allclose(images[i], seeds[j], rtol=0.0, atol=1e-6)
+        assert not np.allclose(images[j], seeds[i], rtol=0.0, atol=1e-6)
+
+
 @pytest.mark.parametrize("case", ["maxpair-2.4", "quartic-2pi"])
 def test_polish_records_each_loop_once(quartic_setup, case):
     # maxpair T = 2.4 (its line brake orbit) and quartic T = 2 pi: no loop
@@ -818,15 +884,16 @@ def test_polish_records_each_loop_once(quartic_setup, case):
 
 
 def test_lockstep_rows_take_the_iterates_they_take_alone():
-    # maxpair T = 2.4: the three K0 = 16 seeds of a run, three loops built
+    # maxpair T = 2.4: the two K0 = 16 seeds of a run, three loops built
     # from them, a constant loop and a row whose step solve is singular go
     # through newton_steps as one stack.  Each row yields the bits it
     # yields alone; the singular row ends at once, and its failure sends
     # the stacked solve row by row without ending any other row.
     model, geom = maxpair_geometry(2.4)
     seeds = probe_seeds(model, geom, 16, 6)
+    assert len(seeds) == 2
     T, shape = geom.T, (33, 2)
-    built = [seeds[0] * 0.8, seeds[1].time_shift(T / 8.0), seeds[2] * 1.2]
+    built = [seeds[0] * 0.8, seeds[1].time_shift(T / 8.0), seeds[1] * 1.2]
     constant = PeriodicTrajectory.constant(T, [0.7, -0.4], K=16)
     singular = seeds[0] + 0.01 * seeds[1]
     rows = np.stack([q.coefficients().ravel() for q in seeds + built + [constant, singular]])
@@ -864,7 +931,7 @@ def test_lockstep_keeps_the_one_at_a_time_history_under_the_budget(monkeypatch, 
                                                                    max_iters):
     # K = 64: every seed of the run is polished at K0 = 16 in one lockstep.
     # maxpair T = 2.4: every seed stalls there.  Quartic n = 2, T = 8.5: the
-    # probe point passes, and the run stops with its two rotating mixes
+    # probe point passes, and the run stops with its rotating mix
     # unfinished.  With the record budget binding or not, the history and
     # rejections are those of polishing each seed alone, deflated, in
     # order, with the budget left, and a loop that ends below tol_conv
@@ -896,7 +963,7 @@ def test_lockstep_keeps_the_one_at_a_time_history_under_the_budget(monkeypatch, 
     monkeypatch.setattr(solver, "_polish_candidates",
                         lambda q0s, *a, **kw: stacks.append(len(q0s)) or polish(q0s, *a, **kw))
     res = run_minimax(model, geom, cfg)
-    assert stacks == ([3] if case == "maxpair-2.4" else [3, 1])
+    assert stacks == ([2] if case == "maxpair-2.4" else [2, 1])
     assert res.converged is (case != "maxpair-2.4")
     assert res.diagnostics["rejections"] == rejections
     assert len(res.history) == len(records) <= max_iters
@@ -940,7 +1007,7 @@ def test_deflated_step_is_the_newton_step_of_the_deflated_residual(quartic_setup
 
 
 def test_a_loop_rejected_at_K0_gets_no_polish_at_K(monkeypatch):
-    # maxpair T = 1.75, K = 64: the three seeds polish at K0 = 16 in one
+    # maxpair T = 1.75, K = 64: the two seeds polish at K0 = 16 in one
     # lockstep.  The probe point reaches the line orbit through the
     # origin, which the inclusion gate rejects there; the next seed, a
     # rotating mix, reaches the circle and passes at K.  The line orbit
@@ -1017,7 +1084,7 @@ def test_saddle_mode_runs_one_polish(monkeypatch):
 def test_a_singular_newton_system_ends_the_polish(monkeypatch):
     # A LinAlgError from the step ends that polish with what it reached;
     # it never escapes the run, alone or in lockstep.  maxpair n = 2 has
-    # three seeds: the probe point and its two rotating mixes.
+    # two seeds: the probe point and its rotating mix.
     import liporbit.solver as solver
 
     def singular(*args):
@@ -1027,21 +1094,21 @@ def test_a_singular_newton_system_ends_the_polish(monkeypatch):
     M, geom = maxpair_geometry(2.25)
     res = run_minimax(M, geom, SolverConfig(K=32, grid=9, max_iters=4000, seed=0))
     assert not res.converged
-    assert res.diagnostics["rejections"] == ["measure"] * 3
-    assert len(res.history) == 3                # one record per polish: its seed
+    assert res.diagnostics["rejections"] == ["measure"] * 2
+    assert len(res.history) == 2                # one record per polish: its seed
 
 
 # -- rejection reasons -------------------------------------------------------
 
 
 @pytest.mark.parametrize("K, expected", [
-    (64, ["aggregate", "measure", "measure"]),
-    (32, ["aggregate", "measure", "measure"]),
+    (64, ["aggregate", "measure"]),
+    (32, ["aggregate", "measure"]),
 ])
 def test_rejections_name_the_failed_gate(K, expected):
     # maxpair T = 2.25: at K0 = 16 the first polish reaches the line orbit
-    # through the origin, which fails the inclusion gate there, and the two
-    # rotating mixes end above tol_conv.  No loop reaches K, so the report
+    # through the origin, which fails the inclusion gate there, and the
+    # rotating mix ends above tol_conv.  No loop reaches K, so the report
     # is the line orbit's K0 loop padded to K.
     M, geom = maxpair_geometry(2.25)
     res = run_minimax(M, geom, SolverConfig(K=K, grid=9, max_iters=4000, seed=0))

@@ -95,6 +95,15 @@ def test_node_exactly_on_kink_uses_full_hull():
                                       for g in V.gradients)
 
 
+@pytest.mark.parametrize("make", [make_quartic, make_maxpair], ids=["quartic", "maxpair"])
+def test_inclusion_residual_rejects_a_loop_of_another_dimension(make):
+    # The radial pieces accept points of any dimension, so a planar loop
+    # under a 1-D model was judged (aggregate 0.74) instead of refused.
+    q = PeriodicTrajectory.harmonic(2.0, 2, 1, sin_amp=1.3, K=8)
+    with pytest.raises(ValueError, match="dimension"):
+        inclusion_residual(q, make(1))
+
+
 def test_report_dict_and_csv():
     V = make_quartic(1)
     q = PeriodicTrajectory.harmonic(TWO_PI, 1, 1, K=4)
