@@ -18,10 +18,12 @@ that bound decides, and f at a few zero-mean loops is sampled beside it.
 
 Certificates are sampled evidence plus the analytic bound, and a sample
 below the bound fails them: a failing certificate is a valid negative
-result.  Samples are coefficient rows: each sampled set (the sphere,
-the three faces of the cylinder, the saddle mode's zero-mean loops) is
-drawn as one block and evaluated in one action_values call, and the
-face rows all take the form x1 + s e at one width.
+result.  Each sampled set (the sphere, the three faces of the cylinder,
+the saddle mode's zero-mean loops) is drawn as one block and evaluated
+in one call.  The sphere and the zero-mean loops are coefficient rows
+for action_values.  The face points all take the form x1 + s e, and
+cylinder_values evaluates them from e's node values alone, with no
+coefficient rows; the probe of the solver screens its columns with it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .action import action_values
 from .potentials import PotentialModel
-from .trajectory import PeriodicTrajectory, l2_norm, random_trajectory
+from .trajectory import PeriodicTrajectory, default_grid_size, l2_norm, random_trajectory
 
 
 # Share of the sphere rows drawn in the modes k <= LOW_MODE_MAX only.
@@ -169,6 +171,13 @@ def calibrate_superquadratic(model: PotentialModel, certs: dict, T: float,
 
     if e is None:
         e = unit_direction(T, model.dim)
+    # The Jensen bound below assumes a zero-mean e with ||edot||_L2 = 1.
+    edot = l2_norm(e.derivative())
+    if e.T != T or e.n != model.dim or np.any(e.a0 != 0.0) or not abs(edot - 1.0) <= 1e-12:
+        raise ValueError(
+            f"direction e must have T = {T!r}, n = {model.dim}, zero mean and "
+            f"||edot||_L2 = 1; got T = {e.T!r}, n = {e.n}, mean {e.a0.tolist()}, "
+            f"||edot||_L2 = {edot!r}")
     e_l2sq = l2_norm(e) ** 2
 
     s_grid = np.linspace(0.0, 1.0, 513)
@@ -214,6 +223,40 @@ def _kinetic_norm(c: np.ndarray, T: float) -> np.ndarray:
     return np.sqrt(0.5 * T * (np.sum(wb * wb, axis=(-2, -1)) + np.sum(wa * wa, axis=(-2, -1))))
 
 
+def cylinder_values(e: PeriodicTrajectory, K: int, x1, s,
+                    model: PotentialModel) -> np.ndarray:
+    """f at the loops x1 + s e of K modes, x1 (..., n) broadcast against s (...).
+
+    f = s^2 ||edot||^2 / 2 - T sum_j w_j V(x1 + s e(t_j)) over the nodes
+    t_j = j T / N of the N = 4K+4 grid action_values integrates on, from
+    e's node values alone: no coefficient rows and no FFT per loop.  When
+    e(T/2 - t) = e(t), which holds exactly when a_k = 0 for odd k and
+    b_k = 0 for even k (every unit_direction of odd mode), nodes j and
+    N/2 - j carry the same value for every x1 and s, so the N/2 + 1 nodes
+    j = -N/4 .. N/4 cover the grid, at weight 1/N at +-N/4 and 2/N
+    between.  Any other e takes all N nodes at weight 1/N.  The fold is
+    decided by exact zeros among e's coefficients.  A loop's value has
+    the same bits alone as in any batch.
+    """
+    if K < e.K:
+        raise ValueError(f"cannot pad down from K={e.K} to {K}")
+    N = default_grid_size(K)
+    nodes = e.sample(N)
+    weight = np.ones(N)
+    if np.all(e.a[::2] == 0.0) and np.all(e.b[1::2] == 0.0):   # a_k, k odd; b_k, k even
+        nodes = nodes[np.arange(-N // 4, N // 4 + 1)]
+        weight = np.full(len(nodes), 2.0)
+        weight[[0, -1]] = 1.0
+    x1, s = np.asarray(x1, dtype=float), np.asarray(s, dtype=float)
+    # Points laid out (..., n, nodes) in C order, so the model reads each
+    # coordinate along contiguous nodes; the sum runs along contiguous
+    # nodes in every batch, which keeps a loop's bits.
+    points = np.add(x1[..., None], s[..., None, None] * nodes.T, order="C")
+    V = np.ascontiguousarray(model.value(np.swapaxes(points, -1, -2)))   # (..., nodes)
+    return 0.5 * _kinetic_norm(e.coefficients(), e.T) ** 2 * s ** 2 - e.T * (
+        np.sum(V * weight, axis=-1) / N)
+
+
 def certify_linking(geom: LinkingGeometry, model: PotentialModel, T: float,
                     n_samples: int = 200, K: int = 16,
                     seed: int = 0) -> LinkingGeometry:
@@ -227,11 +270,12 @@ def certify_linking(geom: LinkingGeometry, model: PotentialModel, T: float,
     negative certificate.
 
     Each set is drawn as one block: the n_samples sphere rows of
-    sphere_rows, then max(n_samples // 3, 8) points per face from one
-    standard_normal draw of directions and one uniform draw, which gives
-    a disk point its radius and a shell point its s.  Every face row is
-    x1 + s e at the one width max(K, e.K); with the zero loop they are
-    evaluated in one action_values call.
+    sphere_rows, evaluated in one action_values call, then
+    max(n_samples // 3, 8) points per face from one standard_normal draw
+    of directions and one uniform draw, which gives a disk point its
+    radius and a shell point its s.  Every face point is a loop x1 + s e
+    at the one width max(K, e.K); with the zero loop they are evaluated
+    in one cylinder_values call.
     """
     if geom.mode != "superquadratic":
         raise ValueError("certify_linking applies to superquadratic geometries")
@@ -241,7 +285,7 @@ def certify_linking(geom: LinkingGeometry, model: PotentialModel, T: float,
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     n = model.dim
-    e = geom.e.pad_modes(max(K, geom.e.K))
+    e = geom.e
     if (e.T, e.n) != (T, n):
         raise ValueError(f"direction e has T = {e.T!r}, n = {e.n}; loops T = {T!r}, n = {n}")
 
@@ -253,9 +297,9 @@ def certify_linking(geom: LinkingGeometry, model: PotentialModel, T: float,
     u = rng.uniform(size=face.size)
     radius = geom.r1 * np.where(face == 1, 1.0, u ** (1.0 / n))
     s = np.append(geom.r2 * np.where(face == 1, u, face / 2.0), 0.0)
-    rows = s[:, None, None] * e.coefficients()           # the last row is the zero loop
-    rows[:-1, 0] += (radius / np.linalg.norm(z, axis=1))[:, None] * z
-    beta = np.max(action_values(rows, T, model))
+    x1 = np.zeros((s.size, n))                            # the last point is the zero loop
+    x1[:-1] = (radius / np.linalg.norm(z, axis=1))[:, None] * z
+    beta = np.max(cylinder_values(e, max(K, e.K), x1, s, model))
 
     return replace(geom, alpha_sampled=float(alpha), beta_sampled=float(beta),
                    passed=bool(alpha > beta and alpha >= geom.alpha_bound - LEVEL_TOL),

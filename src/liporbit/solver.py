@@ -5,7 +5,9 @@ inclusion residual until one passes every gate, and builds no grid
 surface.  In superquadratic mode the seeds are the point of one probe
 of the linking cylinder's grid columns x1 + s e (ridge_probe; node
 values miss the critical ridge where it runs between nodes, so each
-column is probed between its nodes too), then its quarter-period
+column is probed between its nodes too; linking.cylinder_values
+screens every column from e's node values, and only the points near a
+column's top are evaluated as coefficient rows), then its quarter-period
 rotating mixes, one per symmetry class of f (none at n = 1).  In saddle
 mode the one seed is the max of f over the constant loops of the X1
 box's grid, the grid point of least V.  A run draws no random numbers.
@@ -56,12 +58,11 @@ from .action import (
     min_norm_subgradient,
     residual_jacobians,
 )
-from .linking import LEVEL_TOL, LinkingGeometry
+from .linking import LEVEL_TOL, LinkingGeometry, cylinder_values
 from .newton import newton_steps
 from .potentials import PotentialModel
 from .trajectory import (
     PeriodicTrajectory,
-    default_grid_size,
     derivative_rows,
     h1_norm_row,
     l2_norm,
@@ -279,21 +280,6 @@ def _grid_points(radius: float, m: int, n: int) -> np.ndarray:
     return np.linspace(-radius, radius, m)[np.indices((m,) * n).reshape(n, -1).T]
 
 
-def _screen(geom: LinkingGeometry, model: PotentialModel, K: int, x1: np.ndarray,
-            s: np.ndarray) -> np.ndarray:
-    """f at the loops x1 + s e up to rounding, shape (len(x1), len(s)).
-
-    s^2 |edot|^2 / 2 - T mean_j V(x1 + s e(t_j)) on the 4K+4 samples of e:
-    no coefficient rows, no FFT per point; SCREEN_COLUMNS x1 at a time.
-    """
-    e = geom.e.pad_modes(K)
-    path = s[:, None, None] * e.sample(default_grid_size(K))       # (len(s), N, n)
-    return 0.5 * l2_norm(e.derivative()) ** 2 * s ** 2 - geom.T * np.concatenate([
-        np.mean(model.value((x[:, None, None] + path).reshape(-1, model.dim))
-                .reshape(len(x), *path.shape[:2]), axis=2)
-        for x in (x1[i:i + SCREEN_COLUMNS] for i in range(0, len(x1), SCREEN_COLUMNS))])
-
-
 def ridge_probe(geom: LinkingGeometry, model: PotentialModel, K: int, m: int,
                 floor: float) -> tuple[PeriodicTrajectory, float] | None:
     """Inf-sup over the linking cylinder's grid columns: the discrete minimax point.
@@ -311,9 +297,11 @@ def ridge_probe(geom: LinkingGeometry, model: PotentialModel, K: int, m: int,
     leaked, else the first exact maximum in s order of the first column
     with the smallest max, and that max.
 
-    Every column is screened (_screen); the points within SCREEN_TOL
-    (1 + |top|) of their column's screened top go through one
-    action_values call, and a column screened below floor costs none.
+    Every column is screened by linking.cylinder_values, SCREEN_COLUMNS
+    columns at a time, which evaluates V at half the grid's nodes for
+    the default direction; the points within SCREEN_TOL (1 + |top|) of
+    their column's screened top go through one action_values call, and
+    a column screened below floor costs none.
     action_values gives a row the same bits in any batch, so the answer
     is the one every point's exact value gives, save that an exact tie
     between a node and an earlier interior point goes to the interior
@@ -325,7 +313,9 @@ def ridge_probe(geom: LinkingGeometry, model: PotentialModel, K: int, m: int,
     node = np.repeat(np.arange(m), N_PROBE + 1)[:-N_PROBE]
     nxt = np.minimum(node + 1, m - 1)
     theta = np.tile(np.arange(N_PROBE + 1) / (N_PROBE + 1), m)[:-N_PROBE]
-    screened = _screen(geom, model, K, x1, s_nodes[node] + theta * (s_nodes[nxt] - s_nodes[node]))
+    s = s_nodes[node] + theta * (s_nodes[nxt] - s_nodes[node])
+    screened = np.concatenate([cylinder_values(geom.e, K, x1[i:i + SCREEN_COLUMNS, None], s, model)
+                               for i in range(0, len(x1), SCREEN_COLUMNS)])
     top = np.max(screened, axis=1, keepdims=True)
     tol = SCREEN_TOL * (1.0 + np.abs(top))
     near = (screened >= top - tol) & (top >= floor - tol)

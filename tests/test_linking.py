@@ -17,6 +17,7 @@ from liporbit.linking import (
     calibrate_saddle,
     calibrate_superquadratic,
     certify_linking,
+    cylinder_values,
     _box_boundary_points,
     _kinetic_norm,
     outer_boundary_bound,
@@ -119,6 +120,26 @@ def test_calibrate_validates_constants():
         calibrate_superquadratic(V, dict(QUARTIC_CERTS, mu1=1.5), 1.0)
     with pytest.raises(ValueError, match="a1"):
         calibrate_superquadratic(V, dict(QUARTIC_CERTS, a1=0.0), 1.0)
+
+
+@pytest.mark.parametrize("case", ["scaled", "mean", "period", "dimension"])
+def test_calibrate_refuses_a_direction_off_the_jensen_bound(case):
+    # The outer-boundary bound assumes a zero-mean e with ||edot||_L2 = 1
+    # at the calibrated T and n.  3 e calibrated a too small r2 and still
+    # passed; a mean of 0.5 failed the certificate without saying why.
+    V, T = make_quartic(1), 6.0
+    e = unit_direction(T, 1)
+    e = {"scaled": 3.0 * e,
+         "mean": e + PeriodicTrajectory.constant(T, [0.5]),
+         "period": unit_direction(2.0 * T, 1),
+         "dimension": unit_direction(T, 2)}[case]
+    with pytest.raises(ValueError, match="direction e"):
+        calibrate_superquadratic(V, QUARTIC_CERTS, T, e=e)
+
+
+def test_calibrate_accepts_a_unit_direction_to_rounding():
+    e = unit_direction(6.0, 1, K=12, mode=3) * (1.0 + 5e-13)
+    assert calibrate_superquadratic(make_quartic(1), QUARTIC_CERTS, 6.0, e=e).e is e
 
 
 def test_outer_bound_dominates_f_on_rays():
@@ -271,15 +292,30 @@ def _certify_case(name):
 
 
 def _drawn_rows(monkeypatch, geom, V, T, **kwargs):
-    """certify_linking's result and the row blocks it handed to action_values."""
-    blocks = []
+    """certify_linking's result, the sphere rows it handed to action_values
+    and the (e, K, x1, s) of its one cylinder_values call."""
+    sphere, faces = [], []
 
-    def recording(rows, T, model):
-        blocks.append(rows.copy())
+    def recording_rows(rows, T, model):
+        sphere.append(rows.copy())
         return action_values(rows, T, model)
 
-    monkeypatch.setattr(linking, "action_values", recording)
-    return certify_linking(geom, V, T, **kwargs), blocks
+    def recording_pairs(e, K, x1, s, model):
+        faces.append((e, K, x1.copy(), s.copy()))
+        return cylinder_values(e, K, x1, s, model)
+
+    monkeypatch.setattr(linking, "action_values", recording_rows)
+    monkeypatch.setattr(linking, "cylinder_values", recording_pairs)
+    geom = certify_linking(geom, V, T, **kwargs)
+    assert len(sphere) == len(faces) == 1
+    return geom, sphere[0], faces[0]
+
+
+def _face_rows(e, K, x1, s):
+    """Coefficient rows of the loops x1 + s e at K modes."""
+    rows = s[:, None, None] * e.pad_modes(K).coefficients()
+    rows[:, 0] += x1
+    return rows
 
 
 CERTIFY_CASES = [("quartic", 32, 200, 0), ("quartic", 128, 200, 7), ("maxpair", 64, 200, 1),
@@ -291,22 +327,95 @@ def test_every_face_row_lies_on_its_face(monkeypatch, name, K, n_samples, seed):
     # Q's boundary: the bottom disk s = 0, the lateral shell |x1| = r1 with
     # 0 <= s <= r2 and the top disk s = r2, each |x1| <= r1; plus the zero loop.
     geom, V, T = _certify_case(name)
-    _, (sphere, faces) = _drawn_rows(monkeypatch, geom, V, T, n_samples=n_samples, K=K,
-                                     seed=seed)
+    _, sphere, (e, width, x1s, s) = _drawn_rows(monkeypatch, geom, V, T, n_samples=n_samples,
+                                                K=K, seed=seed)
     m = max(n_samples // 3, 8)
-    E = geom.e.pad_modes(max(K, geom.e.K)).coefficients()
-    assert sphere.shape[1] == 2 * K + 1 and faces.shape == (3 * m + 1,) + E.shape
-    s = np.sum(faces[:, 1:] * E[1:], axis=(1, 2)) / np.sum(E[1:] ** 2)
-    assert np.allclose(faces[:, 1:], s[:, None, None] * E[1:], rtol=0.0, atol=1e-12 * geom.r2)
-    x1 = np.linalg.norm(faces[:, 0], axis=1)
+    assert e is geom.e and width == max(K, geom.e.K)
+    assert sphere.shape[1] == 2 * K + 1 and x1s.shape == (3 * m + 1, V.dim)
+    assert s.shape == (3 * m + 1,)
+    x1 = np.linalg.norm(x1s, axis=1)
     inside = x1 <= geom.r1 * (1.0 + 1e-12)
     bottom = inside & (np.abs(s) <= 1e-12 * geom.r2)
     lateral = np.isclose(x1, geom.r1, rtol=1e-12, atol=0.0) & (s >= 0.0) & (s <= geom.r2)
     top = inside & np.isclose(s, geom.r2, rtol=1e-12, atol=0.0)
     assert np.all(bottom | lateral | top)
     assert (bottom.sum(), lateral.sum(), top.sum()) == (m + 1, m, m)
-    assert np.any(np.all(faces == 0.0, axis=(1, 2)))              # the zero loop
+    assert np.any((x1 == 0.0) & (s == 0.0))                       # the zero loop
     assert len(np.unique(x1[bottom | top])) == 2 * m + 1          # disk points spread
+
+
+def _unit(e):
+    return e * (1.0 / l2_norm(e.derivative()))
+
+
+def _cylinder_case(name):
+    """(model, e, K, x1 (C, n), s (P,)) of a kernel case."""
+    rng = np.random.default_rng(5)
+    if name == "maxpair-kink":
+        # e peaks at the node t = T/4, so s = 1 / e(T/4) puts the nodes
+        # there on |x| = 1, where the two pieces meet; x1 on the kink too.
+        T, K = 2.0, 16
+        e = unit_direction(T, 2)
+        peak = float(np.max(np.abs(e.sample(default_grid_size(K))[:, 0])))
+        x1 = np.vstack([np.zeros(2), [0.6, 0.8], [1.0, 0.0], rng.uniform(-1, 1, (3, 2))])
+        s = np.concatenate([[0.0, 1.0 / peak, 0.5 / peak], rng.uniform(0, 3, 4)])
+        return make_maxpair(2), e, K, x1, s
+    if name == "forced":
+        geom, V, T = _forced_geometry()
+        return V, geom.e, 16, rng.uniform(-1, 1, (4, 1)), rng.uniform(0, 4, 5)
+    T, K = TWO_PI, 24
+    e = {"quartic": unit_direction(T, 1), "mode3": unit_direction(T, 1, K=12, mode=3),
+         "mode2": unit_direction(T, 1, mode=2),
+         # e(T/2 - t) != e(t) for both: sin + sin 2 and sin + cos of 2 pi t / T
+         "sin+sin2": _unit(PeriodicTrajectory(T, [0.0], [[0.0], [0.0]], [[1.0], [1.0]])),
+         "sin+cos": _unit(PeriodicTrajectory(T, [0.0], [[1.0]], [[1.0]]))}[name]
+    return make_quartic(1), e, K, rng.uniform(-1, 1, (4, 1)), rng.uniform(0, 5, 6)
+
+
+CYLINDER_CASES = ["quartic", "maxpair-kink", "forced", "mode3", "mode2", "sin+sin2", "sin+cos"]
+
+
+@pytest.mark.parametrize("name", CYLINDER_CASES)
+def test_cylinder_values_are_action_values_of_the_rows(name):
+    # mode2, sin+sin2 and sin+cos break e(T/2 - t) = e(t).  Folding the
+    # nodes of the last two would miss the half of the grid that differs;
+    # a pure mode 2 is T/2-periodic, so its folded sum equals the full one
+    # in exact arithmetic, and only the node count shows a wrong fold.
+    model, e, K, x1, s = _cylinder_case(name)
+    vals = cylinder_values(e, K, x1[:, None], s, model)
+    assert vals.shape == (len(x1), len(s))
+    for x, row in zip(x1, vals):
+        exact = action_values(_face_rows(e, K, np.broadcast_to(x, (len(s), len(x))), s),
+                              e.T, model)
+        assert np.all(np.abs(row - exact) <= 1e-12 * (1.0 + np.abs(exact))), (row, exact)
+
+
+@pytest.mark.parametrize("name", CYLINDER_CASES)
+def test_cylinder_values_give_a_loop_the_bits_of_its_block(name):
+    model, e, K, x1, s = _cylinder_case(name)
+    block = cylinder_values(e, K, x1[:, None], s, model)
+    for x, row in zip(x1, block):
+        assert np.array_equal(cylinder_values(e, K, x[None, None], s, model)[0], row)
+        assert np.array_equal([cylinder_values(e, K, x, t, model) for t in s], row)
+    paired = cylinder_values(e, K, x1[:, None].repeat(len(s), axis=1).reshape(-1, len(x1[0])),
+                             np.tile(s, len(x1)), model)
+    assert np.array_equal(paired, block.ravel())
+
+
+@pytest.mark.parametrize("name, nodes", [("quartic", 51), ("mode3", 51), ("mode2", 100),
+                                         ("sin+sin2", 100), ("sin+cos", 100)])
+def test_cylinder_values_evaluate_half_the_nodes_of_a_symmetric_direction(name, nodes):
+    # K = 24: N = 100 nodes, folded to N/2 + 1 = 51 when e(T/2 - t) = e(t).
+    quartic, e, K, x1, s = _cylinder_case(name)
+    seen = []
+
+    def value(x):
+        seen.append(np.prod(np.shape(x)[:-1]))
+        return quartic.value(x)
+
+    model = PotentialModel.smooth(value, quartic.gradients[0], 1)
+    cylinder_values(e, K, x1[:, None], s, model)
+    assert seen == [len(x1) * len(s) * nodes]
 
 
 @pytest.mark.parametrize("T, n, K, count", [(2.0, 2, 16, 2000), (5.0, 1, 32, 2000),
@@ -335,13 +444,16 @@ def test_sphere_rows_are_zero_mean_on_the_sphere_with_two_decay_laws(T, n, K, co
 def test_sampled_extremes_are_action_values_of_the_drawn_rows(monkeypatch, name, K,
                                                               n_samples, seed):
     geom, V, T = _certify_case(name)
-    geom, (sphere, faces) = _drawn_rows(monkeypatch, geom, V, T, n_samples=n_samples,
-                                        K=K, seed=seed)
+    geom, sphere, (e, width, x1, s) = _drawn_rows(monkeypatch, geom, V, T, n_samples=n_samples,
+                                                  K=K, seed=seed)
     assert len(sphere) == n_samples == geom.n_samples
     one_row = [[action_value(PeriodicTrajectory.from_coefficients(T, row), V)
-                for row in rows] for rows in (sphere, faces)]
+                for row in rows] for rows in (sphere, _face_rows(e, width, x1, s))]
     assert geom.alpha_sampled == min(one_row[0])
-    assert geom.beta_sampled == max(one_row[1])
+    beta = max(one_row[1])
+    assert abs(geom.beta_sampled - beta) <= 1e-12 * (1.0 + abs(beta))
+    if one_row[1][-1] == beta:                                    # the zero loop is the max
+        assert geom.beta_sampled == beta
     assert geom.passed == (geom.alpha_sampled > geom.beta_sampled
                            and geom.alpha_sampled >= geom.alpha_bound - LEVEL_TOL)
     assert geom.passed == (name != "forced")

@@ -16,6 +16,7 @@ from liporbit.linking import (
     calibrate_saddle,
     calibrate_superquadratic,
     certify_linking,
+    cylinder_values,
     unit_direction,
 )
 from liporbit.potentials import active_set, make_maxpair, make_maxpoly, make_quartic, make_subq32
@@ -30,7 +31,6 @@ from liporbit.solver import (
     _grid_points,
     _polish_candidates,
     _polish_steps,
-    _screen,
     _seed_variants,
     deform_step,
     init_surface,
@@ -765,12 +765,12 @@ def test_screened_probe_values_track_action_values(cylinders, case):
     th = np.arange(8) / 8
     s = np.append((s_nodes[:-1, None] + th * np.diff(s_nodes)[:, None]).ravel(), s_nodes[-1])
     x1 = _grid_points(geom.r1, m, model.dim)
-    screened = _screen(geom, model, cfg.K, x1, s)
+    screened = cylinder_values(geom.e, cfg.K, x1[:, None], s, model)
     assert screened.shape == points.shape[:2] == (m ** model.dim, 8 * (m - 1) + 1)
     for x, rows_, row in zip(x1, points, screened):
         exact = action_values(rows_, geom.T, model)
         assert np.all(np.abs(row - exact) <= 1e-12 * (1.0 + np.abs(exact)))
-        assert np.array_equal(_screen(geom, model, cfg.K, x[None], s)[0], row)
+        assert np.array_equal(cylinder_values(geom.e, cfg.K, x[None, None], s, model)[0], row)
 
 
 @pytest.mark.parametrize("case", ["subq32", "subq32-1d", "offcenter", "offcenter-cusp",

@@ -4,7 +4,7 @@
         python3 tools/polish_counts.py [REPEATS]
 
 Runs from the root of a checkout against the liporbit sources under its
-src/.  Solves kink-sweep T = 1.75, 2.25, 2.4, smooth-sweep quartic
+src/.  Solves kink-sweep T = 1.75, 2.0, 2.25, 2.4, smooth-sweep quartic
 T = 5.5, 8.5 at K = 64 and T = 8.5 at K = 128, and the quartic at n = 2,
 T = 8.5, K = 64 (not a benchmark input), through `cli.cmd_solve`, with
 the benchmark's configs (perfbench/workloads.py) and sampler seed 1,
@@ -18,6 +18,9 @@ and the answer check), and prints per solve:
   `residual_jacobians`, the calls and the rows they evaluate, counted
   by wrapping the names `linking` and `solver` hold, as calls/rows per
   module; a name the module does not hold prints "-";
+* the points `PotentialModel.value` evaluates inside `ridge_probe` and
+  inside `certify_linking` (the names `solver` and `linking` hold), a
+  deterministic count of the two phases' work;
 * the median in-process time of REPEATS (default 5) further unwrapped
   solves;
 * the stack sizes of the run's `solver._polish_candidates` calls, one
@@ -38,15 +41,19 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from liporbit import cli, linking, solver  # noqa: E402
+from liporbit.potentials import PotentialModel  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SAMPLER_SEED = 1
 COUNTED = [(module, name) for module in (linking, solver)
            for name in ("action_values", "min_norm_residuals", "residual_jacobians")]
+PHASES = [(solver, "ridge_probe"), (linking, "certify_linking")]
 
 
 def cmd_solve_input(raw: dict):
@@ -77,7 +84,7 @@ def inputs() -> list[tuple[str, object]]:
     kink, smooth = WORKLOADS["kink-sweep"], WORKLOADS["smooth-sweep"]
     saddle = WORKLOADS["saddle-offcenter"]
     return ([(f"kink T = {T}", cmd_solve_input(kink.config(T, SAMPLER_SEED)))
-             for T in (1.75, 2.25, 2.4)]
+             for T in (1.75, 2.0, 2.25, 2.4)]
             + [(f"quartic T = {T}, K = {K}", cmd_solve_input(smooth.config(T, K, SAMPLER_SEED)))
                for T, K in ((5.5, 64), (8.5, 64), (8.5, 128))]
             + [("quartic n = 2, T = 8.5", cmd_solve_input(
@@ -103,6 +110,22 @@ def stacked(fn, stacks: list[int]):
     return wrapper
 
 
+def phase_points(fn, points: dict, name: str):
+    """fn, charging the points PotentialModel.value evaluates during each call to points[name]."""
+    def wrapper(*args, **kwargs):
+        value = PotentialModel.value
+
+        def counting(model, x):
+            points[name] += int(np.prod(np.shape(x)[:-1]))
+            return value(model, x)
+        PotentialModel.value = counting
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            PotentialModel.value = value
+    return wrapper
+
+
 def main(argv: list[str]) -> int:
     repeats = int(argv[0]) if argv else 5
     held = [(module, name) for module, name in COUNTED if hasattr(module, name)]
@@ -110,7 +133,7 @@ def main(argv: list[str]) -> int:
     width = max(map(len, labels))
     print(f"{'input':24s} {'exit':>4s} {'records':>7s} "
           + " ".join(f"{label:>{width}s}" for label in labels)
-          + f" {'median ms':>9s} {'stacks':>9s} rejections")
+          + f" {'probe pts':>9s} {'cert pts':>9s} {'median ms':>9s} {'stacks':>9s} rejections")
     with tempfile.TemporaryDirectory() as tmp:
         inputs()[0][1](tmp)                 # warm-up, so the first time is not the process's
         for label, run in inputs():
@@ -121,12 +144,18 @@ def main(argv: list[str]) -> int:
             stacks: list[int] = []
             polish = solver._polish_candidates
             solver._polish_candidates = stacked(polish, stacks)
+            points = {name: 0 for _, name in PHASES}
+            phases = {name: getattr(module, name) for module, name in PHASES}
+            for module, name in PHASES:
+                setattr(module, name, phase_points(phases[name], points, name))
             try:
                 code, records, rejections = run(tmp)
             finally:
                 for (module, name), fn in originals.items():
                     setattr(module, name, fn)
                 solver._polish_candidates = polish
+                for module, name in PHASES:
+                    setattr(module, name, phases[name])
             times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
@@ -136,6 +165,7 @@ def main(argv: list[str]) -> int:
                      for key in COUNTED]
             print(f"{label:24s} {code:4d} {records:7d} "
                   + " ".join(f"{cell:>{width}s}" for cell in cells)
+                  + "".join(f" {points[name]:9d}" for _, name in PHASES)
                   + f" {1e3 * statistics.median(times):9.1f} {str(stacks):>9s} {rejections}")
     return 0
 
